@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -68,6 +69,10 @@ class RunConfig:
                 raise ConfigError(
                     f"initial_state must be one of {_STATE_PRESETS} "
                     "or an inline 4x4 matrix")
+        for value, name in ((self.horizon, "horizon"),
+                            (self.sample_step, "sample_step")):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
         if self.horizon <= 0:
             raise ConfigError("horizon must be positive")
         if self.sample_step <= 0:
@@ -185,13 +190,22 @@ def _out_path(config, default_name):
     return outdir / f"{default_name}.{config.output_format}"
 
 
+def _read_json_object(path, what):
+    """The JSON object in a config or spec file; ConfigError otherwise."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} file {path} must hold a JSON object")
+    return data
+
+
 def _load_config(args):
     data = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
+        data = _read_json_object(args.config, "config")
     overrides = {
         "a_over_omega": args.a, "omega_L": args.omega_l,
         "y_over_L": args.y_over_l, "alignment": args.alignment,
@@ -271,18 +285,15 @@ def _trajectory_rows(config):
     n = max(int(np.ceil(config.horizon / config.sample_step)), 2)
     times = np.linspace(0.0, config.horizon, n + 1)
     traj = dy.propagate(gen, config.initial(), times)
-    curve = en.concurrence_curve(traj)
-    rows = []
-    for t, s, c in zip(times, traj.states, curve):
-        rows.append([t, s.pG, s.pE, s.pA, s.pS, s.rho_as.real,
-                     s.rho_as.imag, s.rho_ge.real, s.rho_ge.imag, c])
+    columns = [times, traj.vectors, traj.rho_ge.real, traj.rho_ge.imag,
+               en.concurrence_curve(traj)]
     companions = {}
     if config.include_free_space_companion:
         gen_f = dy.build_generator(co.assemble(cfg, include_boundary=False))
         traj_f = dy.propagate(gen_f, config.initial(), times)
         companions["free_concurrence"] = en.concurrence_curve(traj_f)
-        for row, cf in zip(rows, companions["free_concurrence"]):
-            row.append(cf)
+        columns.append(companions["free_concurrence"])
+    rows = np.column_stack(columns).tolist()
     return traj, rows, companions
 
 
@@ -353,8 +364,7 @@ def cmd_sweep(args):
         if not args.spec:
             print("either --preset or --spec is required", file=sys.stderr)
             return 1
-        with open(args.spec) as fh:
-            raw = json.load(fh)
+        raw = _read_json_object(args.spec, "spec")
         specs = [_spec_from_dict(raw)]
         name = specs[0].label or "sweep"
 
@@ -416,20 +426,28 @@ def _spec_from_dict(raw):
     unknown = set(base_raw) - base_keys
     if unknown:
         raise ConfigError(f"unknown base key(s): {', '.join(sorted(unknown))}")
-    base = co.PhysicalConfig.from_ratios(
-        base_raw.get("a_over_omega", 0.5), base_raw.get("omega_L", 1.0),
-        base_raw.get("y_over_L", 0.5), base_raw.get("alignment", "parallel"),
-        d1=tuple(base_raw.get("d1", (1, 0, 0))),
-        d2=tuple(base_raw.get("d2", (1, 0, 0))),
-        gamma0=base_raw.get("gamma0", 1.0))
-    return sw.SweepSpec(
-        label=raw.get("label", "sweep"), base=base, axis=raw["axis"],
-        values=tuple(raw["values"]),
-        initial_state=raw.get("initial_state", "S"),
-        horizon=raw.get("horizon", 40.0),
-        sample_step=raw.get("sample_step", 1e-2),
-        outputs=tuple(raw.get("outputs", ("maxc", "events"))),
-        include_free_space=raw.get("include_free_space", False))
+    missing = {"axis", "values"} - set(raw)
+    if missing:
+        raise ConfigError(
+            f"sweep spec lacks key(s): {', '.join(sorted(missing))}")
+    try:
+        base = co.PhysicalConfig.from_ratios(
+            base_raw.get("a_over_omega", 0.5), base_raw.get("omega_L", 1.0),
+            base_raw.get("y_over_L", 0.5),
+            base_raw.get("alignment", "parallel"),
+            d1=tuple(base_raw.get("d1", (1, 0, 0))),
+            d2=tuple(base_raw.get("d2", (1, 0, 0))),
+            gamma0=base_raw.get("gamma0", 1.0))
+        return sw.SweepSpec(
+            label=raw.get("label", "sweep"), base=base, axis=raw["axis"],
+            values=tuple(raw["values"]),
+            initial_state=raw.get("initial_state", "S"),
+            horizon=raw.get("horizon", 40.0),
+            sample_step=raw.get("sample_step", 1e-2),
+            outputs=tuple(raw.get("outputs", ("maxc", "events"))),
+            include_free_space=raw.get("include_free_space", False))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid sweep spec: {exc}") from exc
 
 
 def _oracle_report(cfg, omega0=1.0, settings=None):

@@ -36,7 +36,7 @@ def _as_unit_vector(d, name):
     if v.shape != (3,):
         raise ValueError(f"{name} must be a real 3-vector, got shape {v.shape}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > _UNIT_TOL:
+    if not abs(norm - 1.0) <= _UNIT_TOL:  # also rejects NaN components
         raise ValueError(f"{name} must be a unit vector (|{name}| = {norm!r})")
     return v
 
@@ -62,6 +62,12 @@ class PhysicalConfig:
     gamma0: float = 1.0
 
     def __post_init__(self):
+        for value, name in ((self.a, "acceleration"),
+                            (self.L, "separation L"),
+                            (self.y, "boundary distance y"),
+                            (self.gamma0, "gamma0")):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.a < 0:
             raise ValueError("acceleration must be non-negative")
         if self.L <= 0:

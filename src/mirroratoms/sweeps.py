@@ -14,6 +14,7 @@ columns for the dashed-line comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,8 +62,10 @@ class SweepSpec:
         if not all(np.isfinite(vals)):
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", vals)
-        if self.horizon <= 0 or self.sample_step <= 0:
-            raise ValueError("horizon and sample_step must be positive")
+        if not (0 < self.horizon < math.inf
+                and 0 < self.sample_step < math.inf):
+            raise ValueError(
+                "horizon and sample_step must be positive and finite")
         bad = set(self.outputs) - {"curve", "events", "maxc"}
         if bad:
             raise ValueError(f"unknown outputs {sorted(bad)}")

@@ -219,3 +219,69 @@ def test_validate_small_sample(capsys):
     assert "overall max relative error" in out
     worst = float(out.split("overall max relative error:")[1].split()[0])
     assert worst <= 0.01
+
+
+# ---------------------------------------------------------------------
+# invalid input ends in "configuration error", exit 1, never a traceback
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    (("coeffs", "--a", "nan"), "acceleration must be finite"),
+    (("coeffs", "--a", "inf"), "acceleration must be finite"),
+    (("coeffs", "--y-over-l", "inf"), "boundary distance y must be finite"),
+    (("coeffs", "--gamma0", "nan"), "gamma0 must be finite"),
+    (("coeffs", "--d1", "nan,0,0"), "d1 must be a unit vector"),
+    (("evolve", "--omega-l", "inf"), "separation L must be finite"),
+    (("evolve", "--horizon", "inf"), "horizon must be finite"),
+    (("evolve", "--sample-step", "nan"), "sample_step must be finite"),
+])
+def test_non_finite_inputs_are_config_errors(argv, message, tmp_path,
+                                             capsys):
+    rc = run_cli(*argv, "--output", str(tmp_path / "out.csv"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "configuration error" in err and message in err
+
+
+@pytest.mark.parametrize("content", [None, "{not json"],
+                         ids=["missing", "malformed"])
+def test_unreadable_config_file_is_a_config_error(content, tmp_path, capsys):
+    cfg_file = tmp_path / "run.json"
+    if content is not None:
+        cfg_file.write_text(content)
+    rc = run_cli("coeffs", "--config", str(cfg_file))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "configuration error" in err and str(cfg_file) in err
+
+
+@pytest.mark.parametrize("content", [None, "{not json"],
+                         ids=["missing", "malformed"])
+def test_unreadable_spec_file_is_a_config_error(content, tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    if content is not None:
+        spec_file.write_text(content)
+    rc = run_cli("sweep", "--spec", str(spec_file),
+                 "--output", str(tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "configuration error" in err and str(spec_file) in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"values": [0.5]}, "axis"),
+    ({"axis": "acceleration"}, "values"),
+    ({"axis": "acceleration", "values": [0.5],
+      "base": {"omega_L": -1.0}}, "separation L must be positive"),
+    ({"axis": "acceleration", "values": [0.5], "horizon": float("inf")},
+     "horizon and sample_step must be positive and finite"),
+])
+def test_invalid_sweep_spec_is_a_config_error(spec, message, tmp_path,
+                                              capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    rc = run_cli("sweep", "--spec", str(spec_file),
+                 "--output", str(tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "configuration error" in err and message in err

@@ -221,6 +221,52 @@ def test_expm_fallback_agrees_with_eig(monkeypatch):
     assert np.max(np.abs(fb.states[0].vector() - ref.vector())) <= 1e-12
 
 
+def _drift_generator(a_over_omega, alignment):
+    # omega L = 0.15, y/L = 0.5, x dipoles: nearly defective collective
+    # modes make the spectral route leak trace; vertical at a = 0 from the
+    # first step on, parallel at a = 1/2 only after 276 scan steps
+    cfg = co.PhysicalConfig.from_ratios(a_over_omega, 0.15, 0.5, alignment,
+                                        d1=(1, 0, 0), d2=(1, 0, 0))
+    return dy.build_generator(co.assemble(cfg))
+
+
+@pytest.mark.parametrize("gen, s0, method", [
+    (dy.build_generator(coeffs(a3=0.12)),
+     dy.XState(0.25, 0.25, 0.25, 0.25, rho_as=0.1 + 0.05j, rho_ge=0.1 - 0.2j),
+     "eig"),
+    (_drift_generator(0.0, "vertical"), dy.XState.excited(), "expm"),
+    (_drift_generator(0.5, "parallel"), dy.XState.excited(), "expm"),
+], ids=["well_conditioned", "drift_at_once", "drift_mid_scan"])
+def test_propagate_rows_equal_sequential_evaluation(gen, s0, method):
+    times = np.linspace(0.0, 40.0, 4001)
+    traj = dy.propagate(gen, s0, times)
+
+    prop = dy._Propagator(gen)
+    one_by_one = np.array([prop.apply(s0.vector(), tau) for tau in times])
+    assert np.array_equal(traj.vectors, one_by_one)
+    assert traj.method == prop.method == method
+    ge = [s0.rho_ge * np.exp(gen.rate_ge * tau) for tau in times]
+    assert np.array_equal(traj.rho_ge, ge)
+
+
+@pytest.mark.parametrize("flow, message", [
+    # pE decays into nothing: the populations leak trace
+    ({(1, 1): -0.5}, "sum to 1"),
+    # pG drains at a rate set by pE and goes negative
+    ({(0, 1): -0.5, (2, 1): 0.5}, "pG is negative"),
+    # Re rho_AS grows without bound at fixed populations
+    ({(4, 2): 0.5}, "not positive"),
+])
+def test_propagate_rejects_unphysical_generators(flow, message):
+    m = np.zeros((6, 6))
+    for idx, rate in flow.items():
+        m[idx] = rate
+    gen = dy.Generator(m, rate_ge=0.0)
+    s0 = dy.XState(0.0, 0.5, 0.5, 0.0)
+    with pytest.raises(ValueError, match=message):
+        dy.propagate(gen, s0, np.linspace(0.0, 10.0, 11))
+
+
 def test_trajectory_state_at_matches_grid():
     gen = dy.build_generator(coeffs(a3=0.05))
     traj = dy.propagate(gen, dy.XState.symmetric(), [0.0, 1.0, 2.0])

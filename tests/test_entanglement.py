@@ -89,6 +89,52 @@ def test_negative_radicand_is_reported():
         en.concurrence_x(s)
 
 
+def _trajectory_of_rows(vectors):
+    """A trajectory of the given rows, built without propagate's checks."""
+    vectors = np.asarray(vectors, dtype=float)
+    gen = dy.build_generator(co.CoefficientSet(0.25, 0.25, 0.0,
+                                               0.25, 0.25, 0.0))
+    n = len(vectors)
+    return dy.Trajectory(times=np.arange(n, dtype=float), vectors=vectors,
+                         rho_ge=np.zeros(n, complex), generator=gen,
+                         initial_state=dy.XState.ground())
+
+
+def test_negative_radicand_is_reported_along_a_trajectory():
+    # |Re rho_AS| beyond (pA + pS)/2 makes the K2 radicand negative
+    row = [0.5, 0.0, 0.25, 0.25, 0.0, 0.0]
+    beyond = _trajectory_of_rows([row, row[:4] + [0.25 + 1e-9, 0.0]])
+    with pytest.raises(ValueError, match="negative radicand"):
+        en.concurrence_curve(beyond)
+    with pytest.raises(ValueError, match="negative radicand"):
+        en.analyze_events(beyond)
+    within = _trajectory_of_rows([row, row[:4] + [0.25 + 1e-14, 0.0]])
+    assert np.all(en.concurrence_curve(within) >= 0.0)
+
+
+def test_array_concurrence_equals_scalar_bit_for_bit(rng):
+    for _ in range(20):
+        a1, a2 = rng.uniform(0.05, 1.0, size=2)
+        a3 = rng.uniform(-1.0, 1.0) * np.sqrt(a1 * a2)
+        th = rng.uniform(0.0, 1.0)
+        gen = dy.build_generator(co.CoefficientSet(
+            a1, a2, a3, a1 * th, a2 * th, a3 * th))
+        traj = dy.propagate(gen, random_x_state(rng),
+                            np.linspace(0.0, 30.0, 601))
+        states = traj.states
+        # compared as bytes, so that -0.0 and 0.0 count as different
+        scalar = np.array([en.concurrence_x(s) for s in states])
+        assert en.concurrence_curve(traj).tobytes() == scalar.tobytes()
+        k_scalar = np.array([en._k_values(s) for s in states])
+        k_array = np.column_stack(en._k_arrays(traj))
+        assert k_array.tobytes() == k_scalar.tobytes()
+    # a NaN coherence: Python's max passes over the NaN branch, and so
+    # must the array form (np.maximum would return NaN)
+    odd = _trajectory_of_rows([[0.5, 0.0, 0.25, 0.25, np.nan, 0.0]])
+    scalar = [en.concurrence_x(s) for s in odd.states]
+    assert en.concurrence_curve(odd).tolist() == scalar == [0.0]
+
+
 # ---------------------------------------------------------------------
 # dynamics-level properties
 # ---------------------------------------------------------------------

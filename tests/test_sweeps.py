@@ -1,6 +1,7 @@
 """Sweep driver determinism, presets, and companion-column consistency."""
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,3 +167,32 @@ def test_window_edge_refinement():
                                    values=(edge + 0.05,), initial_state="E",
                                    horizon=15.0, outputs=("maxc",)))
     assert (lo.rows[0]["max_c"] > 1e-4) != (hi.rows[0]["max_c"] > 1e-4)
+
+
+# ---------------------------------------------------------------------
+# exact max-C values of points whose C is flat to round-off
+# ---------------------------------------------------------------------
+
+# Values of the per-sample implementation.  Near these maxima C is flat
+# to round-off, so max_c_time (and at a = 0 max_c itself) is set by the
+# exact arithmetic of the propagation: computing every sample with expm
+# instead of the eigendecomposition moves the first time by 1.7e-4 and
+# the last by 2.6.
+_PINNED_MAXC = {
+    ("fig16", "parallel_xy", 0.05): {
+        "max_c": 0.0004811352863983134, "max_c_time": 15.082788640215004,
+        "free_max_c": 0.0, "free_max_c_time": 0.0},
+    ("fig18", "parallel_a0", 0.15): {"max_c": 0.0, "max_c_time": 0.0},
+    ("fig20", "parallel_a0", 0.15): {
+        "max_c": 1.0762776378352669e-16, "max_c_time": 39.97},
+}
+
+
+@pytest.mark.parametrize("point", sorted(_PINNED_MAXC))
+def test_round_off_maxima_are_bit_stable(point):
+    preset, label, value = point
+    spec = next(s for s in sw.figure_presets()[preset].specs
+                if s.label == label)
+    row = sw.run_sweep(replace(spec, values=(value,))).rows[0]
+    assert row["error"] == ""
+    assert {k: row[k] for k in _PINNED_MAXC[point]} == _PINNED_MAXC[point]
