@@ -10,13 +10,12 @@ from .coefficients import (
     assemble_free_space,
     f_cross,
     f_single,
-    g_cross_vertical,
     h_cross_parallel,
     h_self,
     near_boundary_expansion,
     spectral_prefactor,
     spectral_tensor,
-    tensors_vertical,
+    spectral_tensors,
 )
 from .correlations import (
     CorrelationKernel,

@@ -122,10 +122,9 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class CorrelationTensor:
-    """A 3x3 real spectral tensor with a tag saying which block it is."""
+    """A 3x3 real spectral tensor."""
 
     entries: np.ndarray
-    kind: str
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -230,7 +229,7 @@ def f_single(a):
     """Single-atom free-space spectral tensor: (1 + a^2) times the identity."""
     if a < 0:
         raise ValueError("acceleration must be non-negative")
-    return CorrelationTensor(np.eye(3) * (1.0 + a * a), kind="f_single")
+    return CorrelationTensor(np.eye(3) * (1.0 + a * a))
 
 
 def f_cross(a, L):
@@ -247,7 +246,7 @@ def f_cross(a, L):
     e[2, 2] = _f33(a, L)
     e[0, 2] = _f13(a, L)
     e[2, 0] = -e[0, 2]
-    return CorrelationTensor(e, kind="f_cross")
+    return CorrelationTensor(e)
 
 
 def h_cross_parallel(a, y, L):
@@ -300,7 +299,7 @@ def h_cross_parallel(a, y, L):
     e = np.array([[h11, h12, h13],
                   [h12, h22, h23],
                   [-h13, -h23, h33]])
-    return CorrelationTensor(e, kind="h_cross")
+    return CorrelationTensor(e)
 
 
 def h_self(a, y):
@@ -318,44 +317,41 @@ def h_self(a, y):
     e[1, 1] = -_f33(a, s)
     e[2, 2] = _f22(a, s)
     e[0, 1] = e[1, 0] = _f13(a, s)
-    return CorrelationTensor(e, kind="h_self")
+    return CorrelationTensor(e)
 
 
-def g_cross_vertical(a, L):
-    """Free-space two-atom tensor for separation L along y (vertical case).
+# exchanges the y and z axes; np.ix_ keeps the permuted copy C-contiguous,
+# so later products take the same BLAS path as for a freshly built tensor
+_SWAP_YZ = np.ix_([0, 2, 1], [0, 2, 1])
 
-    Same as :func:`f_cross` with the y and z axes exchanged, so the
-    acceleration-induced mixing sits in the xy block.
+
+def spectral_tensors(config, part):
+    """Distinct 3x3 spectral tensors of one kernel part, keyed by atom pair.
+
+    part is "free" or "boundary"; only that part is built.  Keys come in
+    the order (1, 1), (2, 2), (1, 2).  In the parallel alignment both atoms
+    sit at height y and share one self tensor, so there is no (2, 2) key
+    and the cross image sits at chord sqrt(L^2 + 4 y^2).  In the vertical
+    alignment the atoms sit at heights y and y + L, separated along y, and
+    the cross image sits at the mean height.  The (2, 1) tensor is always
+    the transpose of (1, 2).
     """
-    if L <= 0:
-        raise ValueError("separation L must be positive")
-    e = np.zeros((3, 3))
-    e[0, 0] = _f11(a, L)
-    e[1, 1] = _f33(a, L)
-    e[2, 2] = _f22(a, L)
-    e[0, 1] = _f13(a, L)
-    e[1, 0] = -e[0, 1]
-    return CorrelationTensor(e, kind="g_vertical")
-
-
-def tensors_vertical(a, y, L):
-    """All six spectral tensors of the vertical alignment.
-
-    Returns (g_self1, g_self2, g_cross, s_self1, s_self2, s_cross).  The
-    nearer atom sits at height y, the farther one at y + L; the cross image
-    distance is the mean height y + L/2.
-    """
-    if y <= 0:
-        raise ValueError("boundary distance y must be positive")
-    if L <= 0:
-        raise ValueError("separation L must be positive")
-    g1 = f_single(a)
-    g2 = f_single(a)
-    gc = g_cross_vertical(a, L)
-    s1 = CorrelationTensor(h_self(a, y).entries, kind="s_vertical")
-    s2 = CorrelationTensor(h_self(a, y + L).entries, kind="s_vertical")
-    sc = CorrelationTensor(h_self(a, y + 0.5 * L).entries, kind="s_vertical")
-    return g1, g2, gc, s1, s2, sc
+    a, y, L = config.a, config.y, config.L
+    vertical = config.alignment == VERTICAL
+    if part == "free":
+        fs = f_single(a).entries
+        fc = f_cross(a, L).entries
+        if vertical:
+            return {(1, 1): fs, (2, 2): fs, (1, 2): fc[_SWAP_YZ]}
+        return {(1, 1): fs, (1, 2): fc}
+    if part != "boundary":
+        raise ValueError("part must be 'free' or 'boundary'")
+    if vertical:
+        return {(1, 1): h_self(a, y).entries,
+                (2, 2): h_self(a, y + L).entries,
+                (1, 2): h_self(a, y + 0.5 * L).entries}
+    return {(1, 1): h_self(a, y).entries,
+            (1, 2): h_cross_parallel(a, y, L).entries}
 
 
 # ---------------------------------------------------------------------------
@@ -395,31 +391,15 @@ def spectral_prefactor(omega0, a):
 def pair_tensors(config, include_boundary=True):
     """Spectral tensors (T_self1, T_self2, T_cross) entering the rates.
 
-    Each is the free-space part minus the boundary part for the requested
-    alignment; with ``include_boundary=False`` the boundary part is dropped
-    (the free-space companion used for dashed-line comparisons).
+    Each is the free-space part minus the boundary part; with
+    ``include_boundary=False`` the boundary part is dropped (the
+    free-space companion used for dashed-line comparisons).
     """
-    a, y, L = config.a, config.y, config.L
-    if config.alignment == PARALLEL:
-        fs = f_single(a).entries
-        if include_boundary:
-            hs = h_self(a, y).entries
-            hc = h_cross_parallel(a, y, L).entries
-        else:
-            hs = np.zeros((3, 3))
-            hc = np.zeros((3, 3))
-        t1 = fs - hs
-        t2 = fs - hs
-        tc = f_cross(a, L).entries - hc
-    else:
-        g1, g2, gc, s1, s2, sc = tensors_vertical(a, y, L)
-        if not include_boundary:
-            z = np.zeros((3, 3))
-            s1 = s2 = sc = CorrelationTensor(z, kind="s_vertical")
-        t1 = g1.entries - s1.entries
-        t2 = g2.entries - s2.entries
-        tc = gc.entries - sc.entries
-    return t1, t2, tc
+    t = spectral_tensors(config, "free")
+    if include_boundary:
+        b = spectral_tensors(config, "boundary")
+        t = {pair: t[pair] - b[pair] for pair in t}
+    return t[(1, 1)], t.get((2, 2), t[(1, 1)]), t[(1, 2)]
 
 
 def assemble(config, include_boundary=True):
@@ -521,25 +501,7 @@ def spectral_tensor(config, pair, part):
     alpha, beta = pair
     if alpha not in (1, 2) or beta not in (1, 2):
         raise ValueError("atom indices must be 1 or 2")
-    a, y, L = config.a, config.y, config.L
-    if config.alignment == PARALLEL:
-        if alpha == beta:
-            t = f_single(a) if part == "free" else h_self(a, y)
-        else:
-            t = (f_cross(a, L) if part == "free"
-                 else h_cross_parallel(a, y, L))
-            if (alpha, beta) == (2, 1):
-                t = CorrelationTensor(t.entries.T, kind=t.kind)
-    else:
-        g1, g2, gc, s1, s2, sc = tensors_vertical(a, y, L)
-        table = {
-            (1, 1): g1 if part == "free" else s1,
-            (2, 2): g2 if part == "free" else s2,
-            (1, 2): gc if part == "free" else sc,
-        }
-        if (alpha, beta) == (2, 1):
-            t = table[(1, 2)]
-            t = CorrelationTensor(t.entries.T, kind=t.kind)
-        else:
-            t = table[(alpha, beta)]
-    return t
+    table = spectral_tensors(config, part)
+    if (alpha, beta) == (2, 1):
+        return CorrelationTensor(table[(1, 2)].T)
+    return CorrelationTensor(table.get((alpha, beta), table[(1, 1)]))

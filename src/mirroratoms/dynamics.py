@@ -48,13 +48,17 @@ class XState:
     rho_ge: complex = 0.0 + 0.0j
 
     def __post_init__(self):
+        # every check is written so that NaN fails it
         tr = self.pG + self.pE + self.pA + self.pS
-        if abs(tr - 1.0) > _TRACE_TOL:
+        if not abs(tr - 1.0) <= _TRACE_TOL:
             raise ValueError(f"populations must sum to 1, got {tr!r}")
         for name in ("pG", "pE", "pA", "pS"):
-            if getattr(self, name) < -_POS_TOL:
+            if not getattr(self, name) >= -_POS_TOL:
                 raise ValueError(f"{name} is negative beyond tolerance")
-        if self.min_eigenvalue() < -_POS_TOL:
+        # min() in min_eigenvalue would drop a NaN block eigenvalue
+        if not math.isfinite(abs(self.rho_as) + abs(self.rho_ge)):
+            raise ValueError("coherences rho_AS and rho_GE must be finite")
+        if not self.min_eigenvalue() >= -_POS_TOL:
             raise ValueError(
                 f"state not positive (min eigenvalue {self.min_eigenvalue()})")
 
@@ -123,12 +127,14 @@ class XState:
     def from_density_matrix(cls, rho, atol=1e-10):
         """Validate a 4x4 matrix and extract the X-form coordinates.
 
-        Rejects non-hermitian, non-unit-trace, non-positive matrices and
-        matrices with entries off the X pattern.
+        Rejects non-finite, non-hermitian, non-unit-trace and non-positive
+        matrices and matrices with entries off the X pattern.
         """
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError("density matrix must be 4x4")
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(rho - rho.conj().T)) > atol:
             raise ValueError("density matrix is not hermitian")
         if abs(np.trace(rho).real - 1.0) > 1e-10:

@@ -95,7 +95,7 @@ class SweepResult:
     curves: dict = field(default_factory=dict)
 
 
-def _evaluate_point(spec, index, value):
+def _evaluate_point(spec, value):
     row = {
         "label": spec.label,
         "axis": spec.axis,
@@ -149,24 +149,15 @@ def _evaluate_point(spec, index, value):
                     row[prefix + "truncated"] = ev.truncated
     except (dy.DynamicsFrozenError, ValueError, RuntimeError) as exc:
         row["error"] = str(exc)
-    return index, row, curve
+    return row, curve
 
 
-def run_sweep(spec, map_fn=map):
-    """Evaluate a sweep; per-point failures land in the row, not raised.
-
-    ``map_fn`` may be a concurrent executor's map; points are independent
-    and the result table preserves input order regardless.
-    """
-    if spec.axis == "time":
-        results = [_evaluate_point(spec, 0, spec.values[0])]
-    else:
-        results = list(map_fn(
-            lambda iv: _evaluate_point(spec, iv[0], iv[1]),
-            list(enumerate(spec.values))))
-    results.sort(key=lambda t: t[0])
-    rows = [r for _, r, _ in results]
-    curves = {i: c for i, _, c in results if c}
+def run_sweep(spec):
+    """Evaluate a sweep; per-point failures land in the row, not raised."""
+    values = spec.values[:1] if spec.axis == "time" else spec.values
+    results = [_evaluate_point(spec, value) for value in values]
+    rows = [r for r, _ in results]
+    curves = {i: c for i, (_, c) in enumerate(results) if c}
     return SweepResult(spec=spec, rows=rows, curves=curves)
 
 

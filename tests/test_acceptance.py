@@ -82,8 +82,8 @@ def test_criterion_2_free_space_recovery(acceptance_report):
     scale = 1.0 + a * a
     tensors = [co.h_self(a, 1e3 * wl).entries,
                co.h_cross_parallel(a, 1e3 * wl, wl).entries]
-    tensors += [t.entries for t in
-                co.tensors_vertical(a, 1e3 * wl, wl)[3:]]
+    far_vertical = co.PhysicalConfig.from_ratios(a, wl, 1e3, "vertical")
+    tensors += co.spectral_tensors(far_vertical, "boundary").values()
     tensor_ok = max(np.max(np.abs(t)) for t in tensors) <= 1e-6 * scale
 
     times = np.linspace(0.0, 10.0, 201)

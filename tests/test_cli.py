@@ -243,6 +243,36 @@ def test_non_finite_inputs_are_config_errors(argv, message, tmp_path,
     assert "configuration error" in err and message in err
 
 
+def _x_matrix(ge=0.0, as_=0.0):
+    return [[0.25, 0, 0, ge], [0, 0.25, as_, 0],
+            [0, as_, 0.25, 0], [ge, 0, 0, 0.25]]
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (_x_matrix(ge=0.6), "positive semidefinite"),
+    ([[1, 0, 0]] + [[0, 0, 0, 0]] * 3, "4x4 matrix"),
+    (_x_matrix(as_=float("nan")), "finite"),
+    ([[0.25, 0, 0, [0.1]]] + _x_matrix()[1:], "4x4 matrix"),
+], ids=["non-positive", "ragged", "nan-as", "short-pair"])
+def test_invalid_inline_initial_state_is_a_config_error(matrix, message,
+                                                        tmp_path, capsys):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"initial_state": matrix}))
+    rc = run_cli("evolve", "--config", str(cfg_file),
+                 "--output", str(tmp_path / "out.csv"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "configuration error" in err and message in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_malformed_dipole_flag_is_a_config_error(capsys):
+    rc = run_cli("coeffs", "--d1", "x,0,0")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "configuration error" in err
+
+
 @pytest.mark.parametrize("content", [None, "{not json"],
                          ids=["missing", "malformed"])
 def test_unreadable_config_file_is_a_config_error(content, tmp_path, capsys):

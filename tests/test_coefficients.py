@@ -233,24 +233,22 @@ def test_h_self_limits():
 # ---------------------------------------------------------------------
 
 def test_vertical_bounded_parts_vanish_far_away():
-    _, _, _, s1, s2, sc = co.tensors_vertical(0.5, 1e3, 1.0)
-    for t in (s1, s2, sc):
-        assert np.max(np.abs(t.entries)) <= 1e-6
+    bnd = co.spectral_tensors(cfg(yl=1e3, alignment="vertical"), "boundary")
+    for t in bnd.values():
+        assert np.max(np.abs(t)) <= 1e-6
 
 
 def test_vertical_nearer_atom_protection():
     # tangential self rates of the nearer atom die at the mirror while the
     # farther atom keeps a finite rate
-    g1, g2, gc, s1, s2, sc = co.tensors_vertical(0.5, 1e-6, 1.0)
-    t1 = g1.entries - s1.entries
-    t2 = g2.entries - s2.entries
+    t1, t2, _ = co.pair_tensors(cfg(yl=1e-6, alignment="vertical"))
     assert abs(t1[0, 0]) <= 1e-5
     assert abs(t1[2, 2]) <= 1e-5
     assert t2[0, 0] > 0.1
 
 
 def test_vertical_cross_image_distance():
-    _, _, _, _, _, sc = co.tensors_vertical(0.5, 0.5, 1.0)
+    sc = co.spectral_tensor(cfg(alignment="vertical"), (1, 2), "boundary")
     assert_allclose(sc.entries, co.h_self(0.5, 1.0).entries, rtol=1e-14)
 
 
@@ -260,13 +258,14 @@ _FROZEN_S_CROSS = {(1, 1): -0.017058805822999765, (2, 2): 0.04233190997476522,
 
 def test_vertical_s_cross_matches_frozen_oracle():
     pref = co.spectral_prefactor(1.0, 0.5)
-    _, _, _, _, _, sc = co.tensors_vertical(0.5, 0.5, 1.0)
+    sc = co.spectral_tensor(cfg(alignment="vertical"), (1, 2), "boundary")
     for (m, n), val in _FROZEN_S_CROSS.items():
         assert abs(-pref * sc.entries[m - 1, n - 1] - val) <= 0.01 * abs(val)
 
 
 def test_vertical_g_cross_permutes_axes():
-    g = co.g_cross_vertical(0.8, 1.1).entries
+    c = cfg(a=0.8, wl=1.1, alignment="vertical")
+    g = co.spectral_tensor(c, (1, 2), "free").entries
     f = co.f_cross(0.8, 1.1).entries
     assert g[0, 0] == f[0, 0]
     assert g[1, 1] == f[2, 2]
@@ -345,7 +344,8 @@ def test_exchange_symmetry_parallel(rng):
 def test_exchange_symmetry_vertical():
     # relabeling the atoms swaps the self tensors at heights y and y + L
     c = cfg(a=0.5, wl=1.0, yl=0.5, alignment="vertical")
-    _, _, _, s1, s2, _ = co.tensors_vertical(c.a, c.y, c.L)
+    s1 = co.spectral_tensor(c, (1, 1), "boundary")
+    s2 = co.spectral_tensor(c, (2, 2), "boundary")
     assert_allclose(s1.entries, co.h_self(c.a, c.y).entries, rtol=0)
     assert_allclose(s2.entries, co.h_self(c.a, c.y + c.L).entries, rtol=0)
 
@@ -414,6 +414,24 @@ def test_spectral_prefactor_detailed_balance():
     assert co.spectral_prefactor(-1.0, 0.0) == 0.0
     with pytest.raises(ValueError):
         co.spectral_prefactor(0.0, 0.5)
+
+
+@pytest.mark.parametrize("alignment,keys", [
+    ("parallel", [(1, 1), (1, 2)]),
+    ("vertical", [(1, 1), (2, 2), (1, 2)]),
+])
+@pytest.mark.parametrize("part", ["free", "boundary"])
+def test_spectral_tensors_table(alignment, keys, part):
+    c = cfg(a=0.7, wl=1.2, yl=0.6, alignment=alignment)
+    table = co.spectral_tensors(c, part)
+    assert list(table) == keys
+    t21 = co.spectral_tensor(c, (2, 1), part).entries
+    assert np.array_equal(t21, table[(1, 2)].T)
+    if alignment == "parallel":
+        t22 = co.spectral_tensor(c, (2, 2), part).entries
+        assert np.array_equal(t22, table[(1, 1)])
+    with pytest.raises(ValueError):
+        co.spectral_tensors(c, "image")
 
 
 def test_spectral_tensor_pair_validation():

@@ -48,6 +48,13 @@ def test_state_rejects_bad_trace_and_negativity():
         dy.XState(0.5, 0.5, 0.0, 0.0, rho_ge=0.6)
 
 
+@pytest.mark.parametrize("coherence", [{"rho_as": np.nan},
+                                       {"rho_ge": complex(0.0, np.nan)}])
+def test_state_rejects_nan_coherences(coherence):
+    with pytest.raises(ValueError, match="finite"):
+        dy.XState(0.5, 0.0, 0.25, 0.25, **coherence)
+
+
 def test_min_eigenvalue_matches_lapack(rng):
     for _ in range(200):
         s = random_x_state(rng)
@@ -70,6 +77,13 @@ def test_from_density_matrix_rejects_non_x():
         dy.XState.from_density_matrix(rho)
     with pytest.raises(ValueError, match="hermitian"):
         dy.XState.from_density_matrix(np.triu(np.ones((4, 4))) / 4)
+
+
+def test_from_density_matrix_rejects_non_finite_entries():
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[1, 2] = rho[2, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        dy.XState.from_density_matrix(rho)
 
 
 # ---------------------------------------------------------------------
@@ -265,6 +279,15 @@ def test_propagate_rejects_unphysical_generators(flow, message):
     s0 = dy.XState(0.0, 0.5, 0.5, 0.0)
     with pytest.raises(ValueError, match=message):
         dy.propagate(gen, s0, np.linspace(0.0, 10.0, 11))
+
+
+@pytest.mark.parametrize("coherence", ["rho_as", "rho_ge"])
+def test_propagate_rejects_a_nan_state(coherence):
+    s0 = dy.XState.symmetric()
+    # slip a NaN past the constructor; the row checks must still catch it
+    object.__setattr__(s0, coherence, complex(np.nan, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        dy.propagate(dy.build_generator(coeffs()), s0, np.linspace(0, 1, 5))
 
 
 def test_trajectory_state_at_matches_grid():

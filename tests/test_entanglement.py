@@ -1,5 +1,7 @@
 """Concurrence formula vs the Wootters oracle, and event extraction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,9 +131,12 @@ def test_array_concurrence_equals_scalar_bit_for_bit(rng):
         k_array = np.column_stack(en._k_arrays(traj))
         assert k_array.tobytes() == k_scalar.tobytes()
     # a NaN coherence: Python's max passes over the NaN branch, and so
-    # must the array form (np.maximum would return NaN)
+    # must the array form (np.maximum would return NaN).  XState rejects
+    # NaN, so the scalar path reads the same row from a plain namespace.
     odd = _trajectory_of_rows([[0.5, 0.0, 0.25, 0.25, np.nan, 0.0]])
-    scalar = [en.concurrence_x(s) for s in odd.states]
+    row = SimpleNamespace(pG=0.5, pE=0.0, pA=0.25, pS=0.25,
+                          rho_as=complex(np.nan, 0.0), rho_ge=0j)
+    scalar = [en.concurrence_x(row)]
     assert en.concurrence_curve(odd).tolist() == scalar == [0.0]
 
 

@@ -1,6 +1,5 @@
 """Sweep driver determinism, presets, and companion-column consistency."""
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -52,14 +51,6 @@ def test_run_sweep_is_deterministic():
     first = sw.run_sweep(spec)
     second = sw.run_sweep(spec)
     assert first.rows == second.rows
-
-
-def test_concurrent_map_matches_serial():
-    spec = small_spec(values=(0.1, 0.4, 0.7, 1.2))
-    serial = sw.run_sweep(spec)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = sw.run_sweep(spec, map_fn=pool.map)
-    assert serial.rows == threaded.rows
 
 
 def test_rows_carry_the_point_parameters():
