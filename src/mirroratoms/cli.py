@@ -282,17 +282,16 @@ def cmd_coeffs(args):
 
 def _trajectory_rows(config):
     cfg = config.physical()
-    cs = co.assemble(cfg)
-    gen = dy.build_generator(cs)
-    n = max(int(np.ceil(config.horizon / config.sample_step)), 2)
-    times = np.linspace(0.0, config.horizon, n + 1)
-    traj = dy.propagate(gen, config.initial(), times)
-    columns = [times, traj.vectors, traj.rho_ge.real, traj.rho_ge.imag,
+    gen = dy.build_generator(co.assemble(cfg))
+    traj = en.scan_trajectory(gen, config.initial(), config.horizon,
+                              config.sample_step)
+    columns = [traj.times, traj.vectors, traj.rho_ge.real, traj.rho_ge.imag,
                en.concurrence_curve(traj)]
     companions = {}
     if config.include_free_space_companion:
         gen_f = dy.build_generator(co.assemble(cfg, include_boundary=False))
-        traj_f = dy.propagate(gen_f, config.initial(), times)
+        traj_f = en.scan_trajectory(gen_f, config.initial(), config.horizon,
+                                    config.sample_step)
         companions["free_concurrence"] = en.concurrence_curve(traj_f)
         columns.append(companions["free_concurrence"])
     rows = np.column_stack(columns).tolist()
@@ -433,6 +432,10 @@ def _spec_from_dict(raw):
         raise ConfigError(
             f"sweep spec lacks key(s): {', '.join(sorted(missing))}")
     try:
+        initial_state = raw.get("initial_state", "S")
+        if not isinstance(initial_state, str):
+            initial_state = dy.XState.from_density_matrix(
+                _parse_matrix(initial_state))
         base = co.PhysicalConfig.from_ratios(
             base_raw.get("a_over_omega", 0.5), base_raw.get("omega_L", 1.0),
             base_raw.get("y_over_L", 0.5),
@@ -443,7 +446,7 @@ def _spec_from_dict(raw):
         return sw.SweepSpec(
             label=raw.get("label", "sweep"), base=base, axis=raw["axis"],
             values=tuple(raw["values"]),
-            initial_state=raw.get("initial_state", "S"),
+            initial_state=initial_state,
             horizon=raw.get("horizon", 40.0),
             sample_step=raw.get("sample_step", 1e-2),
             outputs=tuple(raw.get("outputs", ("maxc", "events"))),

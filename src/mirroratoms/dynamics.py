@@ -5,8 +5,10 @@ coherence and the G-E coherence close on themselves.  The state is stored
 as 6 real coordinates (pG, pE, pA, pS, Re rho_AS, Im rho_AS) plus the
 complex rho_GE; hermiticity is built in, never checked after the fact.
 The generator is a constant 6x6 real matrix plus a scalar decay rate for
-rho_GE, so propagation is an eigendecomposition (with a scaling-and-squaring
-fallback when the eigenvector basis is ill-conditioned).
+rho_GE, so propagation is an eigendecomposition up to ``t_expm``, the
+first grid time where it drifts the trace, and scaling-and-squaring from
+there on (see :class:`_Propagator`).  ``Trajectory.state_at`` follows the
+same rule, so its value never depends on earlier calls.
 
 A trajectory is array-backed: an (N, 6) array of coordinates and an (N,)
 complex array of rho_GE, computed and validated with whole-array numpy.
@@ -16,14 +18,11 @@ access, for scalar callers.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-
-log = logging.getLogger(__name__)
 
 _TRACE_TOL = 1e-12
 _POS_TOL = 1e-10
@@ -218,8 +217,9 @@ def build_generator(coeffs):
 class Trajectory:
     """Exactly propagated states at the requested times.
 
-    vectors  (N, 6) coordinates (pG, pE, pA, pS, Re rho_AS, Im rho_AS)
-    rho_ge   (N,) complex G-E coherence
+    vectors     (N, 6) coordinates (pG, pE, pA, pS, Re rho_AS, Im rho_AS)
+    rho_ge      (N,) complex G-E coherence
+    propagator  the :class:`_Propagator` of the rows, built if not given
     """
 
     times: np.ndarray
@@ -228,6 +228,12 @@ class Trajectory:
     generator: Generator
     initial_state: XState
     method: str = "eig"
+    propagator: _Propagator | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.propagator is None:
+            self.propagator = _Propagator(self.generator, self.initial_state,
+                                          self.times)
 
     def __len__(self):
         return len(self.times)
@@ -239,88 +245,63 @@ class Trajectory:
                 for v, ge in zip(self.vectors, self.rho_ge)]
 
     def state_at(self, tau):
-        """Exact state at an arbitrary time (not interpolation)."""
-        prop = getattr(self, "_prop", None)
-        if prop is None:
-            prop = _Propagator(self.generator)
-            object.__setattr__(self, "_prop", prop)
-        vec = prop.apply(self.initial_state.vector(), tau)
+        """Exact state at an arbitrary time; a grid time gives its row."""
+        vec = self.propagator.at(tau)
         ge = self.initial_state.rho_ge * np.exp(self.generator.rate_ge * tau)
         return XState.from_vector(vec, rho_ge=ge)
 
 
 class _Propagator:
-    """Eigendecomposition of the 6x6 block with an expm fallback.
+    """The rows of one initial state on one time grid, fixed at construction.
 
-    The eigenvector basis can be poorly conditioned (nearly defective
-    collective modes at small separations), in which case the spectral
-    route leaks trace at the 1e-10 level; any application whose population
-    sum drifts beyond 1e-13 is redone with scaling-and-squaring, and the
-    propagator stays on that path from then on.
+    The eigenvector basis of the 6x6 block can be poorly conditioned
+    (nearly defective collective modes at small separations), and then the
+    spectral route leaks trace at the 1e-10 level.  ``t_expm`` is the first
+    grid time whose population sum drifts beyond ``_TRACE_GUARD`` on that
+    route (+inf if none; -inf if the condition number rejects the route).
+    Times before ``t_expm`` use eig, the rest scaling-and-squaring;
+    :meth:`at` also falls back at a time that drifts by itself.
     """
 
     _TRACE_GUARD = 1e-13
 
-    def __init__(self, gen):
-        self.gen = gen
-        m = gen.block_pop
-        w, v = np.linalg.eig(m)
-        self.method = "eig"
+    def __init__(self, gen, s0, times):
+        self.block = gen.block_pop
+        self.v0 = s0.vector()
+        self.trace0 = self.v0[:4].sum()
+        w, v = np.linalg.eig(self.block)
         try:
             cond = np.linalg.cond(v)
         except np.linalg.LinAlgError:
             cond = np.inf
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            log.info("eigenvector condition number %.3g too large; "
-                     "falling back to scaling-and-squaring", cond)
-            self.method = "expm"
-        else:
+        rows = np.empty((len(times), 6))
+        self.t_expm = -math.inf
+        if np.isfinite(cond) and cond <= _COND_LIMIT:
             self.w = w
             self.v = v
-            self.vinv = np.linalg.inv(v)
-
-    def apply(self, v0, tau):
-        if tau == 0.0:
-            return np.array(v0, dtype=float)
-        if self.method == "eig":
-            coeff = self.vinv @ v0
-            out = (self.v @ (np.exp(self.w * tau) * coeff)).real
-            drift = abs(out[:4].sum() - v0[:4].sum())
-            if drift <= self._TRACE_GUARD:
-                return out
-            log.info("spectral propagation drifted trace by %.2e; "
-                     "switching to scaling-and-squaring", drift)
-            self.method = "expm"
-        return expm(self.gen.block_pop * tau) @ v0
-
-    def apply_many(self, v0, times):
-        """:meth:`apply` at every time at once, one row per time.
-
-        Bit-identical to calling :meth:`apply` on each time in order,
-        including the switch to scaling-and-squaring at the first nonzero
-        time whose trace drift exceeds the guard.
-        """
-        out = np.empty((len(times), 6))
-        first_expm = 0
-        if self.method == "eig":
-            x = np.exp(times[:, None] * self.w) * (self.vinv @ v0)
-            # one matrix-vector product per sample, as in apply; a single
+            self.coeff = np.linalg.inv(v) @ self.v0
+            x = np.exp(times[:, None] * w) * self.coeff
+            # one matrix-vector product per sample, as in at(); a single
             # (N, 6) x (6, 6) product sums in another order
-            out[:] = np.matmul(self.v, x[:, :, None])[:, :, 0].real
-            drift = np.abs(out[:, :4].sum(axis=1) - v0[:4].sum())
-            leaks = np.flatnonzero((times != 0.0)
-                                   & ~(drift <= self._TRACE_GUARD))
-            first_expm = leaks[0] if len(leaks) else len(times)
-            if first_expm < len(times):
-                log.info("spectral propagation drifted trace by %.2e; "
-                         "switching to scaling-and-squaring",
-                         drift[first_expm])
-                self.method = "expm"
-        if first_expm < len(times):
-            tail = times[first_expm:, None, None]
-            out[first_expm:] = np.matmul(expm(self.gen.block_pop * tail), v0)
-        out[times == 0.0] = v0
-        return out
+            rows[:] = np.matmul(v, x[:, :, None])[:, :, 0].real
+            drift = np.abs(rows[:, :4].sum(axis=1) - self.trace0)
+            leaks = times[(times != 0.0) & ~(drift <= self._TRACE_GUARD)]
+            self.t_expm = leaks[0] if len(leaks) else math.inf
+        tail = times >= self.t_expm
+        rows[tail] = np.matmul(expm(self.block * times[tail, None, None]),
+                               self.v0)
+        rows[times == 0.0] = self.v0
+        self.rows = rows
+
+    def at(self, tau):
+        """The row at one time, by the grid's rule."""
+        if tau == 0.0:
+            return self.v0.copy()
+        if tau < self.t_expm:
+            out = (self.v @ (np.exp(self.w * tau) * self.coeff)).real
+            if abs(out[:4].sum() - self.trace0) <= self._TRACE_GUARD:
+                return out
+        return expm(self.block * tau) @ self.v0
 
 
 def _validate_rows(vectors, rho_ge):
@@ -355,12 +336,13 @@ def propagate(gen, s0, times):
     if times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("times must be non-negative and ascending")
 
-    prop = _Propagator(gen)
-    vectors = prop.apply_many(s0.vector(), times)
+    prop = _Propagator(gen, s0, times)
     rho_ge = s0.rho_ge * np.exp(gen.rate_ge * times)
-    _validate_rows(vectors, rho_ge)
-    return Trajectory(times=times, vectors=vectors, rho_ge=rho_ge,
-                      generator=gen, initial_state=s0, method=prop.method)
+    _validate_rows(prop.rows, rho_ge)
+    return Trajectory(times=times, vectors=prop.rows, rho_ge=rho_ge,
+                      generator=gen, initial_state=s0,
+                      method="eig" if prop.t_expm == math.inf else "expm",
+                      propagator=prop)
 
 
 def steady_state(gen, resid_tol=1e-10):

@@ -47,7 +47,7 @@ class SweepSpec:
     base: co.PhysicalConfig
     axis: str
     values: tuple
-    initial_state: str = "S"
+    initial_state: str | dy.XState = "S"
     horizon: float = 40.0
     sample_step: float = 1e-2
     outputs: tuple = ("maxc", "events")
@@ -69,6 +69,8 @@ class SweepSpec:
         bad = set(self.outputs) - {"curve", "events", "maxc"}
         if bad:
             raise ValueError(f"unknown outputs {sorted(bad)}")
+        if not isinstance(self.initial(), dy.XState):
+            raise ValueError("initial_state must be a preset name or an XState")
 
     def config_at(self, value):
         """Configuration of the grid point at the given axis value."""

@@ -180,6 +180,23 @@ def test_sweep_from_spec_file(tmp_path):
     assert len(crows) >= 2 * 600
 
 
+def test_sweep_spec_inline_initial_state_matches_preset(tmp_path):
+    spec = {"label": "g", "axis": "acceleration", "values": [0.5, 2.0],
+            "horizon": 5.0}
+    summaries = []
+    for init in ("G", [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
+                       [0, 0, 0, 0]]):
+        outdir = tmp_path / str(len(summaries))
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({**spec, "initial_state": init}))
+        assert run_cli("sweep", "--spec", str(spec_file),
+                       "--output", str(outdir)) == 0
+        _, header, rows = _read_csv(outdir / "g_summary.csv")
+        summaries.append([{k: v for k, v in zip(header, row)
+                           if k != "initial_state"} for row in rows])
+    assert summaries[0] == summaries[1]
+
+
 def test_sweep_preset_end_to_end(tmp_path):
     rc = run_cli("sweep", "--preset", "fig12", "--output", str(tmp_path))
     assert rc == 0
@@ -305,6 +322,12 @@ def test_unreadable_spec_file_is_a_config_error(content, tmp_path, capsys):
       "base": {"omega_L": -1.0}}, "separation L must be positive"),
     ({"axis": "acceleration", "values": [0.5], "horizon": float("inf")},
      "horizon and sample_step must be positive and finite"),
+    ({"axis": "acceleration", "values": [0.5], "initial_state": "Q"},
+     "unknown state preset 'Q'"),
+    ({"axis": "acceleration", "values": [0.5],
+      "initial_state": [[0.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.5, 0],
+                        [0, 0, 0, -0.5]]},
+     "not positive semidefinite"),
 ])
 def test_invalid_sweep_spec_is_a_config_error(spec, message, tmp_path,
                                               capsys):

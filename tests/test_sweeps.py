@@ -2,10 +2,12 @@
 
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from mirroratoms import coefficients as co
+from mirroratoms import dynamics as dy
 from mirroratoms import sweeps as sw
 
 X = (1.0, 0.0, 0.0)
@@ -187,3 +189,24 @@ def test_round_off_maxima_are_bit_stable(point):
     row = sw.run_sweep(replace(spec, values=(value,))).rows[0]
     assert row["error"] == ""
     assert {k: row[k] for k in _PINNED_MAXC[point]} == _PINNED_MAXC[point]
+
+
+def test_refined_max_c_is_exact_at_its_time():
+    # vertical, a = 0, y/L = 0.275: the grid leaves the eig route at its
+    # first drifting time, and a refinement past that time must not go
+    # back to eig values that drift by 1e-14
+    spec = next(s for s in sw.figure_presets()["fig19"].specs
+                if s.label == "vertical_a0")
+    value = 0.275338
+    row = sw.run_sweep(replace(spec, values=(value,))).rows[0]
+    assert row["error"] == ""
+
+    gen = dy.build_generator(co.assemble(spec.config_at(value)))
+    with mp.workdps(40):
+        v = (mp.expm(mp.matrix(gen.block_pop.tolist()) * row["max_c_time"])
+             * mp.matrix(dy.XState.excited().vector().tolist()))
+        p_g, p_e, p_a, p_s, re_as, im_as = v
+        # rho_GE stays 0 from |E>, so K2 <= 0 and C = max(0, K1)
+        k1 = (mp.sqrt((p_a - p_s) ** 2 + 4 * im_as ** 2)
+              - 2 * mp.sqrt(p_g * p_e))
+    assert abs(row["max_c"] - max(k1, 0)) <= 1e-15
