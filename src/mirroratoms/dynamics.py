@@ -219,7 +219,7 @@ class Trajectory:
 
     vectors     (N, 6) coordinates (pG, pE, pA, pS, Re rho_AS, Im rho_AS)
     rho_ge      (N,) complex G-E coherence
-    propagator  the :class:`_Propagator` of the rows, built if not given
+    propagator  the :class:`_Propagator` that computed the rows
     """
 
     times: np.ndarray
@@ -227,13 +227,12 @@ class Trajectory:
     rho_ge: np.ndarray
     generator: Generator
     initial_state: XState
-    method: str = "eig"
-    propagator: _Propagator | None = field(default=None, repr=False)
+    propagator: _Propagator = field(repr=False)
 
-    def __post_init__(self):
-        if self.propagator is None:
-            self.propagator = _Propagator(self.generator, self.initial_state,
-                                          self.times)
+    @property
+    def method(self):
+        """"expm" when any row left the eig route, else "eig"."""
+        return "eig" if self.propagator.t_expm == math.inf else "expm"
 
     def __len__(self):
         return len(self.times)
@@ -245,7 +244,8 @@ class Trajectory:
                 for v, ge in zip(self.vectors, self.rho_ge)]
 
     def state_at(self, tau):
-        """Exact state at an arbitrary time; a grid time gives its row."""
+        """Exact state at an arbitrary time; a grid time of ``propagate``
+        gives its row."""
         vec = self.propagator.at(tau)
         ge = self.initial_state.rho_ge * np.exp(self.generator.rate_ge * tau)
         return XState.from_vector(vec, rho_ge=ge)
@@ -340,9 +340,7 @@ def propagate(gen, s0, times):
     rho_ge = s0.rho_ge * np.exp(gen.rate_ge * times)
     _validate_rows(prop.rows, rho_ge)
     return Trajectory(times=times, vectors=prop.rows, rho_ge=rho_ge,
-                      generator=gen, initial_state=s0,
-                      method="eig" if prop.t_expm == math.inf else "expm",
-                      propagator=prop)
+                      generator=gen, initial_state=s0, propagator=prop)
 
 
 def steady_state(gen, resid_tol=1e-10):

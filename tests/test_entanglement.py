@@ -97,9 +97,12 @@ def _trajectory_of_rows(vectors):
     gen = dy.build_generator(co.CoefficientSet(0.25, 0.25, 0.0,
                                                0.25, 0.25, 0.0))
     n = len(vectors)
-    return dy.Trajectory(times=np.arange(n, dtype=float), vectors=vectors,
+    times = np.arange(n, dtype=float)
+    s0 = dy.XState.ground()
+    return dy.Trajectory(times=times, vectors=vectors,
                          rho_ge=np.zeros(n, complex), generator=gen,
-                         initial_state=dy.XState.ground())
+                         initial_state=s0,
+                         propagator=dy._Propagator(gen, s0, times))
 
 
 def test_negative_radicand_is_reported_along_a_trajectory():
