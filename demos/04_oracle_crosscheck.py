@@ -3,8 +3,8 @@
 The production rates come from analytic tensors.  An independent path
 evaluates the regularized field correlation along the orbit and Fourier
 transforms it numerically with an epsilon-sequence extrapolation.  This
-script prints the two side by side for one configuration (takes a few
-seconds; the full randomized battery is `mirroratoms validate`).
+script prints the two side by side for one configuration (takes well
+under a second; the full randomized battery is `mirroratoms validate`).
 """
 
 from mirroratoms import PhysicalConfig, fourier_oracle, spectral_prefactor

@@ -393,7 +393,8 @@ def cmd_sweep(args):
 
     header = sorted({k for row in all_rows for k in row})
     meta = {"tool": "mirroratoms", "version": __version__, "preset": name,
-            "horizon": specs[0].horizon, "sample_step": specs[0].sample_step}
+            "horizon": specs[0].horizon, "sample_step": specs[0].sample_step,
+            "specs": [_spec_record(spec) for spec in specs]}
     summary_path = outdir / f"{name}_summary.{fmt}"
     if fmt == "json":
         write_json(summary_path, meta, {"rows": all_rows})
@@ -413,6 +414,18 @@ def cmd_sweep(args):
             write_csv(curve_path, meta, cheader, curve_rows)
         print(f"wrote {curve_path}")
     return 2 if failures else 0
+
+
+def _spec_record(spec):
+    """Label, resolved base configuration and initial density matrix of a
+    sweep spec, for the output metadata."""
+    base = {f.name: getattr(spec.base, f.name)
+            for f in dataclasses.fields(spec.base)}
+    base["d1"], base["d2"] = base["d1"].tolist(), base["d2"].tolist()
+    rho = spec.initial().density_matrix()
+    return {"label": spec.label, "base": base,
+            "initial_state": [[[z.real, z.imag] for z in row]
+                              for row in rho.tolist()]}
 
 
 def _spec_from_dict(raw):

@@ -197,6 +197,38 @@ def test_sweep_spec_inline_initial_state_matches_preset(tmp_path):
     assert summaries[0] == summaries[1]
 
 
+def test_sweep_output_records_the_resolved_configuration(tmp_path):
+    rho = [[0.25, 0, 0, 0], [0, 0.25, [0.1, 0.05], 0],
+           [0, [0.1, -0.05], 0.25, 0], [0, 0, 0, 0.25]]
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({
+        "label": "rec", "axis": "acceleration", "values": [0.5],
+        "horizon": 2.0, "outputs": ["maxc", "curve"],
+        "base": {"d1": [0, 1, 0], "gamma0": 2.0}, "initial_state": rho}))
+    for fmt in ("csv", "json"):
+        outdir = tmp_path / fmt
+        assert run_cli("sweep", "--spec", str(spec_file), "--output",
+                       str(outdir), "--format", fmt) == 0
+        for kind in ("summary", "curves"):
+            path = outdir / f"rec_{kind}.{fmt}"
+            if fmt == "csv":
+                specs = json.loads(_read_csv(path)[0]["specs"])
+            else:
+                specs = json.loads(path.read_text())["metadata"]["specs"]
+            (record,) = specs
+            assert record["label"] == "rec"
+            assert record["base"]["d1"] == [0.0, 1.0, 0.0]
+            assert record["base"]["d2"] == [1.0, 0.0, 0.0]
+            assert record["base"]["gamma0"] == 2.0
+            assert record["base"]["a"] == 0.5
+            matrix = np.array([[complex(*z) for z in row]
+                               for row in record["initial_state"]])
+            expected = np.array([[complex(*z) if isinstance(z, list)
+                                  else complex(z) for z in row]
+                                 for row in rho])
+            assert np.allclose(matrix, expected, rtol=0, atol=1e-15)
+
+
 def test_sweep_preset_end_to_end(tmp_path):
     rc = run_cli("sweep", "--preset", "fig12", "--output", str(tmp_path))
     assert rc == 0

@@ -5,11 +5,12 @@ differentiation."""
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from mirroratoms.correlations import (
     FREE, BOUNDARY, CorrelationKernel, OracleConvergenceError,
-    QuadratureSettings, TrajectoryParams, default_window,
+    QuadratureSettings, TrajectoryParams, _adaptive_gk21, default_window,
     electric_correlation, fourier_oracle, pair_geometry,
 )
 from mirroratoms.coefficients import PhysicalConfig, spectral_prefactor
@@ -40,6 +41,12 @@ def test_negative_acceleration_rejected():
         TrajectoryParams(a=-0.1)
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf])
+def test_non_finite_acceleration_rejected(a):
+    with pytest.raises(ValueError, match="acceleration must be finite"):
+        TrajectoryParams(a=a)
+
+
 # ---------------------------------------------------------------------
 # electric_correlation
 # ---------------------------------------------------------------------
@@ -61,6 +68,30 @@ def test_rejects_nonpositive_epsilon():
         CorrelationKernel(kind=FREE, y=1.0, y_prime=1.0, epsilon=0.0)
     with pytest.raises(ValueError):
         CorrelationKernel(kind=FREE, y=1.0, y_prime=1.0, epsilon=-1e-3)
+
+
+@pytest.mark.parametrize("name", ["y", "y_prime", "dz", "dx", "epsilon"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_kernel_rejects_non_finite_inputs_by_name(name, value):
+    args = {"kind": FREE, "y": 1.0, "y_prime": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        CorrelationKernel(**args)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.7])
+@pytest.mark.parametrize("kind", [FREE, BOUNDARY])
+def test_correlation_broadcasts_over_proper_time(rng, kind, a):
+    # the array path is the scalar path: every element of a 64-sample
+    # evaluation equals the scalar call at that proper time
+    k = _kernel(kind=kind, y=0.9, yp=1.2, dz=0.8, eps=2e-3)
+    taus = rng.uniform(-3.0, 3.0, size=64)
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            values = electric_correlation(k, m, n, taus, 0.1, a)
+            assert values.shape == taus.shape
+            for tau, value in zip(taus, values):
+                scalar = electric_correlation(k, m, n, float(tau), 0.1, a)
+                assert abs(value - scalar) <= 1e-13 * max(abs(scalar), 1e-300)
 
 
 def test_free_offdiagonal_vanishes_by_symmetry():
@@ -251,6 +282,63 @@ def test_quadrature_settings_validate():
         QuadratureSettings(epsilons=(1e-3, 2e-3))
     with pytest.raises(ValueError):
         QuadratureSettings(epsilons=(2e-3, -1e-3))
+    with pytest.raises(ValueError, match="epsilons must be finite"):
+        QuadratureSettings(epsilons=(4e-3, math.nan, 1e-3))
+    with pytest.raises(ValueError, match="epsilons must be finite"):
+        QuadratureSettings(epsilons=(math.inf, 2e-3, 1e-3))
+    for name in ("window", "quad_rel", "quad_abs", "limit", "rel_tol",
+                 "abs_floor", "tail_tol"):
+        for value in (0.0, -3.0, math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match=f"^{name} must be positive and finite"):
+                QuadratureSettings(**{name: value})
+    assert QuadratureSettings(window=None).window is None
+
+
+# ---------------------------------------------------------------------
+# adaptive G10/K21 integrator
+# ---------------------------------------------------------------------
+
+def _lorentzian_and_antiderivative(eps=1e-3, u0=0.1, omega=1.3):
+    """exp(i w u) [eps/((u-u0)^2 + eps^2) + i w atan((u-u0)/eps)], a
+    complex integrand with a peak of width eps, and its antiderivative
+    exp(i w u) atan((u-u0)/eps)."""
+    def f(u):
+        peak = eps / ((u - u0) ** 2 + eps**2)
+        return np.exp(1j * omega * u) * (peak + 1j * omega
+                                         * np.arctan((u - u0) / eps))
+
+    def antiderivative(u):
+        return np.exp(1j * omega * u) * np.arctan((u - u0) / eps)
+
+    return f, antiderivative
+
+
+def test_integrator_reproduces_a_closed_form_peak_integral():
+    f, big_f = _lorentzian_and_antiderivative()
+    edges = [-3.0, -0.5, 0.7, 2.0]  # the peak at u = 0.1 sits in a panel
+    settings = QuadratureSettings()
+    value, error, warn = _adaptive_gk21(f, edges, settings)
+    exact = big_f(edges[-1]) - big_f(edges[0])
+    assert warn == ""
+    assert abs(value - exact) <= error
+    assert error <= 3 * max(settings.quad_abs, settings.quad_rel * abs(exact))
+
+
+def test_integrator_reports_the_subdivision_limit():
+    f, _ = _lorentzian_and_antiderivative()
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return f(u)
+
+    value, error, warn = _adaptive_gk21(counted, [-3.0, 0.0, 2.0],
+                                        QuadratureSettings(limit=3))
+    assert warn == "The maximum number of subdivisions (3) has been achieved."
+    # one initial call plus at most two rounds of bisection per panel
+    assert len(calls) <= 3
+    assert np.isfinite(value) and error > 0
 
 
 def test_default_window_scales_with_acceleration():

@@ -1,10 +1,10 @@
 """Quadrature-oracle agreement with the closed-form spectral functions.
 
-These run real adaptive quadrature with epsilon extrapolation, so they are
-the slowest tests in the suite (a few seconds per configuration).  The
-full 20-configuration randomized battery lives in the acceptance module;
-here a smaller seeded sample plus the detailed-balance and rate-assembly
-equivalences are exercised.
+These run real adaptive quadrature with epsilon extrapolation, about
+0.2 s per configuration.  The full 20-configuration randomized battery
+lives in the acceptance module; here a smaller seeded sample, the
+detailed-balance and rate-assembly equivalences and a lock against values
+frozen from the earlier scipy.integrate.quad integrator are exercised.
 """
 
 import numpy as np
@@ -82,3 +82,123 @@ def test_rate_assembly_equals_oracle_rates():
         b_oracle = 0.75 * np.pi * (g_plus - g_minus)
         assert abs(a_oracle - a_closed) <= 0.01 * abs(a_closed)
         assert abs(b_oracle - b_closed) <= 0.01 * abs(b_closed)
+
+
+# fourier_oracle values of every component _oracle_report checks for one
+# parallel and one vertical configuration, computed when each panel was
+# integrated by scipy.integrate.quad (real and imaginary parts separately)
+_QUAD_CONFIGS = {"parallel": (0.6, 1.0, 0.8), "vertical": (0.9, 1.3, 0.5)}
+_QUAD_VALUES = {
+    ("parallel", "free", (1, 1), 1, 1):
+        0.14430460446291232,
+    ("parallel", "free", (1, 1), 2, 2):
+        0.14430456764699315,
+    ("parallel", "free", (1, 1), 3, 3):
+        0.14430456764699315,
+    ("parallel", "free", (1, 2), 1, 1):
+        0.08754530581230903,
+    ("parallel", "free", (1, 2), 1, 3):
+        -0.0604117224711002,
+    ("parallel", "free", (1, 2), 2, 2):
+        0.10566882254607016,
+    ("parallel", "free", (1, 2), 3, 1):
+        0.060411722472546774,
+    ("parallel", "free", (1, 2), 3, 3):
+        0.09570358569652969,
+    ("parallel", "boundary", (1, 1), 1, 1):
+        -0.03625857998147884,
+    ("parallel", "boundary", (1, 1), 1, 2):
+        0.05602554660520406,
+    ("parallel", "boundary", (1, 1), 2, 1):
+        0.05602554659770554,
+    ("parallel", "boundary", (1, 1), 2, 2):
+        0.05356904639599228,
+    ("parallel", "boundary", (1, 1), 3, 3):
+        -0.06315084235499549,
+    ("parallel", "boundary", (1, 2), 1, 1):
+        -0.017330763979939157,
+    ("parallel", "boundary", (1, 2), 1, 2):
+        0.039615403093092964,
+    ("parallel", "boundary", (1, 2), 1, 3):
+        0.024759626931452436,
+    ("parallel", "boundary", (1, 2), 2, 1):
+        0.03961540308601885,
+    ("parallel", "boundary", (1, 2), 2, 2):
+        0.04016703335683533,
+    ("parallel", "boundary", (1, 2), 2, 3):
+        -0.002254382611905757,
+    ("parallel", "boundary", (1, 2), 3, 1):
+        -0.024759626928305054,
+    ("parallel", "boundary", (1, 2), 3, 2):
+        0.002254382611905757,
+    ("parallel", "boundary", (1, 2), 3, 3):
+        -0.04236505640477175,
+    ("vertical", "free", (1, 1), 1, 1):
+        0.1922255785256907,
+    ("vertical", "free", (1, 1), 2, 2):
+        0.19222554938247666,
+    ("vertical", "free", (1, 1), 3, 3):
+        0.19222554938247666,
+    ("vertical", "free", (2, 2), 1, 1):
+        0.1922255785256907,
+    ("vertical", "free", (2, 2), 2, 2):
+        0.19222554938247666,
+    ("vertical", "free", (2, 2), 3, 3):
+        0.19222554938247666,
+    ("vertical", "free", (1, 2), 1, 1):
+        0.04458551006792092,
+    ("vertical", "free", (1, 2), 1, 2):
+        -0.08581156774268853,
+    ("vertical", "free", (1, 2), 2, 1):
+        0.08581156775011531,
+    ("vertical", "free", (1, 2), 2, 2):
+        0.051901163376890144,
+    ("vertical", "free", (1, 2), 3, 3):
+        0.09478527719890383,
+    ("vertical", "boundary", (1, 1), 1, 1):
+        -0.044585542650940745,
+    ("vertical", "boundary", (1, 1), 1, 2):
+        0.0858115867951716,
+    ("vertical", "boundary", (1, 1), 2, 1):
+        0.08581158680801738,
+    ("vertical", "boundary", (1, 1), 2, 2):
+        0.05190115221073061,
+    ("vertical", "boundary", (1, 1), 3, 3):
+        -0.09478532093193365,
+    ("vertical", "boundary", (2, 2), 1, 1):
+        0.007975155411900551,
+    ("vertical", "boundary", (2, 2), 1, 2):
+        -0.0036038292560655874,
+    ("vertical", "boundary", (2, 2), 2, 1):
+        -0.0036038292825413916,
+    ("vertical", "boundary", (2, 2), 2, 2):
+        0.01224641182089793,
+    ("vertical", "boundary", (2, 2), 3, 3):
+        0.014299875792181648,
+    ("vertical", "boundary", (1, 2), 1, 1):
+        0.01231334731515746,
+    ("vertical", "boundary", (1, 2), 1, 2):
+        0.016956813546984063,
+    ("vertical", "boundary", (1, 2), 2, 1):
+        0.016956813548323655,
+    ("vertical", "boundary", (1, 2), 2, 2):
+        0.0069668784971040265,
+    ("vertical", "boundary", (1, 2), 3, 3):
+        -0.007526124540067436,
+}
+
+
+@pytest.mark.parametrize("alignment", sorted(_QUAD_CONFIGS))
+def test_oracle_matches_frozen_quad_values(alignment):
+    # the scale is the largest value of the component's kernel part: the
+    # oracle's absolute accuracy is set by the integrand round-off at the
+    # part's light-cone peak, not by the size of one component
+    cfg = co.PhysicalConfig.from_ratios(*_QUAD_CONFIGS[alignment], alignment)
+    for part in ("free", "boundary"):
+        keys = [k for k in _QUAD_VALUES if k[:2] == (alignment, part)]
+        scale = max(abs(_QUAD_VALUES[k]) for k in keys)
+        for key in keys:
+            _, _, pair, m, n = key
+            res = fc.fourier_oracle(part, m, n, pair, cfg, 1.0)
+            assert res.converged, (key, res.message)
+            assert abs(res.value - _QUAD_VALUES[key]) <= 1e-6 * scale, key
