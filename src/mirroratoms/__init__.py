@@ -28,6 +28,7 @@ from .correlations import (
 from .dynamics import (
     DynamicsFrozenError,
     Generator,
+    PropagationError,
     Trajectory,
     XState,
     build_generator,

@@ -8,8 +8,8 @@ version and the tolerance choices, so a figure run can be reproduced from
 its own output.
 
 Exit status: 0 success, 1 configuration/validation error, 2 numerical
-failure (oracle non-convergence or frozen-dynamics signals where a value
-was required).
+failure (oracle non-convergence, a propagated row that is not a state, or
+frozen-dynamics signals where a value was required).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -157,14 +158,53 @@ def _metadata(config, extra=None):
     return meta
 
 
+@dataclass(frozen=True)
+class FloatRows:
+    """A block of CSV body rows: the cells ``lead``, then one row of the
+    2-D float array ``values``, on every line."""
+
+    values: np.ndarray
+    lead: tuple = ()
+
+
+# rows formatted per write: bounds the block's string (about 120 kB for a
+# trajectory) however long the trajectory is
+_ROWS_PER_WRITE = 512
+
+
+def _write_float_rows(fh, block):
+    """Write a :class:`FloatRows` block with one ``%`` row template.
+
+    ``%.17g`` is the conversion ``_fmt`` applies to a float, and the lead
+    cells are quoted by the csv module itself, so the bytes are those of
+    ``csv.writer.writerow`` on each row.
+    """
+    lead = ""
+    if block.lead:
+        buf = io.StringIO()
+        # a trailing empty cell leaves the lead's closing delimiter
+        csv.writer(buf).writerow([_fmt(v) for v in block.lead] + [""])
+        lead = buf.getvalue().removesuffix("\r\n").replace("%", "%%")
+    line = lead + ",".join(["%.17g"] * block.values.shape[1]) + "\r\n"
+    for start in range(0, len(block.values), _ROWS_PER_WRITE):
+        chunk = block.values[start:start + _ROWS_PER_WRITE]
+        fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def write_csv(path, meta, header, rows):
+    """``#`` metadata lines, then the header and rows as the csv module
+    writes them, floats as ``%.17g``.  Each item of ``rows`` is a row of
+    cells of any type or a :class:`FloatRows` block."""
     with open(path, "w", newline="") as fh:
         for key, value in meta.items():
             fh.write(f"# {key} = {json.dumps(value) if isinstance(value, (list, dict)) else _fmt(value)}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            if isinstance(row, FloatRows):
+                _write_float_rows(fh, row)
+            else:
+                writer.writerow([_fmt(v) for v in row])
 
 
 def write_json(path, meta, data):
@@ -294,8 +334,7 @@ def _trajectory_rows(config):
                                     config.sample_step)
         companions["free_concurrence"] = en.concurrence_curve(traj_f)
         columns.append(companions["free_concurrence"])
-    rows = np.column_stack(columns).tolist()
-    return traj, rows, companions
+    return traj, np.column_stack(columns), companions
 
 
 _TRAJ_HEADER = ["gamma0_tau", "pG", "pE", "pA", "pS", "re_rhoAS", "im_rhoAS",
@@ -312,10 +351,9 @@ def cmd_evolve(args):
     meta = _metadata(config, {"sample_step": config.sample_step,
                               "propagation": traj.method})
     if config.output_format == "json":
-        write_json(path, meta, {"columns": header,
-                                "rows": [[float(v) for v in r] for r in rows]})
+        write_json(path, meta, {"columns": header, "rows": rows.tolist()})
     else:
-        write_csv(path, meta, header, rows)
+        write_csv(path, meta, header, [FloatRows(rows)])
     print(f"wrote {path}")
     return 0
 
@@ -367,14 +405,14 @@ def cmd_sweep(args):
             return 1
         raw = _read_json_object(args.spec, "spec")
         specs = [_spec_from_dict(raw)]
-        name = specs[0].label or "sweep"
+        name = specs[0].label
 
     outdir = Path(args.output or os.environ.get(OUTDIR_ENV, "."))
     outdir.mkdir(parents=True, exist_ok=True)
     fmt = args.format or "csv"
 
     all_rows = []
-    curve_rows = []
+    curve_blocks = []
     failures = 0
     for spec in specs:
         result = sw.run_sweep(spec)
@@ -382,14 +420,12 @@ def cmd_sweep(args):
             failures += bool(row["error"])
         all_rows.extend(result.rows)
         for idx, curve in result.curves.items():
-            base = result.rows[idx]
-            free = curve.get("free_concurrence")
-            for j, (t, c) in enumerate(zip(curve["times"],
-                                           curve["concurrence"])):
-                crow = [spec.label, base["axis_value"], t, c]
-                if free is not None:
-                    crow.append(free[j])
-                curve_rows.append(crow)
+            columns = [curve["times"], curve["concurrence"]]
+            if "free_concurrence" in curve:
+                columns.append(curve["free_concurrence"])
+            curve_blocks.append(FloatRows(
+                np.column_stack(columns),
+                lead=(spec.label, result.rows[idx]["axis_value"])))
 
     header = sorted({k for row in all_rows for k in row})
     meta = {"tool": "mirroratoms", "version": __version__, "preset": name,
@@ -402,16 +438,17 @@ def cmd_sweep(args):
         write_csv(summary_path, meta, header,
                   [[row.get(k, "") for k in header] for row in all_rows])
     print(f"wrote {summary_path}")
-    if curve_rows:
+    if curve_blocks:
         cheader = ["label", "axis_value", "gamma0_tau", "concurrence"]
-        if any(len(r) == 5 for r in curve_rows):
+        if any(b.values.shape[1] == 3 for b in curve_blocks):
             cheader.append("free_concurrence")
         curve_path = outdir / f"{name}_curves.{fmt}"
         if fmt == "json":
-            write_json(curve_path, meta, {"columns": cheader,
-                                          "rows": curve_rows})
+            rows = [[*b.lead, *r] for b in curve_blocks
+                    for r in b.values.tolist()]
+            write_json(curve_path, meta, {"columns": cheader, "rows": rows})
         else:
-            write_csv(curve_path, meta, cheader, curve_rows)
+            write_csv(curve_path, meta, cheader, curve_blocks)
         print(f"wrote {curve_path}")
     return 2 if failures else 0
 
@@ -444,6 +481,13 @@ def _spec_from_dict(raw):
     if missing:
         raise ConfigError(
             f"sweep spec lacks key(s): {', '.join(sorted(missing))}")
+    label = raw.get("label", "sweep")
+    # the label names the output files inside --output
+    if (not isinstance(label, str) or label in ("", ".", "..")
+            or any(c in label for c in {"/", os.sep, "\0"})):
+        raise ConfigError(
+            f"sweep label must be a non-empty string naming a file, without "
+            f"'/', {os.sep!r} or NUL, and not '.' or '..'; got {label!r}")
     try:
         initial_state = raw.get("initial_state", "S")
         if not isinstance(initial_state, str):
@@ -457,7 +501,7 @@ def _spec_from_dict(raw):
             d2=tuple(base_raw.get("d2", (1, 0, 0))),
             gamma0=base_raw.get("gamma0", 1.0))
         return sw.SweepSpec(
-            label=raw.get("label", "sweep"), base=base, axis=raw["axis"],
+            label=label, base=base, axis=raw["axis"],
             values=tuple(raw["values"]),
             initial_state=initial_state,
             horizon=raw.get("horizon", 40.0),
@@ -592,7 +636,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (dy.DynamicsFrozenError, fc.OracleConvergenceError) as exc:
+    except (dy.DynamicsFrozenError, dy.PropagationError,
+            fc.OracleConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -35,6 +35,11 @@ class DynamicsFrozenError(RuntimeError):
     """All rates vanish (or the kernel is degenerate): dynamics frozen."""
 
 
+class PropagationError(ValueError):
+    """A propagated state fails the :class:`XState` trace or positivity
+    checks: the rates or the arithmetic broke complete positivity."""
+
+
 @dataclass(frozen=True)
 class XState:
     """X-form two-qubit state in the coupled basis."""
@@ -248,7 +253,17 @@ class Trajectory:
         gives its row."""
         vec = self.propagator.at(tau)
         ge = self.initial_state.rho_ge * np.exp(self.generator.rate_ge * tau)
-        return XState.from_vector(vec, rho_ge=ge)
+        return _propagated_state(vec, ge, tau)
+
+
+def _propagated_state(vec, rho_ge, tau):
+    """The :class:`XState` of a propagated row; :class:`PropagationError`
+    naming the time if it is not a state."""
+    try:
+        return XState.from_vector(vec, rho_ge=rho_ge)
+    except ValueError as exc:
+        raise PropagationError(
+            f"{exc} at gamma0_tau = {float(tau)!r}") from exc
 
 
 class _Propagator:
@@ -304,7 +319,7 @@ class _Propagator:
         return expm(self.block * tau) @ self.v0
 
 
-def _validate_rows(vectors, rho_ge):
+def _validate_rows(times, vectors, rho_ge):
     """Apply the :class:`XState` checks to every row at once.
 
     The trace and population tests are the scalar ones; the closed-form
@@ -321,14 +336,15 @@ def _validate_rows(vectors, rho_ge):
           & np.all(vectors[:, :4] >= -_POS_TOL, axis=1)
           & (np.minimum(outer, inner) >= -_POS_TOL + _EIG_SCREEN_MARGIN))
     for i in np.flatnonzero(~ok):
-        XState.from_vector(vectors[i], rho_ge=rho_ge[i])
+        _propagated_state(vectors[i], rho_ge[i], times[i])
 
 
 def propagate(gen, s0, times):
     """Propagate an initial X state to each requested time.
 
     Times must be non-negative and ascending.  The result is exact up to
-    linear-algebra round-off; there is no step-size anywhere.
+    linear-algebra round-off; there is no step-size anywhere.  A row that
+    is not a state raises :class:`PropagationError`.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -338,7 +354,7 @@ def propagate(gen, s0, times):
 
     prop = _Propagator(gen, s0, times)
     rho_ge = s0.rho_ge * np.exp(gen.rate_ge * times)
-    _validate_rows(prop.rows, rho_ge)
+    _validate_rows(times, prop.rows, rho_ge)
     return Trajectory(times=times, vectors=prop.rows, rho_ge=rho_ge,
                       generator=gen, initial_state=s0, propagator=prop)
 

@@ -148,6 +148,20 @@ def test_events_json_report(tmp_path, capsys):
     assert len(doc["data"]["revival_intervals"]) >= 1
 
 
+@pytest.mark.parametrize("command", ["evolve", "events"])
+def test_propagation_failure_is_a_numerical_failure(command, tmp_path,
+                                                    capsys):
+    # the closed-form rates at this point are not completely positive and
+    # pA leaves the state space within the first samples
+    rc = run_cli(command, "--a", "0.5", "--omega-l", "1e-3", "--y-over-l",
+                 "0.5", "--initial-state", "E",
+                 "--output", str(tmp_path / "out.csv"))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("numerical failure: ")
+    assert "pA is negative beyond tolerance at gamma0_tau = " in err
+
+
 def test_presets_lists_figures(capsys):
     rc = run_cli("presets")
     out = capsys.readouterr().out
@@ -236,6 +250,22 @@ def test_sweep_preset_end_to_end(tmp_path):
     assert len(rows) == 8  # two initial states x four accelerations
     assert meta["preset"] == "fig12"
     assert (tmp_path / "fig12_curves.csv").exists()
+
+
+@pytest.mark.parametrize("label", ["sub/x", "../escaped", ["x", 1], "",
+                                   ".", "..", "nul\0"],
+                         ids=["slash", "parent", "list", "empty", "dot",
+                              "dotdot", "nul"])
+def test_unsafe_sweep_label_is_a_config_error(label, tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"label": label, "axis": "acceleration",
+                                     "values": [0.5], "horizon": 1.0}))
+    rc = run_cli("sweep", "--spec", str(spec_file),
+                 "--output", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "configuration error: sweep label" in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["spec.json"]
 
 
 def test_sweep_unknown_preset_exits_1(capsys):
@@ -370,3 +400,60 @@ def test_invalid_sweep_spec_is_a_config_error(spec, message, tmp_path,
     err = capsys.readouterr().err
     assert rc == 1
     assert "configuration error" in err and message in err
+
+
+# ---------------------------------------------------------------------
+# float bodies: the same bytes as the csv.writer loop they replace
+# ---------------------------------------------------------------------
+
+def _reference_write_csv(path, meta, header, rows):
+    """The csv.writer + _fmt loop that wrote every CSV body before
+    :class:`cli.FloatRows`."""
+    with open(path, "w", newline="") as fh:
+        for key, value in meta.items():
+            fh.write(f"# {key} = {json.dumps(value) if isinstance(value, (list, dict)) else cli._fmt(value)}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli._fmt(v) for v in row])
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e16, 1e17,
+                123456789012345678.0, float("nan"), float("inf"),
+                float("-inf"), 1.0, -3.0, 42.0, 1e15, 0.1, 1 / 3]
+
+
+def _assert_same_bytes(tmp_path, header, body, reference_rows):
+    meta = {"tool": "mirroratoms", "specs": [{"label": "x"}], "step": 0.01}
+    cli.write_csv(tmp_path / "new.csv", meta, header, body)
+    _reference_write_csv(tmp_path / "ref.csv", meta, header, reference_rows)
+    assert ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
+def test_float_rows_match_the_csv_writer_loop(tmp_path, rng):
+    # more rows than one formatted write holds, edge values in each column
+    values = rng.standard_normal((2 * cli._ROWS_PER_WRITE + 37, 4))
+    values *= 10.0 ** rng.integers(-300, 300, size=values.shape)
+    for col in range(values.shape[1]):
+        rows = rng.choice(len(values), size=len(_EDGE_FLOATS), replace=False)
+        values[rows, col] = np.roll(_EDGE_FLOATS, col)
+    # the trajectory rows were Python floats from ndarray.tolist()
+    _assert_same_bytes(tmp_path, list("abcd"), [cli.FloatRows(values)],
+                       values.tolist())
+
+
+def test_labelled_float_rows_match_the_csv_writer_loop(tmp_path, rng):
+    labels = ["plain", "a,b", 'say "hi"', "100%", "%s%%d", "two\nlines",
+              "cr\rlf", " spaced "]
+    sizes = [0, 1, 30, 5, 17, 3, 8, cli._ROWS_PER_WRITE + 88]
+    pool = np.concatenate([_EDGE_FLOATS, rng.standard_normal(20)])
+    body, reference = [], []
+    for i, (label, size) in enumerate(zip(labels, sizes)):
+        values = rng.choice(pool, size=(size, 2 + i % 2))
+        body.append(cli.FloatRows(values, lead=(label, _EDGE_FLOATS[i])))
+        # the sweep curve rows were the label, the axis value and numpy
+        # scalars
+        reference += [[label, _EDGE_FLOATS[i], *row] for row in values]
+    _assert_same_bytes(tmp_path, ["label", "axis_value", "t", "c", "f"],
+                       body, reference)

@@ -278,7 +278,8 @@ def test_propagate_rejects_unphysical_generators(flow, message):
         m[idx] = rate
     gen = dy.Generator(m, rate_ge=0.0)
     s0 = dy.XState(0.0, 0.5, 0.5, 0.0)
-    with pytest.raises(ValueError, match=message):
+    # a ValueError subclass, so sweeps record it in the row's error
+    with pytest.raises(dy.PropagationError, match=message):
         dy.propagate(gen, s0, np.linspace(0.0, 10.0, 11))
 
 
