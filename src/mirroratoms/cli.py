@@ -191,11 +191,34 @@ def _write_float_rows(fh, block):
         fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
+def _open_output(path, **kwargs):
+    """``open(path, "w")``; a path that cannot be opened is a ConfigError."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_writable(*paths):
+    """Make each path's directory and check that the path can be opened for
+    writing, leaving no new file: a run fails before it computes anything."""
+    for path in paths:
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            existed = path.exists()
+            with open(path, "a"):
+                pass
+            if not existed:
+                path.unlink()
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(path, meta, header, rows):
     """``#`` metadata lines, then the header and rows as the csv module
     writes them, floats as ``%.17g``.  Each item of ``rows`` is a row of
     cells of any type or a :class:`FloatRows` block."""
-    with open(path, "w", newline="") as fh:
+    with _open_output(path, newline="") as fh:
         for key, value in meta.items():
             fh.write(f"# {key} = {json.dumps(value) if isinstance(value, (list, dict)) else _fmt(value)}\n")
         writer = csv.writer(fh)
@@ -208,7 +231,7 @@ def write_csv(path, meta, header, rows):
 
 
 def write_json(path, meta, data):
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         json.dump({"metadata": meta, "data": data}, fh, indent=2,
                   default=_json_default)
         fh.write("\n")
@@ -227,9 +250,10 @@ def _json_default(obj):
 def _out_path(config, default_name):
     if config.output_path:
         return Path(config.output_path)
-    outdir = Path(os.environ.get(OUTDIR_ENV, "."))
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir / f"{default_name}.{config.output_format}"
+    path = (Path(os.environ.get(OUTDIR_ENV, "."))
+            / f"{default_name}.{config.output_format}")
+    _check_writable(path)
+    return path
 
 
 def _read_json_object(path, what):
@@ -408,8 +432,10 @@ def cmd_sweep(args):
         name = specs[0].label
 
     outdir = Path(args.output or os.environ.get(OUTDIR_ENV, "."))
-    outdir.mkdir(parents=True, exist_ok=True)
     fmt = args.format or "csv"
+    summary_path = outdir / f"{name}_summary.{fmt}"
+    curve_path = outdir / f"{name}_curves.{fmt}"
+    _check_writable(summary_path, curve_path)
 
     all_rows = []
     curve_blocks = []
@@ -431,7 +457,6 @@ def cmd_sweep(args):
     meta = {"tool": "mirroratoms", "version": __version__, "preset": name,
             "horizon": specs[0].horizon, "sample_step": specs[0].sample_step,
             "specs": [_spec_record(spec) for spec in specs]}
-    summary_path = outdir / f"{name}_summary.{fmt}"
     if fmt == "json":
         write_json(summary_path, meta, {"rows": all_rows})
     else:
@@ -442,7 +467,6 @@ def cmd_sweep(args):
         cheader = ["label", "axis_value", "gamma0_tau", "concurrence"]
         if any(b.values.shape[1] == 3 for b in curve_blocks):
             cheader.append("free_concurrence")
-        curve_path = outdir / f"{name}_curves.{fmt}"
         if fmt == "json":
             rows = [[*b.lead, *r] for b in curve_blocks
                     for r in b.values.tolist()]

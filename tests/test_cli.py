@@ -268,6 +268,37 @@ def test_unsafe_sweep_label_is_a_config_error(label, tmp_path, capsys):
     assert [p.name for p in tmp_path.rglob("*")] == ["spec.json"]
 
 
+def test_unwritable_evolve_output_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    rc = run_cli("evolve", "--horizon", "1", "--output", str(out))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"configuration error: cannot write {out}: " in err
+    assert not out.parent.exists()
+
+
+def test_unwritable_sweep_output_fails_before_any_point(tmp_path, capsys,
+                                                        monkeypatch):
+    # the label names the output files, and 300 characters is past the
+    # file-name limit
+    label = "x" * 300
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"label": label, "axis": "acceleration",
+                                     "values": [0.5], "horizon": 1.0}))
+    swept = []
+    run_sweep = cli.sw.run_sweep
+    monkeypatch.setattr(cli.sw, "run_sweep",
+                        lambda spec: swept.append(spec) or run_sweep(spec))
+    outdir = tmp_path / "out"
+    rc = run_cli("sweep", "--spec", str(spec_file), "--output", str(outdir))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert (f"configuration error: cannot write "
+            f"{outdir / (label + '_summary.csv')}: ") in err
+    assert swept == []
+    assert list(outdir.iterdir()) == []
+
+
 def test_sweep_unknown_preset_exits_1(capsys):
     rc = run_cli("sweep", "--preset", "fig99")
     assert rc == 1
@@ -289,6 +320,17 @@ def test_outdir_env_var(tmp_path, monkeypatch):
                  "--sample-step", "0.5")
     assert rc == 0
     assert (tmp_path / "nested" / "trajectory.csv").exists()
+
+
+def test_outdir_env_var_under_a_file_is_a_config_error(tmp_path, monkeypatch,
+                                                       capsys):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "file" / "nested"))
+    rc = run_cli("evolve", "--horizon", "1")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert (f"configuration error: cannot write "
+            f"{tmp_path / 'file' / 'nested' / 'trajectory.csv'}: ") in err
 
 
 def test_validate_small_sample(capsys):

@@ -4,6 +4,7 @@ positivity preservation, and steady states."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from mirroratoms import coefficients as co
 from mirroratoms import dynamics as dy
@@ -262,6 +263,65 @@ def test_propagate_rows_equal_sequential_evaluation(gen, s0, method):
     assert traj.method == method
     ge = [s0.rho_ge * np.exp(gen.rate_ge * tau) for tau in times]
     assert np.array_equal(traj.rho_ge, ge)
+
+
+def _vertical_y_drift_generator():
+    cfg = co.PhysicalConfig.from_ratios(0.0, 0.15, 0.5, "vertical", d1=Y, d2=Y)
+    return dy.build_generator(co.assemble(cfg))
+
+
+@pytest.mark.parametrize("gen", [
+    _drift_generator(0.0, "vertical"),
+    _drift_generator(0.5, "parallel"),
+    _vertical_y_drift_generator(),
+], ids=["drift_at_once", "drift_mid_scan", "vertical_y"])
+def test_expm_tail_rows_are_exact(gen):
+    import mpmath as mp  # only the tail checks need 40-digit arithmetic
+
+    s0 = dy.XState.excited()
+    times = np.linspace(0.0, 40.0, 4001)
+    traj = dy.propagate(gen, s0, times)
+    start = int(np.searchsorted(times, traj.propagator.t_expm))
+    # anchors, the rows one and 63 steps past them, and the last row
+    picks = sorted({*(start + np.array([0, 1, 63, 64, 127, 128])),
+                    2047, 3967, len(times) - 1})
+    assert len(picks) >= 8 and all(i >= start for i in picks)
+    with mp.workdps(40):
+        m = mp.matrix(gen.block_pop.tolist())
+        v0 = mp.matrix(s0.vector().tolist())
+        for i in picks:
+            exact = mp.expm(m * times[i]) * v0
+            err = max(abs(traj.vectors[i, k] - exact[k]) for k in range(6))
+            assert err <= 1e-14, (i, float(err))
+
+
+def test_expm_tail_on_a_non_uniform_grid():
+    gen = _drift_generator(0.0, "vertical")
+    s0 = dy.XState.excited()
+    times = np.sort(np.random.default_rng(3).uniform(0.0, 40.0, 300))
+    times[150] = times[149]
+    traj = dy.propagate(gen, s0, times)
+    assert traj.propagator.t_expm == times[0]
+
+    direct = np.array([expm(gen.block_pop * t) @ s0.vector() for t in times])
+    assert np.max(np.abs(traj.vectors - direct)) <= 1e-13
+    for i, tau in enumerate(times):
+        assert np.array_equal(traj.state_at(tau).vector(), traj.vectors[i])
+
+
+def test_expm_tail_costs_a_few_exponentials(monkeypatch):
+    matrices = []
+
+    def counting_expm(a):
+        matrices.append(np.asarray(a).size // 36)
+        return expm(a)
+
+    monkeypatch.setattr(dy, "expm", counting_expm)
+    times = np.linspace(0.0, 40.0, 4001)
+    traj = dy.propagate(_drift_generator(0.0, "vertical"),
+                        dy.XState.excited(), times)
+    assert traj.propagator.t_expm == times[1]
+    assert sum(matrices) <= 100
 
 
 @pytest.mark.parametrize("flow, message", [
