@@ -17,9 +17,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -37,6 +37,10 @@ from . import sweeps as sw
 OUTDIR_ENV = "MIRRORATOMS_OUTDIR"
 
 _STATE_PRESETS = ("G", "E", "A", "S")
+# the RunConfig fields that make up its PhysicalConfig, in from_ratios order
+_PHYSICAL_KEYS = ("a_over_omega", "omega_L", "y_over_L", "alignment", "d1",
+                  "d2", "gamma0")
+_RATIO_DEFAULTS = inspect.signature(co.PhysicalConfig.from_ratios).parameters
 
 
 class ConfigError(ValueError):
@@ -51,12 +55,12 @@ class RunConfig:
     omega_L: float = 1.0
     y_over_L: float = 0.5
     alignment: str = "parallel"
-    d1: tuple = (1.0, 0.0, 0.0)
-    d2: tuple = (1.0, 0.0, 0.0)
-    gamma0: float = 1.0
-    initial_state: object = "S"
+    d1: tuple = _RATIO_DEFAULTS["d1"].default
+    d2: tuple = _RATIO_DEFAULTS["d2"].default
+    gamma0: float = _RATIO_DEFAULTS["gamma0"].default
+    initial_state: object = sw.SweepSpec.initial_state
     horizon: float = 20.0
-    sample_step: float = 1e-2
+    sample_step: float = sw.SweepSpec.sample_step
     output_path: str = ""
     output_format: str = "csv"
     include_free_space_companion: bool = False
@@ -65,19 +69,10 @@ class RunConfig:
     def __post_init__(self):
         if self.output_format not in ("csv", "json"):
             raise ConfigError("output_format must be 'csv' or 'json'")
-        if isinstance(self.initial_state, str):
-            if self.initial_state not in _STATE_PRESETS:
-                raise ConfigError(
-                    f"initial_state must be one of {_STATE_PRESETS} "
-                    "or an inline 4x4 matrix")
-        for value, name in ((self.horizon, "horizon"),
-                            (self.sample_step, "sample_step")):
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite")
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
-        if self.sample_step <= 0:
-            raise ConfigError("sample_step must be positive")
+        try:
+            en.scan_size(self.horizon, self.sample_step)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         # delegate the physical-range and initial-state checks
         self.physical()
         try:
@@ -109,23 +104,18 @@ class RunConfig:
         d["d1"] = list(self.d1)
         d["d2"] = list(self.d2)
         if not isinstance(self.initial_state, str):
-            m = np.asarray(self.initial_state)
-            d["initial_state"] = [[[float(z.real), float(z.imag)]
-                                   for z in row] for row in m]
+            d["initial_state"] = _complex_pairs(self.initial_state)
         return d
 
     def physical(self):
         try:
             return co.PhysicalConfig.from_ratios(
-                self.a_over_omega, self.omega_L, self.y_over_L,
-                self.alignment, d1=self.d1, d2=self.d2, gamma0=self.gamma0)
+                *(getattr(self, key) for key in _PHYSICAL_KEYS))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def initial(self):
-        if isinstance(self.initial_state, str):
-            return dy.XState.preset(self.initial_state)
-        return dy.XState.from_density_matrix(self.initial_state)
+        return dy.XState.resolve(self.initial_state)
 
 
 def _parse_matrix(obj):
@@ -143,6 +133,12 @@ def _parse_matrix(obj):
     return m
 
 
+def _complex_pairs(matrix):
+    """A complex matrix as nested lists of [re, im] pairs, for JSON."""
+    return [[[z.real, z.imag] for z in row]
+            for row in np.asarray(matrix, dtype=complex).tolist()]
+
+
 def _fmt(x):
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
@@ -151,11 +147,9 @@ def _fmt(x):
     return str(x)
 
 
-def _metadata(config, extra=None):
-    meta = {"tool": "mirroratoms", "version": __version__}
-    meta.update(config.to_dict() if isinstance(config, RunConfig) else config)
-    meta.update(extra or {})
-    return meta
+def _metadata(fields):
+    """The metadata of an output: the tool and its version, then ``fields``."""
+    return {"tool": "mirroratoms", "version": __version__, **fields}
 
 
 @dataclass(frozen=True)
@@ -199,12 +193,14 @@ def _open_output(path, **kwargs):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _check_writable(*paths):
-    """Make each path's directory and check that the path can be opened for
-    writing, leaving no new file: a run fails before it computes anything."""
+def _check_writable(*paths, make_dir=True):
+    """Make each path's directory (if ``make_dir``) and check that the path
+    can be opened for writing, leaving no new file: a run fails before it
+    computes anything."""
     for path in paths:
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            if make_dir:
+                path.parent.mkdir(parents=True, exist_ok=True)
             existed = path.exists()
             with open(path, "a"):
                 pass
@@ -248,11 +244,14 @@ def _json_default(obj):
 
 
 def _out_path(config, default_name):
+    """The run's output file, checked to be writable; only the directory of
+    the default path is made."""
     if config.output_path:
-        return Path(config.output_path)
-    path = (Path(os.environ.get(OUTDIR_ENV, "."))
-            / f"{default_name}.{config.output_format}")
-    _check_writable(path)
+        path = Path(config.output_path)
+    else:
+        path = (Path(os.environ.get(OUTDIR_ENV, "."))
+                / f"{default_name}.{config.output_format}")
+    _check_writable(path, make_dir=not config.output_path)
     return path
 
 
@@ -333,13 +332,12 @@ def cmd_coeffs(args):
         if status != 0:
             return status
     if config.output_path:
-        meta = _metadata(config)
+        path = _out_path(config, "coeffs")
+        meta = _metadata(config.to_dict())
         if config.output_format == "json":
-            write_json(_out_path(config, "coeffs"), meta,
-                       {"coefficients": lines, **extra})
+            write_json(path, meta, {"coefficients": lines, **extra})
         else:
-            write_csv(_out_path(config, "coeffs"), meta,
-                      ["coefficient", "value"],
+            write_csv(path, meta, ["coefficient", "value"],
                       [[k, v] for k, v in lines.items()])
     return 0
 
@@ -351,14 +349,12 @@ def _trajectory_rows(config):
                               config.sample_step)
     columns = [traj.times, traj.vectors, traj.rho_ge.real, traj.rho_ge.imag,
                en.concurrence_curve(traj)]
-    companions = {}
     if config.include_free_space_companion:
         gen_f = dy.build_generator(co.assemble(cfg, include_boundary=False))
         traj_f = en.scan_trajectory(gen_f, config.initial(), config.horizon,
                                     config.sample_step)
-        companions["free_concurrence"] = en.concurrence_curve(traj_f)
-        columns.append(companions["free_concurrence"])
-    return traj, np.column_stack(columns), companions
+        columns.append(en.concurrence_curve(traj_f))
+    return traj, np.column_stack(columns)
 
 
 _TRAJ_HEADER = ["gamma0_tau", "pG", "pE", "pA", "pS", "re_rhoAS", "im_rhoAS",
@@ -367,13 +363,12 @@ _TRAJ_HEADER = ["gamma0_tau", "pG", "pE", "pA", "pS", "re_rhoAS", "im_rhoAS",
 
 def cmd_evolve(args):
     config = _load_config(args)
-    traj, rows, companions = _trajectory_rows(config)
-    header = list(_TRAJ_HEADER)
-    if companions:
-        header.append("free_concurrence")
     path = _out_path(config, "trajectory")
-    meta = _metadata(config, {"sample_step": config.sample_step,
-                              "propagation": traj.method})
+    traj, rows = _trajectory_rows(config)
+    header = list(_TRAJ_HEADER)
+    if config.include_free_space_companion:
+        header.append("free_concurrence")
+    meta = _metadata({**config.to_dict(), "propagation": traj.method})
     if config.output_format == "json":
         write_json(path, meta, {"columns": header, "rows": rows.tolist()})
     else:
@@ -384,6 +379,7 @@ def cmd_evolve(args):
 
 def cmd_events(args):
     config = _load_config(args)
+    path = _out_path(config, "events")
     cfg = config.physical()
     gen = dy.build_generator(co.assemble(cfg))
     traj = en.scan_trajectory(gen, config.initial(), config.horizon,
@@ -398,8 +394,7 @@ def cmd_events(args):
         "truncated": ev.truncated,
         "horizon": ev.horizon,
     }
-    path = _out_path(config, "events")
-    meta = _metadata(config, {"refine_tol": 1e-6})
+    meta = _metadata({**config.to_dict(), "refine_tol": en.REFINE_TOL})
     if config.output_format == "csv":
         rows = ([["death", t] for t in ev.death_times]
                 + [["birth", t] for t in ev.birth_times]
@@ -454,9 +449,9 @@ def cmd_sweep(args):
                 lead=(spec.label, result.rows[idx]["axis_value"])))
 
     header = sorted({k for row in all_rows for k in row})
-    meta = {"tool": "mirroratoms", "version": __version__, "preset": name,
-            "horizon": specs[0].horizon, "sample_step": specs[0].sample_step,
-            "specs": [_spec_record(spec) for spec in specs]}
+    meta = _metadata({"preset": name, "horizon": specs[0].horizon,
+                      "sample_step": specs[0].sample_step,
+                      "specs": [_spec_record(spec) for spec in specs]})
     if fmt == "json":
         write_json(summary_path, meta, {"rows": all_rows})
     else:
@@ -483,22 +478,20 @@ def _spec_record(spec):
     base = {f.name: getattr(spec.base, f.name)
             for f in dataclasses.fields(spec.base)}
     base["d1"], base["d2"] = base["d1"].tolist(), base["d2"].tolist()
-    rho = spec.initial().density_matrix()
     return {"label": spec.label, "base": base,
-            "initial_state": [[[z.real, z.imag] for z in row]
-                              for row in rho.tolist()]}
+            "initial_state": _complex_pairs(spec.initial().density_matrix())}
 
 
 def _spec_from_dict(raw):
-    known = {"label", "axis", "values", "initial_state", "horizon",
-             "sample_step", "outputs", "include_free_space", "base"}
-    unknown = set(raw) - known
+    """The :class:`SweepSpec` of a spec file.  Keys the file leaves out take
+    the defaults of ``SweepSpec``, and of :class:`RunConfig` in ``base``."""
+    unknown = set(raw) - {f.name for f in dataclasses.fields(sw.SweepSpec)}
     if unknown:
         raise ConfigError(f"unknown sweep key(s): {', '.join(sorted(unknown))}")
-    base_raw = raw.get("base", {})
-    base_keys = {"a_over_omega", "omega_L", "y_over_L", "alignment",
-                 "d1", "d2", "gamma0"}
-    unknown = set(base_raw) - base_keys
+    base = raw.get("base", {})
+    if not isinstance(base, dict):
+        raise ConfigError("sweep spec base must be a JSON object")
+    unknown = set(base) - set(_PHYSICAL_KEYS)
     if unknown:
         raise ConfigError(f"unknown base key(s): {', '.join(sorted(unknown))}")
     missing = {"axis", "values"} - set(raw)
@@ -513,25 +506,12 @@ def _spec_from_dict(raw):
             f"sweep label must be a non-empty string naming a file, without "
             f"'/', {os.sep!r} or NUL, and not '.' or '..'; got {label!r}")
     try:
-        initial_state = raw.get("initial_state", "S")
-        if not isinstance(initial_state, str):
-            initial_state = dy.XState.from_density_matrix(
-                _parse_matrix(initial_state))
-        base = co.PhysicalConfig.from_ratios(
-            base_raw.get("a_over_omega", 0.5), base_raw.get("omega_L", 1.0),
-            base_raw.get("y_over_L", 0.5),
-            base_raw.get("alignment", "parallel"),
-            d1=tuple(base_raw.get("d1", (1, 0, 0))),
-            d2=tuple(base_raw.get("d2", (1, 0, 0))),
-            gamma0=base_raw.get("gamma0", 1.0))
-        return sw.SweepSpec(
-            label=label, base=base, axis=raw["axis"],
-            values=tuple(raw["values"]),
-            initial_state=initial_state,
-            horizon=raw.get("horizon", 40.0),
-            sample_step=raw.get("sample_step", 1e-2),
-            outputs=tuple(raw.get("outputs", ("maxc", "events"))),
-            include_free_space=raw.get("include_free_space", False))
+        fields = {**raw, "label": label,
+                  "base": RunConfig.from_dict(base).physical()}
+        if not isinstance(raw.get("initial_state", ""), str):
+            fields["initial_state"] = dy.XState.resolve(
+                _parse_matrix(raw["initial_state"]))
+        return sw.SweepSpec(**fields)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid sweep spec: {exc}") from exc
 
@@ -588,10 +568,9 @@ def cmd_validate(args):
               + (f"  FAILED: {rep['failures']}" if rep["failures"] else ""))
     print(f"overall max relative error: {worst:.3e}")
     if args.output:
-        write_csv(Path(args.output),
-                  {"tool": "mirroratoms", "version": __version__,
-                   "samples": args.samples, "seed": args.seed,
-                   "epsilons": list(fc.QuadratureSettings().epsilons)},
+        meta = _metadata({"samples": args.samples, "seed": args.seed,
+                          "epsilons": list(fc.QuadratureSettings().epsilons)})
+        write_csv(Path(args.output), meta,
                   ["index", "alignment", "a_over_omega", "omega_L",
                    "y_over_L", "max_rel_error", "worst_component",
                    "failures"],

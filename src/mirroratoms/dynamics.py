@@ -16,8 +16,6 @@ on earlier calls: a grid time gives its row, and an off-grid time past
 
 A trajectory is array-backed: an (N, 6) array of coordinates and an (N,)
 complex array of rho_GE, computed and validated with whole-array numpy.
-``Trajectory.states`` is a derived list of :class:`XState` built on each
-access, for scalar callers.
 """
 
 from __future__ import annotations
@@ -109,6 +107,16 @@ class XState:
             raise ValueError(f"unknown state preset {name!r}; "
                              f"use one of {sorted(table)}")
         return table[name]()
+
+    @classmethod
+    def resolve(cls, state):
+        """An initial state given as a preset name, an :class:`XState` or a
+        4x4 density matrix; ValueError if it is none of them."""
+        if isinstance(state, str):
+            return cls.preset(state)
+        if isinstance(state, cls):
+            return state
+        return cls.from_density_matrix(state)
 
     def vector(self):
         """Coordinates (pG, pE, pA, pS, Re rho_AS, Im rho_AS)."""
@@ -247,12 +255,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.times)
-
-    @property
-    def states(self):
-        """The samples as a list of :class:`XState`, built on each access."""
-        return [XState.from_vector(v, rho_ge=ge)
-                for v, ge in zip(self.vectors, self.rho_ge)]
 
     def state_at(self, tau):
         """Exact state at an arbitrary time; a grid time of ``propagate``

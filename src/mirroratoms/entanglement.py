@@ -17,6 +17,11 @@ import numpy as np
 from .dynamics import propagate
 
 _RADICAND_TOL = 1e-12
+# bisection and golden-section tolerance of event refinement, Gamma0*tau
+REFINE_TOL = 1e-6
+# a scan grid of more samples is a configuration error, not an allocation:
+# 2,500 times a figure grid, whose (N, 6) rows alone take 0.48 GB
+MAX_SAMPLES = 10**7
 
 _SIGMA_Y_PAIR = np.array([
     [0, 0, 0, -1],
@@ -176,7 +181,7 @@ def _golden_max(f, lo, hi, tol):
     return x, f(x)
 
 
-def analyze_events(traj, horizon=None, refine_tol=1e-6):
+def analyze_events(traj, horizon=None, refine_tol=REFINE_TOL):
     """Extract death/birth/revival events and the global maximum of C.
 
     The trajectory must be sampled densely enough that max{K1, K2} changes
@@ -240,8 +245,25 @@ def analyze_events(traj, horizon=None, refine_tol=1e-6):
         horizon=float(horizon))
 
 
+def scan_size(horizon, step):
+    """Number of samples of the uniform grid on [0, horizon] with spacing
+    at most ``step`` (at least three); ValueError naming the field if either
+    is not positive and finite, or if the grid would exceed
+    ``MAX_SAMPLES``."""
+    for value, name in ((horizon, "horizon"), (step, "sample_step")):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        if value <= 0:
+            raise ValueError(f"{name} must be positive")
+    # horizon / step may overflow to inf, which fails the test too
+    if not horizon / step <= MAX_SAMPLES - 1:
+        raise ValueError(
+            f"horizon / sample_step = {horizon / step:.6g} asks for more "
+            f"than {MAX_SAMPLES} grid samples")
+    return max(math.ceil(horizon / step), 2) + 1
+
+
 def scan_trajectory(generator, s0, horizon, step=1e-2):
     """Propagate on a uniform grid suited for event analysis."""
-    n = max(int(math.ceil(horizon / step)), 2)
-    times = np.linspace(0.0, horizon, n + 1)
+    times = np.linspace(0.0, horizon, scan_size(horizon, step))
     return propagate(generator, s0, times)

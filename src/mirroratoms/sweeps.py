@@ -2,9 +2,8 @@
 
 A sweep varies one physical axis (acceleration, separation, boundary
 distance, or just time) over a grid; every grid point independently runs
-assemble -> generator -> exact propagation -> concurrence analysis.  Points
-carry no shared state, so a sweep may be mapped concurrently; results are
-assembled in input order either way.
+assemble -> generator -> exact propagation -> concurrence analysis, in
+input order.  A point that fails records its error in its row.
 
 The presets reproduce the published curve families: concurrence vs time
 for several boundary distances or accelerations, and maximal-concurrence
@@ -14,7 +13,6 @@ columns for the dashed-line comparisons.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,15 +60,12 @@ class SweepSpec:
         if not all(np.isfinite(vals)):
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", vals)
-        if not (0 < self.horizon < math.inf
-                and 0 < self.sample_step < math.inf):
-            raise ValueError(
-                "horizon and sample_step must be positive and finite")
+        object.__setattr__(self, "outputs", tuple(self.outputs))
+        en.scan_size(self.horizon, self.sample_step)
         bad = set(self.outputs) - {"curve", "events", "maxc"}
         if bad:
             raise ValueError(f"unknown outputs {sorted(bad)}")
-        if not isinstance(self.initial(), dy.XState):
-            raise ValueError("initial_state must be a preset name or an XState")
+        self.initial()  # ValueError if it names no state
 
     def config_at(self, value):
         """Configuration of the grid point at the given axis value."""
@@ -85,9 +80,7 @@ class SweepSpec:
         return base
 
     def initial(self):
-        if isinstance(self.initial_state, str):
-            return dy.XState.preset(self.initial_state)
-        return self.initial_state
+        return dy.XState.resolve(self.initial_state)
 
 
 @dataclass
@@ -170,29 +163,27 @@ class FigurePreset:
     specs: tuple
 
 
-def _curve_spec(label, alignment, d1, d2, init, axis, values,
-                a=None, omega_L=None, y_over_L=None, horizon=20.0,
-                free_space=False):
-    base = co.PhysicalConfig.from_ratios(
-        a_over_omega=a if a is not None else 0.5,
-        omega_L=omega_L, y_over_L=y_over_L if y_over_L is not None else 0.5,
-        alignment=alignment, d1=d1, d2=d2)
+def _preset_spec(label, alignment, d1, d2, axis, values, a=0.5,
+                 omega_L=1.0, y_over_L=0.5, **fields):
+    """A preset sweep about the base point (a/omega, omega L, y/L); the
+    remaining :class:`SweepSpec` fields are passed through."""
+    base = co.PhysicalConfig.from_ratios(a, omega_L, y_over_L, alignment,
+                                         d1=d1, d2=d2)
     return SweepSpec(label=label, base=base, axis=axis, values=values,
-                     initial_state=init, horizon=horizon,
-                     outputs=("curve", "events", "maxc"),
-                     include_free_space=free_space)
+                     **fields)
 
 
-def _maxc_spec(label, alignment, d1, d2, axis, values, a=None, omega_L=None,
-               y_over_L=None, horizon=40.0, free_space=True):
-    base = co.PhysicalConfig.from_ratios(
-        a_over_omega=a if a is not None else 0.5,
-        omega_L=omega_L if omega_L is not None else 1.0,
-        y_over_L=y_over_L if y_over_L is not None else 0.5,
-        alignment=alignment, d1=d1, d2=d2)
-    return SweepSpec(label=label, base=base, axis=axis, values=values,
-                     initial_state="E", horizon=horizon, outputs=("maxc",),
-                     include_free_space=free_space)
+def _curve_spec(label, alignment, d1, d2, init, axis, values, **kw):
+    return _preset_spec(label, alignment, d1, d2, axis, values,
+                        initial_state=init, horizon=20.0,
+                        outputs=("curve", "events", "maxc"), **kw)
+
+
+def _maxc_spec(label, alignment, d1, d2, axis, values,
+               include_free_space=True, **kw):
+    return _preset_spec(label, alignment, d1, d2, axis, values,
+                        initial_state="E", outputs=("maxc",),
+                        include_free_space=include_free_space, **kw)
 
 
 _A_GRID = tuple(np.round(np.linspace(0.05, 2.0, 27), 6))
@@ -221,9 +212,9 @@ def figure_presets():
 
     add("fig2", "C(tau), init S, both dipoles x, wL=1, a=1/2, three y/L",
         _curve_spec("parallel", "parallel", X, X, "S", "boundary_distance",
-                    yl_s, a=0.5, omega_L=1.0, free_space=True),
+                    yl_s, a=0.5, omega_L=1.0, include_free_space=True),
         _curve_spec("vertical", "vertical", X, X, "S", "boundary_distance",
-                    yl_s, a=0.5, omega_L=1.0, free_space=True))
+                    yl_s, a=0.5, omega_L=1.0, include_free_space=True))
     add("fig3", "C(tau), init S, both dipoles x, wL=1, y/L=1/2, four a",
         _curve_spec("parallel", "parallel", X, X, "S", "acceleration",
                     acc, omega_L=1.0, y_over_L=0.5),
@@ -231,9 +222,9 @@ def figure_presets():
                     acc, omega_L=1.0, y_over_L=0.5))
     add("fig4", "C(tau), init S, both dipoles y, wL=1, a=1/2, three y/L",
         _curve_spec("parallel", "parallel", Y, Y, "S", "boundary_distance",
-                    yl_s, a=0.5, omega_L=1.0, free_space=True),
+                    yl_s, a=0.5, omega_L=1.0, include_free_space=True),
         _curve_spec("vertical", "vertical", Y, Y, "S", "boundary_distance",
-                    yl_s, a=0.5, omega_L=1.0, free_space=True))
+                    yl_s, a=0.5, omega_L=1.0, include_free_space=True))
     add("fig5", "C(tau), init S, dipoles x (nearer) and y, wL=1, y/L=1/2",
         _curve_spec("parallel", "parallel", X, Y, "S", "acceleration",
                     acc, omega_L=1.0, y_over_L=0.5),
@@ -251,9 +242,9 @@ def figure_presets():
                     acc, omega_L=1.0, y_over_L=0.5))
     add("fig7", "C(tau), init E, both dipoles x, wL=2/3, a=1/2, three y/L",
         _curve_spec("parallel", "parallel", X, X, "E", "boundary_distance",
-                    yl_e, a=0.5, omega_L=2.0 / 3.0, free_space=True),
+                    yl_e, a=0.5, omega_L=2.0 / 3.0, include_free_space=True),
         _curve_spec("vertical", "vertical", X, X, "E", "boundary_distance",
-                    yl_e, a=0.5, omega_L=2.0 / 3.0, free_space=True))
+                    yl_e, a=0.5, omega_L=2.0 / 3.0, include_free_space=True))
     add("fig8", "C(tau), init E, both dipoles x, wL=1, y/L=1/2, four a",
         _curve_spec("parallel", "parallel", X, X, "E", "acceleration",
                     acc, omega_L=1.0, y_over_L=0.5),
@@ -261,14 +252,14 @@ def figure_presets():
                     acc, omega_L=1.0, y_over_L=0.5))
     add("fig9", "C(tau), init E, both dipoles y, wL=2/3, a=1/2, three y/L",
         _curve_spec("parallel", "parallel", Y, Y, "E", "boundary_distance",
-                    yl_e, a=0.5, omega_L=2.0 / 3.0, free_space=True),
+                    yl_e, a=0.5, omega_L=2.0 / 3.0, include_free_space=True),
         _curve_spec("vertical", "vertical", Y, Y, "E", "boundary_distance",
-                    yl_e, a=0.5, omega_L=2.0 / 3.0, free_space=True))
+                    yl_e, a=0.5, omega_L=2.0 / 3.0, include_free_space=True))
     add("fig10", "C(tau), init E, dipoles x and separation direction",
         _curve_spec("parallel", "parallel", X, Z, "E", "boundary_distance",
-                    yl_e, a=0.5, omega_L=2.0 / 3.0, free_space=True),
+                    yl_e, a=0.5, omega_L=2.0 / 3.0, include_free_space=True),
         _curve_spec("vertical", "vertical", X, Y, "E", "boundary_distance",
-                    yl_e, a=0.5, omega_L=2.0 / 3.0, free_space=True))
+                    yl_e, a=0.5, omega_L=2.0 / 3.0, include_free_space=True))
     add("fig11", "C(tau), init E, dipoles x (nearer) and y, wL=1, y/L=1/2",
         _curve_spec("parallel", "parallel", X, Y, "E", "acceleration",
                     acc, omega_L=1.0, y_over_L=0.5),
@@ -305,22 +296,22 @@ def figure_presets():
           for al in ("parallel", "vertical")])
     add("fig18", "max C vs omega L, init E, y/L=1/2, dipoles xx, three a",
         *[_maxc_spec(f"{al}_a{anm}", al, X, X, "separation", _WL_GRID,
-                     a=av, y_over_L=0.5, free_space=False)
+                     a=av, y_over_L=0.5, include_free_space=False)
           for al in ("parallel", "vertical")
           for anm, av in (("0", 0.0), ("05", 0.5), ("1", 1.0))])
     add("fig19", "max C vs y/L, init E, wL=1, dipoles xx, three a",
         *[_maxc_spec(f"{al}_a{anm}", al, X, X, "boundary_distance", _YL_GRID,
-                     a=av, omega_L=1.0, free_space=False)
+                     a=av, omega_L=1.0, include_free_space=False)
           for al in ("parallel", "vertical")
           for anm, av in (("0", 0.0), ("05", 0.5), ("1", 1.0))])
     add("fig20", "max C vs omega L, init E, y/L=1/2, dipoles xy, three a",
         *[_maxc_spec(f"{al}_a{anm}", al, X, Y, "separation", _WL_GRID,
-                     a=av, y_over_L=0.5, free_space=False)
+                     a=av, y_over_L=0.5, include_free_space=False)
           for al in ("parallel", "vertical")
           for anm, av in (("0", 0.0), ("05", 0.5), ("1", 1.0))])
     add("fig21", "max C vs y/L, init E, wL=1, dipoles xy, three a",
         *[_maxc_spec(f"{al}_a{anm}", al, X, Y, "boundary_distance", _YL_GRID,
-                     a=av, omega_L=1.0, free_space=False)
+                     a=av, omega_L=1.0, include_free_space=False)
           for al in ("parallel", "vertical")
           for anm, av in (("0", 0.0), ("05", 0.5), ("1", 1.0))])
 

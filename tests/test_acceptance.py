@@ -244,17 +244,17 @@ def test_criterion_10_dynamics_integrity(acceptance_report):
         gen = dy.build_generator(cs)
         for init in (dy.XState.symmetric(), dy.XState.excited()):
             traj = dy.propagate(gen, init, times)
-            for s in traj.states:
+            for v, ge in zip(traj.vectors, traj.rho_ge):
+                s = dy.XState.from_vector(v, rho_ge=ge)
                 worst_trace = max(worst_trace,
                                   abs(s.pG + s.pE + s.pA + s.pS - 1.0))
                 worst_eig = max(worst_eig, -s.min_eigenvalue())
-            exact = traj.states[-1].vector()
+            exact = traj.vectors[-1]
             stepped = _rk4(gen.block_pop, init.vector(), 20.0, 1e-3)
             worst_rk4 = max(worst_rk4, np.max(np.abs(exact - stepped)))
-            half = dy.propagate(gen, init, [10.0]).states[0]
-            chained = dy.propagate(gen, half, [10.0]).states[0]
-            worst_semi = max(worst_semi,
-                             np.max(np.abs(chained.vector() - exact)))
+            half = dy.propagate(gen, init, [10.0]).state_at(10.0)
+            chained = dy.propagate(gen, half, [10.0]).vectors[0]
+            worst_semi = max(worst_semi, np.max(np.abs(chained - exact)))
     ok = (worst_trace <= 1e-12 and worst_eig <= 1e-10
           and worst_rk4 <= 1e-8 and worst_semi <= 1e-10)
     acceptance_report(

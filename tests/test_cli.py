@@ -364,6 +364,62 @@ def test_non_finite_inputs_are_config_errors(argv, message, tmp_path,
     assert "configuration error" in err and message in err
 
 
+# an over-fine grid is rejected before any array is allocated: at 1e300 /
+# 1e-300 horizon / sample_step overflows, and a 1e22-sample grid fails in
+# numpy
+_OVER_FINE_GRIDS = pytest.mark.parametrize(
+    "horizon, step", [(1e300, 1e-300), (1e20, None)],
+    ids=["overflow", "huge"])
+
+
+@_OVER_FINE_GRIDS
+def test_over_fine_evolve_grid_is_a_config_error(horizon, step, tmp_path,
+                                                 capsys):
+    argv = ["evolve", "--horizon", repr(horizon),
+            "--output", str(tmp_path / "x.csv")]
+    if step:
+        argv += ["--sample-step", repr(step)]
+    rc = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("configuration error: horizon / sample_step = ")
+    assert f"more than {cli.en.MAX_SAMPLES} grid samples" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@_OVER_FINE_GRIDS
+def test_over_fine_spec_grid_is_a_config_error(horizon, step, tmp_path,
+                                               capsys):
+    spec = {"axis": "acceleration", "values": [0.5], "horizon": horizon}
+    if step:
+        spec["sample_step"] = step
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    rc = run_cli("sweep", "--spec", str(spec_file),
+                 "--output", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("configuration error: invalid sweep spec: "
+                          "horizon / sample_step = ")
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+@pytest.mark.parametrize("command", ["evolve", "events"])
+def test_unwritable_output_fails_before_propagation(command, tmp_path,
+                                                    capsys, monkeypatch):
+    scanned = []
+    scan = cli.en.scan_trajectory
+    monkeypatch.setattr(cli.en, "scan_trajectory",
+                        lambda *a: scanned.append(a) or scan(*a))
+    out = tmp_path / "missing" / "x.csv"
+    rc = run_cli(command, "--horizon", "1", "--output", str(out))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"configuration error: cannot write {out}: " in err
+    assert scanned == []
+    assert not out.parent.exists()
+
+
 def _x_matrix(ge=0.0, as_=0.0):
     return [[0.25, 0, 0, ge], [0, 0.25, as_, 0],
             [0, as_, 0.25, 0], [ge, 0, 0, 0.25]]
@@ -425,13 +481,15 @@ def test_unreadable_spec_file_is_a_config_error(content, tmp_path, capsys):
     ({"axis": "acceleration", "values": [0.5],
       "base": {"omega_L": -1.0}}, "separation L must be positive"),
     ({"axis": "acceleration", "values": [0.5], "horizon": float("inf")},
-     "horizon and sample_step must be positive and finite"),
+     "horizon must be finite"),
     ({"axis": "acceleration", "values": [0.5], "initial_state": "Q"},
      "unknown state preset 'Q'"),
     ({"axis": "acceleration", "values": [0.5],
       "initial_state": [[0.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.5, 0],
                         [0, 0, 0, -0.5]]},
      "not positive semidefinite"),
+    ({"axis": "acceleration", "values": [0.5], "base": 5},
+     "base must be a JSON object"),
 ])
 def test_invalid_sweep_spec_is_a_config_error(spec, message, tmp_path,
                                               capsys):

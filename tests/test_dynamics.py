@@ -120,8 +120,7 @@ def test_doubly_excited_decay_rate_free_space():
     gen = dy.build_generator(cs)
     times = np.linspace(0.0, 3.0, 7)
     traj = dy.propagate(gen, dy.XState.excited(), times)
-    p_e = np.array([s.pE for s in traj.states])
-    assert_allclose(p_e, np.exp(-2.0 * times), rtol=1e-12)
+    assert_allclose(traj.vectors[:, 1], np.exp(-2.0 * times), rtol=1e-12)
 
 
 def test_generator_rejects_nonfinite():
@@ -136,15 +135,15 @@ def test_generator_rejects_nonfinite():
 def test_propagate_identity_at_zero():
     gen = dy.build_generator(coeffs())
     s0 = dy.XState.symmetric()
-    out = dy.propagate(gen, s0, [0.0]).states[0]
-    assert out == s0
+    traj = dy.propagate(gen, s0, [0.0])
+    assert dy.XState.from_vector(traj.vectors[0], rho_ge=traj.rho_ge[0]) == s0
 
 
 def test_ground_state_is_free_space_fixed_point():
     gen = dy.build_generator(coeffs(a3=0.15))
     traj = dy.propagate(gen, dy.XState.ground(), [0.0, 5.0, 50.0])
-    for s in traj.states:
-        assert_allclose(s.vector(), dy.XState.ground().vector(), atol=1e-12)
+    for v in traj.vectors:
+        assert_allclose(v, dy.XState.ground().vector(), atol=1e-12)
 
 
 def test_propagate_validates_times():
@@ -176,7 +175,7 @@ def test_exact_propagation_matches_rk4():
     gen = dy.build_generator(co.assemble(cfg))
     s0 = dy.XState.symmetric()
     for t_end in (1.0, 20.0):
-        exact = dy.propagate(gen, s0, [t_end]).states[0].vector()
+        exact = dy.propagate(gen, s0, [t_end]).vectors[0]
         stepped = _rk4(gen.block_pop, s0.vector(), t_end, 1e-3)
         assert np.max(np.abs(exact - stepped)) <= 1e-8
 
@@ -186,7 +185,8 @@ def test_trace_and_positivity_along_trajectories(rng):
         gen = dy.build_generator(random_coeffs(rng))
         s0 = random_x_state(rng)
         traj = dy.propagate(gen, s0, np.linspace(0.0, 30.0, 61))
-        for s in traj.states:
+        for v, ge in zip(traj.vectors, traj.rho_ge):
+            s = dy.XState.from_vector(v, rho_ge=ge)
             assert abs(s.pG + s.pE + s.pA + s.pS - 1.0) <= 1e-12
             assert s.min_eigenvalue() >= -1e-10
 
@@ -195,11 +195,11 @@ def test_semigroup_property(rng):
     gen = dy.build_generator(random_coeffs(rng))
     s0 = random_x_state(rng)
     t1, t2 = 0.8, 2.3
-    once = dy.propagate(gen, s0, [t1 + t2]).states[0]
-    first = dy.propagate(gen, s0, [t1]).states[0]
-    second = dy.propagate(gen, first, [t2]).states[0]
-    assert np.max(np.abs(once.vector() - second.vector())) <= 1e-10
-    assert abs(once.rho_ge - second.rho_ge) <= 1e-10
+    once = dy.propagate(gen, s0, [t1 + t2])
+    first = dy.propagate(gen, s0, [t1]).state_at(t1)
+    second = dy.propagate(gen, first, [t2])
+    assert np.max(np.abs(once.vectors[0] - second.vectors[0])) <= 1e-10
+    assert abs(once.rho_ge[0] - second.rho_ge[0]) <= 1e-10
 
 
 def test_ge_coherence_decays_exactly():
@@ -208,9 +208,9 @@ def test_ge_coherence_decays_exactly():
     s0 = dy.XState(0.5, 0.5, 0.0, 0.0, rho_ge=0.25 + 0.1j)
     taus = np.array([0.0, 0.7, 2.9])
     traj = dy.propagate(gen, s0, taus)
-    for tau, s in zip(taus, traj.states):
+    for tau, ge in zip(taus, traj.rho_ge):
         expected = s0.rho_ge * np.exp(-2.0 * 0.5 * tau)
-        assert abs(s.rho_ge - expected) <= 1e-14
+        assert abs(ge - expected) <= 1e-14
 
 
 def test_trace_guard_switches_to_expm_for_near_defective_generators():
@@ -222,18 +222,18 @@ def test_trace_guard_switches_to_expm_for_near_defective_generators():
     gen = dy.build_generator(co.assemble(cfg))
     traj = dy.propagate(gen, dy.XState.excited(), np.linspace(0.0, 12.0, 25))
     assert traj.method == "expm"
-    for s in traj.states:
-        assert abs(s.pG + s.pE + s.pA + s.pS - 1.0) <= 1e-12
+    for v in traj.vectors:
+        assert abs(v[0] + v[1] + v[2] + v[3] - 1.0) <= 1e-12
 
 
 def test_expm_fallback_agrees_with_eig(monkeypatch):
     gen = dy.build_generator(coeffs(a3=0.12))
     s0 = dy.XState.excited()
-    ref = dy.propagate(gen, s0, [1.7]).states[0]
+    ref = dy.propagate(gen, s0, [1.7]).vectors[0]
     monkeypatch.setattr(dy, "_COND_LIMIT", 0.0)
     fb = dy.propagate(gen, s0, [1.7])
     assert fb.method == "expm"
-    assert np.max(np.abs(fb.states[0].vector() - ref.vector())) <= 1e-12
+    assert np.max(np.abs(fb.vectors[0] - ref)) <= 1e-12
 
 
 def _drift_generator(a_over_omega, alignment):
@@ -356,7 +356,7 @@ def test_trajectory_state_at_matches_grid():
     gen = dy.build_generator(coeffs(a3=0.05))
     traj = dy.propagate(gen, dy.XState.symmetric(), [0.0, 1.0, 2.0])
     direct = traj.state_at(1.0)
-    assert np.max(np.abs(direct.vector() - traj.states[1].vector())) <= 1e-14
+    assert np.max(np.abs(direct.vector() - traj.vectors[1])) <= 1e-14
 
 
 # ---------------------------------------------------------------------
@@ -380,5 +380,5 @@ def test_steady_state_accelerated_matches_long_time_limit():
     gen = dy.build_generator(co.assemble_free_space(cfg))
     ss = dy.steady_state(gen)
     assert np.linalg.norm(gen.block_pop @ ss.vector()) <= 1e-10
-    late = dy.propagate(gen, dy.XState.symmetric(), [200.0]).states[0]
-    assert np.max(np.abs(late.vector() - ss.vector())) <= 1e-6
+    late = dy.propagate(gen, dy.XState.symmetric(), [200.0]).vectors[0]
+    assert np.max(np.abs(late - ss.vector())) <= 1e-6

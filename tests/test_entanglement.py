@@ -126,7 +126,8 @@ def test_array_concurrence_equals_scalar_bit_for_bit(rng):
             a1, a2, a3, a1 * th, a2 * th, a3 * th))
         traj = dy.propagate(gen, random_x_state(rng),
                             np.linspace(0.0, 30.0, 601))
-        states = traj.states
+        states = [dy.XState.from_vector(v, rho_ge=ge)
+                  for v, ge in zip(traj.vectors, traj.rho_ge)]
         # compared as bytes, so that -0.0 and 0.0 count as different
         scalar = np.array([en.concurrence_x(s) for s in states])
         assert en.concurrence_curve(traj).tobytes() == scalar.tobytes()
@@ -240,3 +241,14 @@ def test_analyze_events_needs_two_samples():
     traj = dy.propagate(gen, dy.XState.symmetric(), [0.0, 1.0])
     with pytest.raises(ValueError):
         en.analyze_events(traj, horizon=0.5)
+
+
+def test_scan_size_bounds_the_grid():
+    assert en.scan_size(20.0, 1e-2) == 2001
+    assert en.scan_size(1e-3, 1.0) == 3
+    assert en.scan_size(en.MAX_SAMPLES - 1.0, 1.0) == en.MAX_SAMPLES
+    for horizon, step in ((en.MAX_SAMPLES - 0.5, 1.0), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="grid samples"):
+            en.scan_size(horizon, step)
+    with pytest.raises(ValueError, match="sample_step must be positive"):
+        en.scan_size(1.0, 0.0)

@@ -1,5 +1,7 @@
 """Sweep driver determinism, presets, and companion-column consistency."""
 
+import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -211,3 +213,40 @@ def test_refined_max_c_is_exact_at_its_time():
         k1 = (mp.sqrt((p_a - p_s) ** 2 + 4 * im_as ** 2)
               - 2 * mp.sqrt(p_g * p_e))
     assert abs(row["max_c"] - max(k1, 0)) <= 1e-15
+
+
+# ---------------------------------------------------------------------
+# every field of every preset spec
+# ---------------------------------------------------------------------
+
+def _preset_records():
+    records = []
+    for name, preset in sw.figure_presets().items():
+        for spec in preset.specs:
+            base = spec.base
+            records.append({
+                "preset": name, "label": spec.label,
+                "base": {"a": base.a, "L": base.L, "y": base.y,
+                         "alignment": base.alignment,
+                         "d1": base.d1.tolist(), "d2": base.d2.tolist(),
+                         "gamma0": base.gamma0},
+                "axis": spec.axis, "values": list(spec.values),
+                "initial_state": spec.initial_state,
+                "horizon": spec.horizon, "sample_step": spec.sample_step,
+                "outputs": list(spec.outputs),
+                "include_free_space": spec.include_free_space})
+    return records
+
+
+_PRESET_DIGEST = (
+    "09c79bac1b09f91df9d30b98801a18453669f03cfd1bf585ac6cbd2f1d296917")
+
+
+def test_preset_specs_are_pinned():
+    # the digest of all 62 specs as the presets were first written; a
+    # change to any figure's parameters must update it knowingly
+    records = _preset_records()
+    assert len(records) == 62
+    digest = hashlib.sha256(
+        json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == _PRESET_DIGEST
