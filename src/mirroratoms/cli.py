@@ -310,6 +310,7 @@ def _add_physics_flags(p):
 
 def cmd_coeffs(args):
     config = _load_config(args)
+    path = _out_path(config, "coeffs") if config.output_path else None
     cfg = config.physical()
     cs = co.assemble(cfg)
     lines = {"A1": cs.A1, "A2": cs.A2, "A3": cs.A3,
@@ -331,8 +332,7 @@ def cmd_coeffs(args):
         print(f"oracle max relative error: {_fmt(report['max_rel_error'])}")
         if status != 0:
             return status
-    if config.output_path:
-        path = _out_path(config, "coeffs")
+    if path:
         meta = _metadata(config.to_dict())
         if config.output_format == "json":
             write_json(path, meta, {"coefficients": lines, **extra})

@@ -17,11 +17,13 @@ tau - tau' at finite epsilon and puts the light-cone poles on the correct
 side of the real axis.
 
 :func:`fourier_oracle` turns these correlations into spectral values by
-direct quadrature with an epsilon-sequence extrapolation.  For each epsilon
-the complex integrand is integrated once over all panels of the window by
-an adaptive Gauss-Kronrod G10/K21 rule (QUADPACK's ``qk21`` nodes and
-error estimate) that evaluates every new subinterval of every panel in one
-array call.  The oracle exists purely to validate the closed forms in
+direct quadrature with an epsilon-sequence extrapolation.  The complex
+integrands of every epsilon of the sequence are integrated in one adaptive
+pass over the panels of all of them by a Gauss-Kronrod G10/K21 rule
+(QUADPACK's ``qk21`` nodes and error estimate) that evaluates every new
+subinterval of every panel, whatever its epsilon, in one array call; the
+regulator may be an array that broadcasts with the proper times.  The
+oracle exists purely to validate the closed forms in
 :mod:`mirroratoms.coefficients` and shares no code with them; nothing in
 the production path calls it.
 """
@@ -29,7 +31,7 @@ the production path calls it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,7 +87,8 @@ class CorrelationKernel:
     y, y_prime   heights of the two field points above the mirror
     dz        z offset z_1 - z_2 (constant along the orbit)
     dx        static lab x offset; zero for atoms sharing the orbit
-    epsilon   positive regulator applied to the second proper time
+    epsilon   positive regulator applied to the second proper time; an
+              array of regulators broadcasts with the proper times
     """
 
     kind: str
@@ -99,9 +102,9 @@ class CorrelationKernel:
         if self.kind not in _KINDS:
             raise ValueError(f"kernel kind must be one of {_KINDS}")
         for name in ("y", "y_prime", "dz", "dx", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
-        if self.epsilon <= 0:
+        if np.any(self.epsilon <= 0):
             raise ValueError("epsilon must be positive")
 
     @property
@@ -299,15 +302,16 @@ _KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
 _GAUSS = np.concatenate([_WG, _WG[-2::-1]])
 
 
-def _gk21(f, lo, hi):
+def _gk21(f, lo, hi, group):
     """K21 integral of f over each [lo, hi] and QUADPACK's error estimate.
 
-    f is called once, on a (len(lo), 21) array of nodes.  The estimate is
+    f is called once, on a (len(lo), 21) array of nodes and the group of
+    each row.  The estimate is
     resasc * min(1, (200 |K - G| / resasc)^1.5), resasc being the K21
     integral of |f - mean f| (QUADPACK ``qk21``).
     """
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fx = f(centre[:, None] + half[:, None] * _NODES)
+    fx = f(centre[:, None] + half[:, None] * _NODES, group)
     kronrod = fx @ _KRONROD
     diff = np.abs(kronrod - fx @ _GAUSS)
     resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _KRONROD
@@ -317,22 +321,30 @@ def _gk21(f, lo, hi):
     return kronrod * half, err * half
 
 
-def _adaptive_gk21(f, edges, settings):
-    """Integral of f from edges[0] to edges[-1], panel by panel.
+def _adaptive_gk21(f, groups, settings):
+    """Integral of f from edges[0] to edges[-1] for each edge list of groups.
 
-    Every panel between consecutive edges is refined until its summed
-    error estimate is at most max(quad_abs, quad_rel |panel integral|).
-    Each round bisects, in every panel still above its tolerance, the
-    subintervals whose error exceeds an equal share of that tolerance
-    (largest first, at most ``settings.limit`` subintervals a panel) and
-    evaluates all the new halves in one call of f.  Returns
-    (integral, summed error estimate, warning); the warning is set when a
-    panel reached the subinterval limit above its tolerance.
+    All groups are refined in one pass, panel by panel.  Every panel
+    between consecutive edges of a group is refined until its summed error
+    estimate is at most max(quad_abs, quad_rel |panel integral|).  Each
+    round bisects, in every panel of every group still above its
+    tolerance, the subintervals whose error exceeds an equal share of that
+    tolerance (largest first, at most ``settings.limit`` subintervals a
+    panel) and evaluates all the new halves in one call f(u, group), group
+    being the index in groups of each row of u.  A panel's decisions read
+    only its own subintervals, so each group's result is the one a pass
+    over that group alone would give.  Returns (integrals, summed error
+    estimates, warning), one integral and one error per group; the warning
+    is set when a panel reached the subinterval limit above its tolerance.
     """
-    lo, hi = np.asarray(edges[:-1], float), np.asarray(edges[1:], float)
+    lo = np.concatenate([np.asarray(e[:-1], float) for e in groups])
+    hi = np.concatenate([np.asarray(e[1:], float) for e in groups])
+    sizes = [len(e) - 1 for e in groups]
+    cuts = np.cumsum(sizes)[:-1]
     npanels = len(lo)
+    group = np.repeat(np.arange(len(groups)), sizes)
     panel = np.arange(npanels)
-    val, err = _gk21(f, lo, hi)
+    val, err = _gk21(f, lo, hi, group)
     warn = ""
     while True:
         sums = (np.bincount(panel, val.real, npanels)
@@ -346,7 +358,8 @@ def _adaptive_gk21(f, edges, settings):
                     " has been achieved.")
         above &= count < settings.limit
         if not above.any():
-            return sums.sum(), float(perr.sum()), warn
+            return ([s.sum() for s in np.split(sums, cuts)],
+                    [float(e.sum()) for e in np.split(perr, cuts)], warn)
         cand = np.flatnonzero(above[panel] & (err > (tol / count)[panel]))
         cand = cand[np.lexsort((-err[cand], panel[cand]))]
         owner = panel[cand]
@@ -356,12 +369,13 @@ def _adaptive_gk21(f, edges, settings):
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_val, new_err = _gk21(f, new_lo, new_hi)
+        new_panel = np.concatenate([panel[split], panel[split]])
+        new_val, new_err = _gk21(f, new_lo, new_hi, group[new_panel])
         keep = np.ones(len(lo), bool)
         keep[split] = False
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
-        panel = np.concatenate([panel[keep], panel[split], panel[split]])
+        panel = np.concatenate([panel[keep], new_panel])
         val = np.concatenate([val[keep], new_val])
         err = np.concatenate([err[keep], new_err])
 
@@ -369,11 +383,13 @@ def _adaptive_gk21(f, edges, settings):
 def _windowed_transform(kernel, m, n, a, omega0, window, settings):
     """integral over [-T, T] of exp(i w u) W(u) du plus error estimates.
 
-    The integrand is huge (but smooth at scale epsilon) where the orbit
-    crosses the light cone of the chord, so the interval is cut into panels
-    that isolate those crossings, and the complex integrand is integrated
-    over all of them in one adaptive G10/K21 pass (:func:`_adaptive_gk21`).
-    Returns (value, quad_error, roundoff_floor, tail, warn); the roundoff
+    kernel.epsilon is the epsilon sequence, a 1-D array.  The integrand is
+    huge (but smooth at scale epsilon) where the orbit crosses the light
+    cone of the chord, so for each epsilon the interval is cut into panels
+    that isolate those crossings, and the complex integrands of every
+    epsilon are integrated over all their panels in one adaptive G10/K21
+    pass (:func:`_adaptive_gk21`).  Returns (values, quad_errors,
+    roundoff_floors, tails, warn), one entry per epsilon; the roundoff
     floor is the cancellation noise of the peak panels, which is the
     realistic accuracy limit there.  QUADPACK's estimate steers the
     refinement and is reported as ``quad_error``, but it does not decide
@@ -383,28 +399,32 @@ def _windowed_transform(kernel, m, n, a, omega0, window, settings):
     The self-consistency of the epsilon sequence in :func:`fourier_oracle`
     measures that bias, and with the roundoff floor it decides.
     """
-    corr = electric_correlation
+    eps = kernel.epsilon
 
-    def w_of(u):
-        return corr(kernel, m, n, u, 0.0, a)
+    def w_of(u, rows):
+        # rows: the (len(u), 1) column of each row's epsilon
+        return electric_correlation(replace(kernel, epsilon=rows), m, n, u,
+                                    0.0, a)
 
     ustar = _light_cone_time(a, kernel.chord)
     peaks = sorted({0.0, ustar, -ustar})
-    width = max(40.0 * kernel.epsilon, 1e-5)
-    edges = _panel_edges(window, peaks, width)
+    widths = np.maximum(40.0 * eps, 1e-5)
+    groups = [_panel_edges(window, peaks, width) for width in widths]
 
-    def integrand(u):
-        return w_of(u) * np.exp(1j * omega0 * u)
+    def integrand(u, group):
+        return w_of(u, eps[group][:, None]) * np.exp(1j * omega0 * u)
 
-    total, err, warn = _adaptive_gk21(integrand, edges, settings)
+    totals, errs, warn = _adaptive_gk21(integrand, groups, settings)
 
-    inner = [p + 0.3 * kernel.epsilon for p in peaks if -window < p < window]
-    w_abs = np.abs(w_of(np.array(inner + [window, -window])))
-    roundoff = 1e-15 * float(np.sum(w_abs[:-2] * width))
+    inner = [p + 0.3 * eps for p in peaks if -window < p < window]
+    edge = np.full_like(eps, window)
+    w_abs = np.abs(w_of(np.stack(inner + [edge, -edge], axis=1),
+                        eps[:, None]))
+    roundoff = 1e-15 * np.sum(w_abs[:, :-2] * widths[:, None], axis=1)
 
     decay_len = 1.0 / a if a > 0 else window / 3.0
-    tail = float(w_abs[-2] + w_abs[-1]) * decay_len
-    return total, err, roundoff, tail, warn
+    tail = (w_abs[:, -2] + w_abs[:, -1]) * decay_len
+    return totals, errs, roundoff, tail, warn
 
 
 def fourier_oracle(kernel_kind, m, n, pair, config, omega0,
@@ -424,22 +444,13 @@ def fourier_oracle(kernel_kind, m, n, pair, config, omega0,
     y1, y2, dz = pair_geometry(config, pair)
     window = settings.window or default_window(config.a)
 
-    values = []
-    quad_err = 0.0
-    roundoff = 0.0
-    tail = 0.0
-    warn = ""
-    for eps in settings.epsilons:
-        kernel = CorrelationKernel(kind=kernel_kind, y=y1, y_prime=y2,
-                                   dz=dz, epsilon=eps)
-        val, qe, ro, tl, w = _windowed_transform(kernel, m, n, config.a,
-                                                 omega0, window, settings)
-        values.append(val)
-        quad_err = max(quad_err, qe)
-        roundoff = max(roundoff, ro)
-        tail = max(tail, tl)
-        if w:
-            warn = w
+    kernel = CorrelationKernel(kind=kernel_kind, y=y1, y_prime=y2, dz=dz,
+                               epsilon=np.array(settings.epsilons, float))
+    values, quad_errs, roundoffs, tails, warn = _windowed_transform(
+        kernel, m, n, config.a, omega0, window, settings)
+    quad_err = max(quad_errs)
+    roundoff = max(roundoffs)
+    tail = max(tails)
 
     extrap, extrap_err = _richardson(settings.epsilons, values)
     scale = max(abs(extrap), settings.abs_floor)

@@ -10,6 +10,7 @@ refining by bisection on exactly propagated states.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,9 +249,12 @@ def analyze_events(traj, horizon=None, refine_tol=REFINE_TOL):
 def scan_size(horizon, step):
     """Number of samples of the uniform grid on [0, horizon] with spacing
     at most ``step`` (at least three); ValueError naming the field if either
-    is not positive and finite, or if the grid would exceed
-    ``MAX_SAMPLES``."""
+    is not a real number or not positive and finite, or if the grid would
+    exceed ``MAX_SAMPLES``."""
     for value, name in ((horizon, "horizon"), (step, "sample_step")):
+        # JSON true and false are Python bools, which are ints
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number")
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
         if value <= 0:

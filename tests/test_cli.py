@@ -404,6 +404,33 @@ def test_over_fine_spec_grid_is_a_config_error(horizon, step, tmp_path,
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
+@pytest.mark.parametrize("horizon", ["x", True])
+def test_non_numeric_config_horizon_is_named(horizon, tmp_path, capsys):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"horizon": horizon}))
+    rc = run_cli("evolve", "--config", str(cfg_file),
+                 "--output", str(tmp_path / "x.csv"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("configuration error: horizon must be a number")
+
+
+def test_unwritable_coeffs_output_fails_before_the_oracle(tmp_path, capsys,
+                                                         monkeypatch):
+    reports = []
+    monkeypatch.setattr(cli, "_oracle_report",
+                        lambda cfg: reports.append(cfg)
+                        or (0, {"max_rel_error": 0.0}))
+    out = tmp_path / "missing" / "x.csv"
+    rc = run_cli("coeffs", "--oracle", "--output", str(out))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"configuration error: cannot write {out}: " in captured.err
+    assert reports == []
+    assert " = " not in captured.out
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("command", ["evolve", "events"])
 def test_unwritable_output_fails_before_propagation(command, tmp_path,
                                                     capsys, monkeypatch):
@@ -490,6 +517,8 @@ def test_unreadable_spec_file_is_a_config_error(content, tmp_path, capsys):
      "not positive semidefinite"),
     ({"axis": "acceleration", "values": [0.5], "base": 5},
      "base must be a JSON object"),
+    ({"axis": "acceleration", "values": [0.5], "sample_step": "fine"},
+     "invalid sweep spec: sample_step must be a number"),
 ])
 def test_invalid_sweep_spec_is_a_config_error(spec, message, tmp_path,
                                               capsys):

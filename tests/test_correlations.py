@@ -94,6 +94,35 @@ def test_correlation_broadcasts_over_proper_time(rng, kind, a):
                 assert abs(value - scalar) <= 1e-13 * max(abs(scalar), 1e-300)
 
 
+@pytest.mark.parametrize("a", [0.0, 0.7])
+@pytest.mark.parametrize("kind", [FREE, BOUNDARY])
+def test_array_epsilon_equals_scalar_epsilon_calls(rng, kind, a):
+    # the oracle evaluates every epsilon of its sequence in one call: each
+    # row of an (rows, 1) epsilon column gives exactly the scalar-epsilon
+    # values of that row
+    eps = np.array([4e-3, 2e-3, 1e-3, 2e-3])[:, None]
+    taus = rng.uniform(-3.0, 3.0, size=(4, 16))
+    k = _kernel(kind=kind, y=0.9, yp=1.2, dz=0.8, eps=eps)
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            values = electric_correlation(k, m, n, taus, 0.0, a)
+            for row, e in enumerate(eps[:, 0]):
+                scalar = _kernel(kind=kind, y=0.9, yp=1.2, dz=0.8,
+                                 eps=float(e))
+                expected = electric_correlation(scalar, m, n, taus[row],
+                                                0.0, a)
+                assert np.array_equal(values[row], expected)
+
+
+@pytest.mark.parametrize("bad,message", [
+    (math.nan, "epsilon must be finite"), (math.inf, "epsilon must be finite"),
+    (0.0, "epsilon must be positive"), (-1e-3, "epsilon must be positive"),
+])
+def test_kernel_rejects_a_bad_array_epsilon_entry_by_name(bad, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        _kernel(eps=np.array([4e-3, bad, 1e-3]))
+
+
 def test_free_offdiagonal_vanishes_by_symmetry():
     # same trajectory, no transverse offsets: x-y and x-z mixing forbidden
     k = _kernel()
@@ -318,23 +347,42 @@ def test_integrator_reproduces_a_closed_form_peak_integral():
     f, big_f = _lorentzian_and_antiderivative()
     edges = [-3.0, -0.5, 0.7, 2.0]  # the peak at u = 0.1 sits in a panel
     settings = QuadratureSettings()
-    value, error, warn = _adaptive_gk21(f, edges, settings)
+    [value], [error], warn = _adaptive_gk21(lambda u, group: f(u), [edges],
+                                            settings)
     exact = big_f(edges[-1]) - big_f(edges[0])
     assert warn == ""
     assert abs(value - exact) <= error
     assert error <= 3 * max(settings.quad_abs, settings.quad_rel * abs(exact))
 
 
+def test_grouped_integrator_equals_one_pass_per_group():
+    # a panel's refinement reads only its own subintervals, so refining
+    # groups together leaves each group's integral and error bit for bit
+    widths = np.array([1e-3, 4e-3])
+    groups = [[-3.0, 0.0, 0.2, 2.0], [-3.0, 0.1, 2.0]]
+
+    def f(u, group):
+        eps = widths[group][:, None]
+        return eps / ((u - 0.1) ** 2 + eps**2) * np.exp(1.3j * u)
+
+    settings = QuadratureSettings()
+    values, errors, _ = _adaptive_gk21(f, groups, settings)
+    for g, edges in enumerate(groups):
+        [value], [error], _ = _adaptive_gk21(
+            lambda u, group: f(u, group + g), [edges], settings)
+        assert value == values[g] and error == errors[g]
+
+
 def test_integrator_reports_the_subdivision_limit():
     f, _ = _lorentzian_and_antiderivative()
     calls = []
 
-    def counted(u):
+    def counted(u, group):
         calls.append(u)
         return f(u)
 
-    value, error, warn = _adaptive_gk21(counted, [-3.0, 0.0, 2.0],
-                                        QuadratureSettings(limit=3))
+    [value], [error], warn = _adaptive_gk21(counted, [[-3.0, 0.0, 2.0]],
+                                            QuadratureSettings(limit=3))
     assert warn == "The maximum number of subdivisions (3) has been achieved."
     # one initial call plus at most two rounds of bisection per panel
     assert len(calls) <= 3

@@ -202,3 +202,25 @@ def test_oracle_matches_frozen_quad_values(alignment):
             res = fc.fourier_oracle(part, m, n, pair, cfg, 1.0)
             assert res.converged, (key, res.message)
             assert abs(res.value - _QUAD_VALUES[key]) <= 1e-6 * scale, key
+
+
+@pytest.mark.parametrize("alignment", sorted(_QUAD_CONFIGS))
+def test_oracle_integrates_the_epsilon_sequence_in_one_pass(monkeypatch,
+                                                            alignment):
+    # every epsilon is refined in the same rounds, so a component costs one
+    # integrand call per round plus one for the round-off floor and tail;
+    # a pass per epsilon makes about three times as many
+    calls = []
+    corr = fc.electric_correlation
+
+    def counted(*args):
+        calls.append(args)
+        return corr(*args)
+
+    monkeypatch.setattr(fc, "electric_correlation", counted)
+    cfg = co.PhysicalConfig.from_ratios(*_QUAD_CONFIGS[alignment], alignment)
+    for key in (k for k in _QUAD_VALUES if k[0] == alignment):
+        _, part, pair, m, n = key
+        calls.clear()
+        fc.fourier_oracle(part, m, n, pair, cfg, 1.0)
+        assert len(calls) <= 15, (key, len(calls))
