@@ -6,6 +6,7 @@ from .coefficients import (
     CoefficientSet,
     CorrelationTensor,
     PhysicalConfig,
+    RateError,
     assemble,
     assemble_free_space,
     f_cross,

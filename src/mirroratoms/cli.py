@@ -548,6 +548,8 @@ def _oracle_report(cfg, omega0=1.0, settings=None):
 
 
 def cmd_validate(args):
+    if args.output:
+        _check_writable(Path(args.output), make_dir=False)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     report_rows = []
@@ -639,7 +641,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (dy.DynamicsFrozenError, dy.PropagationError,
+    except (co.RateError, dy.DynamicsFrozenError, dy.PropagationError,
             fc.OracleConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

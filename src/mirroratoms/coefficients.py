@@ -15,11 +15,18 @@ rate Gamma_0.
 Axis convention: 1 = x (acceleration), 2 = y (boundary normal),
 3 = z.  The atoms are separated along z in the parallel alignment and along
 y in the vertical alignment.
+
+The layer computes in Python floats from start to end.  Each tensor
+builder returns a flat row-major 9-tuple, :func:`assemble` subtracts and
+contracts those tuples in a fixed order, and only the public tensor
+functions wrap them into (3, 3) arrays.  For axis-aligned dipoles the
+contraction picks out one tensor entry exactly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -150,8 +157,13 @@ def _phase(a, s):
     return 2.0 / a * math.asinh(0.5 * a * s)
 
 
-def _f11(a, s):
-    """Free-space cross tensor, xx component (transverse to separation)."""
+def _f_parts(a, s):
+    """Free-space cross tensor components (f11, f22, f33, f13) at chord s.
+
+    f11 and f22 are transverse to the separation, f33 runs along it, and
+    f13 is the xz mixing, odd in the separation and ~ a.  One orbit phase
+    and one cos/sin/sqrt serve all four closed forms.
+    """
     a2 = a * a
     if s < _SMALL_S:
         s2 = s * s
@@ -159,106 +171,64 @@ def _f11(a, s):
         c4 = a2 * (a2 * (27.0 / 70.0 * a2 + 21.0 / 40.0) + 0.15) + 3.0 / 280.0
         c6 = (a2 * (a2 * (a2 * (-16.0 / 105.0 * a2 - 41.0 / 189.0)
                           - 13.0 / 180.0) - 1.0 / 126.0) - 1.0 / 3780.0)
-        return (1.0 + a2) + s2 * (c2 + s2 * (c4 + s2 * c6))
-    p = 4.0 + a2 * s * s
-    th = _phase(a, s)
-    c, sn = math.cos(th), math.sin(th)
-    brace = (2.0 * s * math.sqrt(p) * (1.0 + a2 * s * s) * c
-             + (-4.0 - s * s * (2.0 * a2 + a2 * a2 * s * s - 4.0
-                                - a2 * s * s)) * sn)
-    return 12.0 / (s**3 * p**2.5) * brace
-
-
-def _f22(a, s):
-    """Free-space cross tensor, yy component (transverse to separation)."""
-    a2 = a * a
-    if s < _SMALL_S:
-        s2 = s * s
+        f11 = (1.0 + a2) + s2 * (c2 + s2 * (c4 + s2 * c6))
         c2 = a2 * (-0.3 * a2 - 0.5) - 0.2
         c4 = a2 * (a2 * (3.0 / 35.0 * a2 + 0.15) + 0.075) + 3.0 / 280.0
         c6 = (a2 * (a2 * (a2 * (-a2 / 42.0 - 317.0 / 7560.0) - 1.0 / 45.0)
                     - 11.0 / 2520.0) - 1.0 / 3780.0)
-        return (1.0 + a2) + s2 * (c2 + s2 * (c4 + s2 * c6))
-    p = 4.0 + a2 * s * s
-    th = _phase(a, s)
-    c, sn = math.cos(th), math.sin(th)
-    brace = (s * math.sqrt(p) * (2.0 + a2 * s * s) * c
-             + (-4.0 + s * s * p) * sn)
-    return 3.0 / (s**3 * p**1.5) * brace
-
-
-def _f33(a, s):
-    """Free-space cross tensor, zz component (along the separation)."""
-    a2 = a * a
-    if s < _SMALL_S:
-        s2 = s * s
+        f22 = (1.0 + a2) + s2 * (c2 + s2 * (c4 + s2 * c6))
         c2 = a2 * (-0.9 * a2 - 1.0) - 0.1
         c4 = a2 * (a2 * (3.0 / 7.0 * a2 + 0.55) + 0.125) + 1.0 / 280.0
         c6 = (a2 * (a2 * (a2 * (-a2 / 6.0 - 1733.0 / 7560.0) - 49.0 / 720.0)
                     - 1.0 / 180.0) - 1.0 / 15120.0)
-        return (1.0 + a2) + s2 * (c2 + s2 * (c4 + s2 * c6))
-    p = 4.0 + a2 * s * s
-    th = _phase(a, s)
-    c, sn = math.cos(th), math.sin(th)
-    brace = ((20.0 * a2 * s * s + 32.0 - a2 * s**4 * p) * sn
-             - s * math.sqrt(p) * (a2 * a2 * s**4 + 2.0 * a2 * s * s
-                                   + 16.0) * c)
-    return 3.0 / (s**3 * p**2.5) * brace
-
-
-def _f13(a, s):
-    """Free-space cross tensor, xz component; odd in the separation, ~ a."""
-    if a == 0.0:
-        return 0.0
-    a2 = a * a
-    if s < _SMALL_S:
-        s2 = s * s
+        f33 = (1.0 + a2) + s2 * (c2 + s2 * (c4 + s2 * c6))
+        if a == 0.0:
+            return f11, f22, f33, 0.0
         c1 = -a * (1.0 + a2)
         c3 = a * (a2 * (0.6 * a2 + 0.75) + 0.15)
         c5 = a * (a2 * (a2 * (-9.0 / 35.0 * a2 - 0.35) - 0.1) - 1.0 / 140.0)
-        return s * (c1 + s2 * (c3 + s2 * c5))
+        return f11, f22, f33, s * (c1 + s2 * (c3 + s2 * c5))
     p = 4.0 + a2 * s * s
     th = _phase(a, s)
     c, sn = math.cos(th), math.sin(th)
-    brace = (s * math.sqrt(p) * (a2 * s * s - 2.0) * c
-             + (4.0 + s * s * (4.0 + 4.0 * a2 + a2 * s * s)) * sn)
-    return -6.0 * a / (s**2 * p**2.5) * brace
+    sq = math.sqrt(p)
+    s3, p25 = s**3, p**2.5
+    f11 = 12.0 / (s3 * p25) * (
+        2.0 * s * sq * (1.0 + a2 * s * s) * c
+        + (-4.0 - s * s * (2.0 * a2 + a2 * a2 * s * s - 4.0
+                           - a2 * s * s)) * sn)
+    f22 = 3.0 / (s3 * p**1.5) * (s * sq * (2.0 + a2 * s * s) * c
+                                 + (-4.0 + s * s * p) * sn)
+    f33 = 3.0 / (s3 * p25) * (
+        (20.0 * a2 * s * s + 32.0 - a2 * s**4 * p) * sn
+        - s * sq * (a2 * a2 * s**4 + 2.0 * a2 * s * s + 16.0) * c)
+    if a == 0.0:
+        return f11, f22, f33, 0.0
+    f13 = -6.0 * a / (s**2 * p25) * (
+        s * sq * (a2 * s * s - 2.0) * c
+        + (4.0 + s * s * (4.0 + 4.0 * a2 + a2 * s * s)) * sn)
+    return f11, f22, f33, f13
 
 
-def f_single(a):
-    """Single-atom free-space spectral tensor: (1 + a^2) times the identity."""
-    if a < 0:
-        raise ValueError("acceleration must be non-negative")
-    return CorrelationTensor(np.eye(3) * (1.0 + a * a))
+# Each tensor builder returns its 3x3 tensor as a flat row-major 9-tuple of
+# floats; the public wrappers turn one into an array with _matrix.
+
+def _f_single(a):
+    v = 1.0 + a * a
+    return (v, 0.0, 0.0, 0.0, v, 0.0, 0.0, 0.0, v)
 
 
-def f_cross(a, L):
-    """Free-space two-atom spectral tensor for separation L along z.
-
-    Nonzero components: diagonal plus an antisymmetric xz pair generated by
-    the acceleration.
-    """
-    if L <= 0:
-        raise ValueError("separation L must be positive")
-    e = np.zeros((3, 3))
-    e[0, 0] = _f11(a, L)
-    e[1, 1] = _f22(a, L)
-    e[2, 2] = _f33(a, L)
-    e[0, 2] = _f13(a, L)
-    e[2, 0] = -e[0, 2]
-    return CorrelationTensor(e)
+def _f_cross(a, L):
+    f11, f22, f33, f13 = _f_parts(a, L)
+    return (f11, 0.0, f13, 0.0, f22, 0.0, -f13, 0.0, f33)
 
 
-def h_cross_parallel(a, y, L):
-    """Boundary (image) two-atom tensor, atoms parallel to the mirror.
+def _h_self(a, y):
+    f11, f22, f33, f13 = _f_parts(a, 2.0 * y)
+    return (f11, f13, 0.0, f13, -f33, 0.0, 0.0, 0.0, f22)
 
-    Both atoms sit at height y, separated by L along z; the image pair sits
-    at -y, at chord distance R = sqrt(L^2 + 4 y^2).
-    """
-    if y <= 0:
-        raise ValueError("boundary distance y must be positive")
-    if L <= 0:
-        raise ValueError("separation L must be positive")
+
+def _h_cross(a, y, L):
     r = math.hypot(L, 2.0 * y)
     p = 4.0 + a * a * r * r
     sq = math.sqrt(p)
@@ -296,10 +266,47 @@ def h_cross_parallel(a, y, L):
         (2.0 + a2 * r2) * (r2 * p - 12.0) * sn
         + r * sq * (12.0 + 4.0 * a2 * r2 + a4 * r**4) * c)
 
-    e = np.array([[h11, h12, h13],
-                  [h12, h22, h23],
-                  [-h13, -h23, h33]])
-    return CorrelationTensor(e)
+    return (h11, h12, h13, h12, h22, h23, -h13, -h23, h33)
+
+
+# exchanges the y and z axes of a flat tensor: entry (i, j) <- (P i, P j)
+# with P = (0, 2, 1)
+_swap_yz = operator.itemgetter(0, 2, 1, 6, 8, 7, 3, 5, 4)
+
+
+def _matrix(t):
+    return np.array(t).reshape(3, 3)
+
+
+def f_single(a):
+    """Single-atom free-space spectral tensor: (1 + a^2) times the identity."""
+    if a < 0:
+        raise ValueError("acceleration must be non-negative")
+    return CorrelationTensor(_matrix(_f_single(a)))
+
+
+def f_cross(a, L):
+    """Free-space two-atom spectral tensor for separation L along z.
+
+    Nonzero components: diagonal plus an antisymmetric xz pair generated by
+    the acceleration.
+    """
+    if L <= 0:
+        raise ValueError("separation L must be positive")
+    return CorrelationTensor(_matrix(_f_cross(a, L)))
+
+
+def h_cross_parallel(a, y, L):
+    """Boundary (image) two-atom tensor, atoms parallel to the mirror.
+
+    Both atoms sit at height y, separated by L along z; the image pair sits
+    at -y, at chord distance R = sqrt(L^2 + 4 y^2).
+    """
+    if y <= 0:
+        raise ValueError("boundary distance y must be positive")
+    if L <= 0:
+        raise ValueError("separation L must be positive")
+    return CorrelationTensor(_matrix(_h_cross(a, y, L)))
 
 
 def h_self(a, y):
@@ -311,18 +318,29 @@ def h_self(a, y):
     """
     if y <= 0:
         raise ValueError("boundary distance y must be positive")
-    s = 2.0 * y
-    e = np.zeros((3, 3))
-    e[0, 0] = _f11(a, s)
-    e[1, 1] = -_f33(a, s)
-    e[2, 2] = _f22(a, s)
-    e[0, 1] = e[1, 0] = _f13(a, s)
-    return CorrelationTensor(e)
+    return CorrelationTensor(_matrix(_h_self(a, y)))
 
 
-# exchanges the y and z axes; np.ix_ keeps the permuted copy C-contiguous,
-# so later products take the same BLAS path as for a freshly built tensor
-_SWAP_YZ = np.ix_([0, 2, 1], [0, 2, 1])
+def _tensor_table(config, part):
+    """The tensors of :func:`spectral_tensors` as flat row-major 9-tuples.
+
+    This is the only place that dispatches on the alignment.
+    """
+    a, y, L = config.a, config.y, config.L
+    vertical = config.alignment == VERTICAL
+    if part == "free":
+        fs = _f_single(a)
+        fc = _f_cross(a, L)
+        if vertical:
+            return {(1, 1): fs, (2, 2): fs, (1, 2): _swap_yz(fc)}
+        return {(1, 1): fs, (1, 2): fc}
+    if part != "boundary":
+        raise ValueError("part must be 'free' or 'boundary'")
+    if vertical:
+        return {(1, 1): _h_self(a, y),
+                (2, 2): _h_self(a, y + L),
+                (1, 2): _h_self(a, y + 0.5 * L)}
+    return {(1, 1): _h_self(a, y), (1, 2): _h_cross(a, y, L)}
 
 
 def spectral_tensors(config, part):
@@ -334,24 +352,11 @@ def spectral_tensors(config, part):
     and the cross image sits at chord sqrt(L^2 + 4 y^2).  In the vertical
     alignment the atoms sit at heights y and y + L, separated along y, and
     the cross image sits at the mean height.  The (2, 1) tensor is always
-    the transpose of (1, 2).
+    the transpose of (1, 2).  Each tensor is a fresh float64 array built
+    from the same scalar closed forms that :func:`assemble` contracts.
     """
-    a, y, L = config.a, config.y, config.L
-    vertical = config.alignment == VERTICAL
-    if part == "free":
-        fs = f_single(a).entries
-        fc = f_cross(a, L).entries
-        if vertical:
-            return {(1, 1): fs, (2, 2): fs, (1, 2): fc[_SWAP_YZ]}
-        return {(1, 1): fs, (1, 2): fc}
-    if part != "boundary":
-        raise ValueError("part must be 'free' or 'boundary'")
-    if vertical:
-        return {(1, 1): h_self(a, y).entries,
-                (2, 2): h_self(a, y + L).entries,
-                (1, 2): h_self(a, y + 0.5 * L).entries}
-    return {(1, 1): h_self(a, y).entries,
-            (1, 2): h_cross_parallel(a, y, L).entries}
+    return {pair: _matrix(t)
+            for pair, t in _tensor_table(config, part).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +393,15 @@ def spectral_prefactor(omega0, a):
     return abs(omega0) ** 3 * math.exp(-x) / (3.0 * math.pi * (1.0 - math.exp(-x)))
 
 
+def _pair_table(config, include_boundary):
+    """(T_self1, T_self2, T_cross) as flat 9-tuples: free minus boundary."""
+    t = _tensor_table(config, "free")
+    if include_boundary:
+        b = _tensor_table(config, "boundary")
+        t = {pair: tuple(map(operator.sub, t[pair], b[pair])) for pair in t}
+    return t[(1, 1)], t.get((2, 2), t[(1, 1)]), t[(1, 2)]
+
+
 def pair_tensors(config, include_boundary=True):
     """Spectral tensors (T_self1, T_self2, T_cross) entering the rates.
 
@@ -395,22 +409,54 @@ def pair_tensors(config, include_boundary=True):
     ``include_boundary=False`` the boundary part is dropped (the
     free-space companion used for dashed-line comparisons).
     """
-    t = spectral_tensors(config, "free")
-    if include_boundary:
-        b = spectral_tensors(config, "boundary")
-        t = {pair: t[pair] - b[pair] for pair in t}
-    return t[(1, 1)], t.get((2, 2), t[(1, 1)]), t[(1, 2)]
+    return tuple(_matrix(t) for t in _pair_table(config, include_boundary))
+
+
+def _contract(u, t, v):
+    """u . T . v for a flat row-major T, summed in a fixed order.
+
+    The outer sum starts from +0.0, as a BLAS dot does, so an exact zero
+    comes out as +0.0.  For axis-aligned u and v every product but one is
+    zero and the result is the tensor entry itself.
+    """
+    u0, u1, u2 = u
+    return (0.0 + (u0 * t[0] + u1 * t[3] + u2 * t[6]) * v[0]
+            + (u0 * t[1] + u1 * t[4] + u2 * t[7]) * v[1]
+            + (u0 * t[2] + u1 * t[5] + u2 * t[8]) * v[2])
+
+
+class RateError(ValueError):
+    """The closed forms give no finite rate set for a configuration."""
+
+
+def _rate_error(config, problem):
+    return RateError(
+        f"closed-form rates {problem} at a/omega = {config.a!r}, "
+        f"omega*L = {config.L!r}, y/L = {config.y_over_L!r} "
+        f"({config.alignment} alignment)")
 
 
 def assemble(config, include_boundary=True):
-    """Six master-equation rates from the closed-form spectral tensors."""
-    t1, t2, tc = pair_tensors(config, include_boundary=include_boundary)
-    coth = coth_pi_over_a(config.a)
+    """Six master-equation rates from the closed-form spectral tensors.
+
+    A configuration whose closed forms overflow, divide by an underflowed
+    power or end in a non-finite rate raises :class:`RateError`, which
+    names the configuration.
+    """
+    try:
+        t1, t2, tc = _pair_table(config, include_boundary)
+        d1, d2 = config.d1.tolist(), config.d2.tolist()
+        scale = 0.25 * config.gamma0 * coth_pi_over_a(config.a)
+        a1 = scale * _contract(d1, t1, d1)
+        a2 = scale * _contract(d2, t2, d2)
+        a3 = scale * _contract(d1, tc, d2)
+    except OverflowError as exc:
+        raise _rate_error(config, "overflow") from exc
+    except ZeroDivisionError as exc:
+        raise _rate_error(config, "divide by zero") from exc
+    if not (math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3)):
+        raise _rate_error(config, "are not finite")
     th = tanh_pi_over_a(config.a)
-    scale = 0.25 * config.gamma0 * coth
-    a1 = scale * float(config.d1 @ t1 @ config.d1)
-    a2 = scale * float(config.d2 @ t2 @ config.d2)
-    a3 = scale * float(config.d1 @ tc @ config.d2)
     return CoefficientSet(a1, a2, a3, a1 * th, a2 * th, a3 * th,
                           provenance="closed_form")
 
@@ -501,7 +547,7 @@ def spectral_tensor(config, pair, part):
     alpha, beta = pair
     if alpha not in (1, 2) or beta not in (1, 2):
         raise ValueError("atom indices must be 1 or 2")
-    table = spectral_tensors(config, part)
+    table = _tensor_table(config, part)
     if (alpha, beta) == (2, 1):
-        return CorrelationTensor(table[(1, 2)].T)
-    return CorrelationTensor(table.get((alpha, beta), table[(1, 1)]))
+        return CorrelationTensor(_matrix(table[(1, 2)]).T)
+    return CorrelationTensor(_matrix(table.get((alpha, beta), table[(1, 1)])))

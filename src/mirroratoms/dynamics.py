@@ -196,38 +196,34 @@ def build_generator(coeffs):
     """
     a1, a2, a3 = coeffs.A1, coeffs.A2, coeffs.A3
     b1, b2, b3 = coeffs.B1, coeffs.B2, coeffs.B3
-    if not np.all(np.isfinite([a1, a2, a3, b1, b2, b3])):
+    if not all(map(math.isfinite, (a1, a2, a3, b1, b2, b3))):
         raise ValueError("coefficients must be finite")
 
-    m = np.zeros((6, 6))
-    # dpG
-    m[0, 0] = -2.0 * (a1 - b1 + a2 - b2)
-    m[0, 2] = a1 + b1 + a2 + b2 - 2.0 * a3 - 2.0 * b3
-    m[0, 3] = a1 + b1 + a2 + b2 + 2.0 * a3 + 2.0 * b3
-    m[0, 4] = 2.0 * (a1 + b1 - a2 - b2)
-    # dpE
-    m[1, 1] = -2.0 * (a1 + b1 + a2 + b2)
-    m[1, 2] = a1 - b1 + a2 - b2 - 2.0 * a3 + 2.0 * b3
-    m[1, 3] = a1 - b1 + a2 - b2 + 2.0 * a3 - 2.0 * b3
-    m[1, 4] = 2.0 * (-a1 + b1 + a2 - b2)
-    # dpA
-    m[2, 0] = a1 - b1 + a2 - b2 - 2.0 * a3 + 2.0 * b3
-    m[2, 1] = a1 + b1 + a2 + b2 - 2.0 * a3 - 2.0 * b3
-    m[2, 2] = -2.0 * (a1 + a2 - 2.0 * a3)
-    m[2, 4] = 2.0 * (-b1 + b2)
-    # dpS
-    m[3, 0] = a1 - b1 + a2 - b2 + 2.0 * a3 - 2.0 * b3
-    m[3, 1] = a1 + b1 + a2 + b2 + 2.0 * a3 + 2.0 * b3
-    m[3, 3] = -2.0 * (a1 + a2 + 2.0 * a3)
-    m[3, 4] = 2.0 * (-b1 + b2)
-    # d Re rho_AS
-    m[4, 0] = a1 - b1 - a2 + b2
-    m[4, 1] = -a1 - b1 + a2 + b2
-    m[4, 2] = -b1 + b2
-    m[4, 3] = -b1 + b2
-    m[4, 4] = -2.0 * (a1 + a2)
-    # d Im rho_AS
-    m[5, 5] = -2.0 * (a1 + a2)
+    m = np.array([
+        # dpG
+        [-2.0 * (a1 - b1 + a2 - b2), 0.0,
+         a1 + b1 + a2 + b2 - 2.0 * a3 - 2.0 * b3,
+         a1 + b1 + a2 + b2 + 2.0 * a3 + 2.0 * b3,
+         2.0 * (a1 + b1 - a2 - b2), 0.0],
+        # dpE
+        [0.0, -2.0 * (a1 + b1 + a2 + b2),
+         a1 - b1 + a2 - b2 - 2.0 * a3 + 2.0 * b3,
+         a1 - b1 + a2 - b2 + 2.0 * a3 - 2.0 * b3,
+         2.0 * (-a1 + b1 + a2 - b2), 0.0],
+        # dpA
+        [a1 - b1 + a2 - b2 - 2.0 * a3 + 2.0 * b3,
+         a1 + b1 + a2 + b2 - 2.0 * a3 - 2.0 * b3,
+         -2.0 * (a1 + a2 - 2.0 * a3), 0.0, 2.0 * (-b1 + b2), 0.0],
+        # dpS
+        [a1 - b1 + a2 - b2 + 2.0 * a3 - 2.0 * b3,
+         a1 + b1 + a2 + b2 + 2.0 * a3 + 2.0 * b3,
+         0.0, -2.0 * (a1 + a2 + 2.0 * a3), 2.0 * (-b1 + b2), 0.0],
+        # d Re rho_AS
+        [a1 - b1 - a2 + b2, -a1 - b1 + a2 + b2, -b1 + b2, -b1 + b2,
+         -2.0 * (a1 + a2), 0.0],
+        # d Im rho_AS
+        [0.0, 0.0, 0.0, 0.0, 0.0, -2.0 * (a1 + a2)],
+    ])
 
     return Generator(block_pop=m, rate_ge=-2.0 * (a1 + a2))
 

@@ -162,6 +162,32 @@ def test_propagation_failure_is_a_numerical_failure(command, tmp_path,
     assert "pA is negative beyond tolerance at gamma0_tau = " in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["coeffs", "--a", "1e80", "--y-over-l", "0.5"],
+     "overflow at a/omega = 1e+80, omega*L = 1.0, y/L = 0.5 (parallel"),
+    (["coeffs", "--omega-l", "1e300"],
+     "overflow at a/omega = 0.5, omega*L = 1e+300, y/L = 0.5 (parallel"),
+    (["coeffs", "--omega-l", "1e-300"],
+     "divide by zero at a/omega = 0.5, omega*L = 1e-300, y/L = 0.5 (par"),
+    (["coeffs", "--a", "1e200", "--alignment", "vertical"],
+     "are not finite at a/omega = 1e+200, omega*L = 1.0, y/L = 0.5 (vert"),
+    # 2/a overflows in the orbit phase, which becomes inf * 0
+    (["coeffs", "--a", "5e-324"],
+     "are not finite at a/omega = 5e-324, omega*L = 1.0, y/L = 0.5 (par"),
+    (["evolve", "--a", "1e200"],
+     "overflow at a/omega = 1e+200, omega*L = 1.0, y/L = 0.5 (parallel"),
+], ids=["a-1e80", "wl-1e300", "wl-1e-300", "a-1e200-vertical",
+        "a-subnormal", "evolve"])
+def test_overflowing_closed_forms_are_a_numerical_failure(argv, message,
+                                                          tmp_path, capsys):
+    rc = run_cli(*argv, "--output", str(tmp_path / "out.csv"))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"numerical failure: closed-form rates {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_presets_lists_figures(capsys):
     rc = run_cli("presets")
     out = capsys.readouterr().out
@@ -428,6 +454,23 @@ def test_unwritable_coeffs_output_fails_before_the_oracle(tmp_path, capsys,
     assert f"configuration error: cannot write {out}: " in captured.err
     assert reports == []
     assert " = " not in captured.out
+    assert not out.parent.exists()
+
+
+def test_unwritable_validate_output_fails_before_the_battery(tmp_path, capsys,
+                                                           monkeypatch):
+    reports = []
+    monkeypatch.setattr(cli, "_oracle_report",
+                        lambda cfg: reports.append(cfg)
+                        or (0, {"max_rel_error": 0.0,
+                                "worst_component": "", "failures": []}))
+    out = tmp_path / "missing" / "x.csv"
+    rc = run_cli("validate", "--samples", "1", "--output", str(out))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"configuration error: cannot write {out}: " in captured.err
+    assert reports == []
+    assert captured.out == ""
     assert not out.parent.exists()
 
 

@@ -1,11 +1,19 @@
 """Closed-form spectral tensors and rate assembly: limits, symmetries,
 near-boundary expansions, and frozen quadrature-oracle cross-checks."""
 
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mirroratoms import coefficients as co
+from mirroratoms import dynamics as dy
 from conftest import random_unit_vector
 
 X = np.array([1.0, 0.0, 0.0])
@@ -109,10 +117,12 @@ _SERIES_REFERENCE = {
 }
 
 
+_PARTS = ("f11", "f22", "f33", "f13")  # the order _f_parts returns
+
+
 def test_small_separation_series_locked_to_high_precision():
-    funcs = {"f11": co._f11, "f22": co._f22, "f33": co._f33, "f13": co._f13}
     for (which, a, s), want in _SERIES_REFERENCE.items():
-        got = funcs[which](a, s)
+        got = co._f_parts(a, s)[_PARTS.index(which)]
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -122,10 +132,11 @@ def test_series_joins_the_closed_form_continuously():
     # components are flat there; f13 is linear in s, so compare f13/s)
     lo, hi = 0.999e-3, 1.001e-3
     for a in (0.0, 0.5, 1.5):
-        for fn in (co._f11, co._f22, co._f33):
-            below, above = fn(a, lo), fn(a, hi)
+        *diag_lo, f13_lo = co._f_parts(a, lo)
+        *diag_hi, f13_hi = co._f_parts(a, hi)
+        for below, above in zip(diag_lo, diag_hi):
             assert abs(below - above) <= 1e-8 * abs(below)
-        below, above = co._f13(a, lo) / lo, co._f13(a, hi) / hi
+        below, above = f13_lo / lo, f13_hi / hi
         assert abs(below - above) <= 1e-8 * max(abs(below), 1e-9)
 
 
@@ -445,3 +456,66 @@ def test_spectral_tensor_pair_validation():
 def test_coefficient_set_scaled():
     cs = co.CoefficientSet(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     assert_allclose(cs.scaled(0.5).as_array(), cs.as_array() * 0.5, rtol=0)
+
+
+# ---------------------------------------------------------------------
+# pinned rates and the scalar contraction
+# ---------------------------------------------------------------------
+
+# hex rates and generators of 12 axis-dipole configurations, frozen from a
+# numpy d @ T @ d contraction.  An axis-dipole contraction is exact in any
+# order, so none may move by a bit.  They cover both alignments, a = 0 and
+# a > 0, chords under _SMALL_S, y/L = 1e-4 and y/L = 1e3
+_PINS = json.loads((Path(__file__).parent / "rate_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", _PINS, ids=lambda p: (
+    f"{p['alignment']}-a{p['a_over_omega']}-wl{p['omega_L']}"
+    f"-yl{p['y_over_L']}"))
+def test_axis_dipole_rates_and_generators_are_pinned(pin):
+    c = co.PhysicalConfig.from_ratios(
+        pin["a_over_omega"], pin["omega_L"], pin["y_over_L"],
+        pin["alignment"], d1=pin["d1"], d2=pin["d2"])
+    cs = co.assemble(c)
+    gen = dy.build_generator(cs)
+    assert [v.hex() for v in cs.as_array().tolist()] == pin["rates"]
+    assert ([v.hex() for v in co.assemble_free_space(c).as_array().tolist()]
+            == pin["free_rates"])
+    assert ([[v.hex() for v in row] for row in gen.block_pop.tolist()]
+            == pin["block_pop"])
+    assert gen.rate_ge.hex() == pin["rate_ge"]
+
+
+def _unit(v):
+    v = np.asarray(v)
+    return v / np.linalg.norm(v)
+
+
+_UNIT = (st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+         .filter(lambda v: np.linalg.norm(v) >= 0.1).map(_unit))
+
+
+@settings(max_examples=200, deadline=None)
+@given(alignment=st.sampled_from(co.ALIGNMENTS),
+       a=st.one_of(st.just(0.0), st.floats(1e-6, 3.0)),
+       log_wl=st.floats(-4.0, 1.0), log_yl=st.floats(-4.0, 3.0),
+       d1=_UNIT, d2=_UNIT, include_boundary=st.booleans())
+def test_assembly_is_a_round_off_close_contraction(alignment, a, log_wl,
+                                                   log_yl, d1, d2,
+                                                   include_boundary):
+    # each rate is within 4 eps of scale * sum |d_i| |T_ij| |d_j| of the
+    # exact rational contraction of the pair_tensors entries
+    c = co.PhysicalConfig.from_ratios(a, 10.0**log_wl, 10.0**log_yl,
+                                      alignment, d1=d1, d2=d2)
+    cs = co.assemble(c, include_boundary=include_boundary)
+    t1, t2, tc = co.pair_tensors(c, include_boundary=include_boundary)
+    scale = 0.25 * c.gamma0 * co.coth_pi_over_a(a)
+    for got, u, t, v in ((cs.A1, c.d1, t1, c.d1), (cs.A2, c.d2, t2, c.d2),
+                         (cs.A3, c.d1, tc, c.d2)):
+        exact = Fraction(scale) * sum(
+            Fraction(u[i]) * Fraction(t[i, j]) * Fraction(v[j])
+            for i in range(3) for j in range(3))
+        bound = 4.0 * sys.float_info.epsilon * scale * float(
+            np.abs(u) @ np.abs(t) @ np.abs(v))
+        assert abs(float(Fraction(got) - exact)) <= bound
+

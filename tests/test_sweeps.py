@@ -56,6 +56,15 @@ def test_run_sweep_is_deterministic():
     assert first.rows == second.rows
 
 
+def test_overflowing_point_records_a_rate_error():
+    res = sw.run_sweep(small_spec(axis="acceleration", values=(0.5, 1e80)))
+    ok, failed = res.rows
+    assert ok["error"] == ""
+    assert failed["error"].startswith(
+        "closed-form rates overflow at a/omega = 1e+80, omega*L = 1.0, "
+        "y/L = 0.5 (vertical alignment)")
+
+
 def test_rows_carry_the_point_parameters():
     res = sw.run_sweep(small_spec())
     assert [r["axis_value"] for r in res.rows] == [0.1, 0.7]
