@@ -57,18 +57,21 @@ class XState:
 
     def __post_init__(self):
         # every check is written so that NaN fails it
-        tr = self.pG + self.pE + self.pA + self.pS
+        p_g, p_e, p_a, p_s = self.pG, self.pE, self.pA, self.pS
+        tr = p_g + p_e + p_a + p_s
         if not abs(tr - 1.0) <= _TRACE_TOL:
             raise ValueError(f"populations must sum to 1, got {tr!r}")
-        for name in ("pG", "pE", "pA", "pS"):
-            if not getattr(self, name) >= -_POS_TOL:
-                raise ValueError(f"{name} is negative beyond tolerance")
+        if not (p_g >= -_POS_TOL and p_e >= -_POS_TOL
+                and p_a >= -_POS_TOL and p_s >= -_POS_TOL):
+            name = next(f for f in ("pG", "pE", "pA", "pS")
+                        if not getattr(self, f) >= -_POS_TOL)
+            raise ValueError(f"{name} is negative beyond tolerance")
         # min() in min_eigenvalue would drop a NaN block eigenvalue
         if not math.isfinite(abs(self.rho_as) + abs(self.rho_ge)):
             raise ValueError("coherences rho_AS and rho_GE must be finite")
-        if not self.min_eigenvalue() >= -_POS_TOL:
-            raise ValueError(
-                f"state not positive (min eigenvalue {self.min_eigenvalue()})")
+        lam = self.min_eigenvalue()
+        if not lam >= -_POS_TOL:
+            raise ValueError(f"state not positive (min eigenvalue {lam})")
 
     def min_eigenvalue(self):
         """Smallest eigenvalue of the density matrix, in closed form.
@@ -76,11 +79,14 @@ class XState:
         The X pattern splits the matrix into two 2x2 blocks, so no
         numerical eigensolver is needed.
         """
-        outer = (0.5 * (self.pG + self.pE)
-                 - math.hypot(0.5 * (self.pG - self.pE), abs(self.rho_ge)))
-        inner = (0.5 * (self.pA + self.pS)
-                 - math.sqrt((0.5 * (self.pS - self.pA)) ** 2
-                             + self.rho_as.real ** 2 + self.rho_as.imag ** 2))
+        p_g, p_e, p_a, p_s = self.pG, self.pE, self.pA, self.pS
+        re_as, im_as = self.rho_as.real, self.rho_as.imag
+        half_gap = 0.5 * (p_s - p_a)
+        outer = (0.5 * (p_g + p_e)
+                 - math.hypot(0.5 * (p_g - p_e), abs(self.rho_ge)))
+        inner = (0.5 * (p_a + p_s)
+                 - math.sqrt(half_gap * half_gap + re_as * re_as
+                             + im_as * im_as))
         return min(outer, inner)
 
     @classmethod
@@ -125,8 +131,9 @@ class XState:
 
     @classmethod
     def from_vector(cls, v, rho_ge=0.0 + 0.0j):
-        return cls(float(v[0]), float(v[1]), float(v[2]), float(v[3]),
-                   complex(v[4], v[5]), complex(rho_ge))
+        """The state of coordinates ``v``, as :meth:`vector` orders them."""
+        p_g, p_e, p_a, p_s, re_as, im_as = np.asarray(v, dtype=float).tolist()
+        return cls(p_g, p_e, p_a, p_s, complex(re_as, im_as), complex(rho_ge))
 
     def density_matrix(self):
         """4x4 matrix in the product basis {|00>, |01>, |10>, |11>}."""
@@ -254,7 +261,10 @@ class Trajectory:
 
     def state_at(self, tau):
         """Exact state at an arbitrary time; a grid time of ``propagate``
-        gives its row."""
+        gives its row.  ValueError if ``tau`` is negative or not finite."""
+        if not 0.0 <= tau < math.inf:
+            raise ValueError(
+                f"tau must be finite and non-negative, got {float(tau)!r}")
         vec = self.propagator.at(tau)
         ge = self.initial_state.rho_ge * np.exp(self.generator.rate_ge * tau)
         return _propagated_state(vec, ge, tau)
@@ -289,7 +299,7 @@ class _Propagator:
     def __init__(self, gen, s0, times):
         self.block = gen.block_pop
         self.v0 = s0.vector()
-        self.trace0 = self.v0[:4].sum()
+        self.trace0 = float(self.v0[:4].sum())
         w, v = np.linalg.eig(self.block)
         try:
             cond = np.linalg.cond(v)
@@ -305,7 +315,9 @@ class _Propagator:
             # one matrix-vector product per sample, as in at(); a single
             # (N, 6) x (6, 6) product sums in another order
             rows[:] = np.matmul(v, x[:, :, None])[:, :, 0].real
-            drift = np.abs(rows[:, :4].sum(axis=1) - self.trace0)
+            # left to right, as a sum over axis 1 adds the columns
+            drift = np.abs(rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
+                           - self.trace0)
             leaks = times[(times != 0.0) & ~(drift <= self._TRACE_GUARD)]
             self.t_expm = leaks[0] if len(leaks) else math.inf
         # times ascend, so the tail is the suffix from t_expm on
@@ -324,7 +336,9 @@ class _Propagator:
             return self.v0.copy()
         if tau < self.t_expm:
             out = (self.v @ (np.exp(self.w * tau) * self.coeff)).real
-            if abs(out[:4].sum() - self.trace0) <= self._TRACE_GUARD:
+            p_g, p_e, p_a, p_s = out.tolist()[:4]
+            # left to right, as numpy sums four floats
+            if abs(p_g + p_e + p_a + p_s - self.trace0) <= self._TRACE_GUARD:
                 return out
         i = int(np.searchsorted(self.tail_times, tau))
         if i < len(self.tail_times) and self.tail_times[i] == tau:
@@ -375,7 +389,8 @@ def _validate_rows(times, vectors, rho_ge):
     inner = 0.5 * (p_a + p_s) - np.sqrt((0.5 * (p_s - p_a)) ** 2
                                         + re_as ** 2 + im_as ** 2)
     ok = ((np.abs(trace - 1.0) <= _TRACE_TOL)
-          & np.all(vectors[:, :4] >= -_POS_TOL, axis=1)
+          & (p_g >= -_POS_TOL) & (p_e >= -_POS_TOL)
+          & (p_a >= -_POS_TOL) & (p_s >= -_POS_TOL)
           & (np.minimum(outer, inner) >= -_POS_TOL + _EIG_SCREEN_MARGIN))
     for i in np.flatnonzero(~ok):
         _propagated_state(vectors[i], rho_ge[i], times[i])

@@ -34,8 +34,10 @@ _SIGMA_Y_PAIR = np.array([
 
 def _k_values(s):
     """The two competing branches K1, K2 of the X-state concurrence."""
-    rad1 = (s.pA - s.pS) ** 2 + 4.0 * s.rho_as.imag ** 2
-    rad2 = (s.pA + s.pS) ** 2 - 4.0 * s.rho_as.real ** 2
+    gap, total = s.pA - s.pS, s.pA + s.pS
+    re_as, im_as = s.rho_as.real, s.rho_as.imag
+    rad1 = gap * gap + 4.0 * (im_as * im_as)
+    rad2 = total * total - 4.0 * (re_as * re_as)
     for rad in (rad1, rad2):
         if rad < -_RADICAND_TOL:
             raise ValueError(
@@ -60,15 +62,15 @@ def _first_max(a, b):
 def _k_arrays(traj, keep=slice(None)):
     """K1, K2 of every sample of ``traj`` (or of the ``keep`` rows) at once.
 
-    The same elementwise operations as :func:`_k_values`.  Squares use
-    ``np.float_power``, which calls libm ``pow`` like Python's ``**``;
-    ``x * x`` rounds differently on about 0.1 % of inputs.
+    The same elementwise operations as :func:`_k_values`; squares are
+    products in both, so the two agree bit for bit.
     """
     v = traj.vectors[keep]
     p_g, p_e, p_a, p_s, re_as, im_as = v.T
     ge = traj.rho_ge[keep]
-    rad1 = np.float_power(p_a - p_s, 2) + 4.0 * np.float_power(im_as, 2)
-    rad2 = np.float_power(p_a + p_s, 2) - 4.0 * np.float_power(re_as, 2)
+    gap, total = p_a - p_s, p_a + p_s
+    rad1 = gap * gap + 4.0 * (im_as * im_as)
+    rad2 = total * total - 4.0 * (re_as * re_as)
     bad = np.flatnonzero((rad1 < -_RADICAND_TOL) | (rad2 < -_RADICAND_TOL))
     if len(bad):
         i = bad[0]

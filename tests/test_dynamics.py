@@ -1,6 +1,8 @@
 """Generator structure, exact propagation vs a step integrator, trace and
 positivity preservation, and steady states."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -54,6 +56,50 @@ def test_state_rejects_bad_trace_and_negativity():
 def test_state_rejects_nan_coherences(coherence):
     with pytest.raises(ValueError, match="finite"):
         dy.XState(0.5, 0.0, 0.25, 0.25, **coherence)
+
+
+# an XState is built from its fields or, as propagation builds it, from a
+# coordinate row; from_vector takes an ndarray or a list
+_STATE_ROUTES = {
+    "fields": lambda c, ge: dy.XState(c[0], c[1], c[2], c[3],
+                                      complex(c[4], c[5]), ge),
+    "ndarray": lambda c, ge: dy.XState.from_vector(np.array(c), rho_ge=ge),
+    "list": lambda c, ge: dy.XState.from_vector(list(c), rho_ge=ge),
+}
+_POPULATIONS = ("pG", "pE", "pA", "pS")
+
+
+@pytest.mark.parametrize("route", _STATE_ROUTES)
+@pytest.mark.parametrize("field", range(4))
+def test_state_names_the_negative_population(route, field):
+    coords = [0.25, 0.25, 0.25, 0.25, 0.0, 0.0]
+    coords[field] = -0.1
+    coords[(field + 1) % 4] = 0.6
+    name = _POPULATIONS[field]
+    with pytest.raises(ValueError, match=f"^{name} is negative"):
+        _STATE_ROUTES[route](coords, 0j)
+
+
+@pytest.mark.parametrize("route", _STATE_ROUTES)
+@pytest.mark.parametrize("field", range(4))
+def test_state_with_a_nan_population_fails_the_trace(route, field):
+    coords = [0.25, 0.25, 0.25, 0.25, 0.0, 0.0]
+    coords[field] = np.nan
+    with pytest.raises(ValueError, match="sum to 1"):
+        _STATE_ROUTES[route](coords, 0j)
+
+
+@pytest.mark.parametrize("route", _STATE_ROUTES)
+@pytest.mark.parametrize("part", ["Re rho_AS", "Im rho_AS", "rho_GE"])
+def test_state_with_a_nan_coherence_is_not_finite(route, part):
+    coords = [0.5, 0.0, 0.25, 0.25, 0.0, 0.0]
+    ge = 0j
+    if part == "rho_GE":
+        ge = complex(np.nan, 0.0)
+    else:
+        coords[4 if part == "Re rho_AS" else 5] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        _STATE_ROUTES[route](coords, ge)
 
 
 def test_min_eigenvalue_matches_lapack(rng):
@@ -350,6 +396,20 @@ def test_propagate_rejects_a_nan_state(coherence):
     object.__setattr__(s0, coherence, complex(np.nan, 0.0))
     with pytest.raises(ValueError, match="finite"):
         dy.propagate(dy.build_generator(coeffs()), s0, np.linspace(0, 1, 5))
+
+
+@pytest.mark.parametrize("tau", [-1.0, -1e-300, -np.inf, np.inf, np.nan])
+def test_state_at_refuses_a_negative_or_non_finite_time(tau):
+    gen = dy.build_generator(coeffs(a3=0.05))
+    traj = dy.propagate(gen, dy.XState.symmetric(), [0.0, 1.0, 2.0])
+    with warnings.catch_warnings():
+        # no overflow warning from the exponential on the way to the error
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="tau must be finite and non-negative") as err:
+            traj.state_at(tau)
+    # an input error, not a numerical failure of the propagation
+    assert not isinstance(err.value, dy.PropagationError)
 
 
 def test_trajectory_state_at_matches_grid():

@@ -1,10 +1,11 @@
 """Concurrence formula vs the Wootters oracle, and event extraction."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mirroratoms import coefficients as co
@@ -142,6 +143,75 @@ def test_array_concurrence_equals_scalar_bit_for_bit(rng):
                           rho_as=complex(np.nan, 0.0), rho_ge=0j)
     scalar = [en.concurrence_x(row)]
     assert en.concurrence_curve(odd).tolist() == scalar == [0.0]
+
+
+EPS = 2.0 ** -52
+# the spacing of the subnormals: an operation that underflows is off by
+# at most this much
+TINY = math.ulp(0.0)
+
+
+def _radical_error(rad, err):
+    """Bound on |sqrt(max(r, 0)) - sqrt(rad)| for any r within err of
+    rad >= 0: err / (sqrt(r) + sqrt(rad)), and never more than sqrt(err)."""
+    return math.sqrt(err) if rad <= err else err / math.sqrt(rad)
+
+
+def _k_exact_with_bounds(s):
+    """K1, K2 of the six floats of ``s`` in 40-digit arithmetic, with a
+    bound on the error of their double-precision evaluation.
+
+    A radicand is a sum of two squares (K1's) or a difference of two
+    (K2's); in doubles it is off by at most 3 eps times the sum of its
+    terms plus 3 TINY, and so is pG * pE by eps times itself plus TINY.
+    ``_radical_error`` carries these through the square roots.  The other
+    roundings (the roots themselves, |rho_GE| and the final difference)
+    add at most 2 eps times the sum of K's two terms plus 4 TINY.
+    """
+    import mpmath as mp  # only the accuracy test needs 40-digit arithmetic
+
+    with mp.workdps(40):
+        p_g, p_e, p_a, p_s = (mp.mpf(x) for x in (s.pG, s.pE, s.pA, s.pS))
+        re_as, im_as = mp.mpf(s.rho_as.real), mp.mpf(s.rho_as.imag)
+        squares1 = ((p_a - p_s) ** 2, 4 * im_as ** 2)
+        squares2 = ((p_a + p_s) ** 2, 4 * re_as ** 2)
+        rad1 = max(squares1[0] + squares1[1], 0)
+        rad2 = max(squares2[0] - squares2[1], 0)
+        prod = max(p_g * p_e, 0)
+        root1, root2 = mp.sqrt(rad1), mp.sqrt(rad2)
+        pe_root = 2 * mp.sqrt(prod)
+        ge = 2 * abs(mp.mpc(s.rho_ge))
+        k1, k2 = root1 - pe_root, ge - root2
+        pe_error = 2 * _radical_error(float(prod), EPS * float(prod) + TINY)
+        bound1 = (_radical_error(float(rad1),
+                                 3 * EPS * float(sum(squares1)) + 3 * TINY)
+                  + pe_error + 2 * EPS * float(root1 + pe_root) + 4 * TINY)
+        bound2 = (_radical_error(float(rad2),
+                                 3 * EPS * float(sum(squares2)) + 3 * TINY)
+                  + 2 * EPS * float(ge + root2) + 4 * TINY)
+        return (k1, bound1), (k2, bound2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       frac_as=st.floats(0.0, 1.0), frac_ge=st.floats(0.0, 1.0),
+       phase_as=st.floats(0.0, 2 * np.pi), phase_ge=st.floats(0.0, 2 * np.pi))
+# |01>: pA = pS and a real A-S coherence at its bound make K2's radicand 0
+@example(p=[0.0, 0.0, 1.0, 1.0], frac_as=1.0, frac_ge=0.0,
+         phase_as=0.0, phase_ge=0.0)
+def test_k_values_are_accurate_to_a_stated_bound(p, frac_as, frac_ge,
+                                                 phase_as, phase_ge):
+    """K1 and K2 of a valid X state agree with the same formula evaluated
+    in 40 digits on the same six floats, within the bound of
+    ``_k_exact_with_bounds``: a few ulps of their terms, and the square
+    root's amplification of a few ulps where a radicand nearly cancels."""
+    assume(sum(p) > 0.0)
+    p = np.array(p) / np.sum(p)
+    rho_as = frac_as * np.sqrt(p[2] * p[3]) * np.exp(1j * phase_as)
+    rho_ge = frac_ge * np.sqrt(p[0] * p[1]) * np.exp(1j * phase_ge)
+    s = dy.XState(p[0], p[1], p[2], p[3], rho_as=rho_as, rho_ge=rho_ge)
+    for k, (exact, bound) in zip(en._k_values(s), _k_exact_with_bounds(s)):
+        assert abs(k - exact) <= bound, (k, float(exact), bound)
 
 
 # ---------------------------------------------------------------------
