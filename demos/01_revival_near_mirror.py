@@ -14,8 +14,7 @@ import csv
 
 import numpy as np
 
-from mirroratoms import (PhysicalConfig, XState, assemble,
-                         assemble_free_space, build_generator,
+from mirroratoms import (PhysicalConfig, XState, assemble, build_generator,
                          concurrence_curve, propagate)
 
 times = np.linspace(0.0, 20.0, 801)
@@ -31,7 +30,7 @@ for alignment in ("parallel", "vertical"):
 
 cfg_free = PhysicalConfig.from_ratios(0.5, 1.0, 0.1, "parallel",
                                       d1=(1, 0, 0), d2=(1, 0, 0))
-gen_free = build_generator(assemble_free_space(cfg_free))
+gen_free = build_generator(assemble(cfg_free, include_boundary=False))
 curves["free_space"] = concurrence_curve(
     propagate(gen_free, XState.symmetric(), times))
 

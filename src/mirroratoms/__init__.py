@@ -8,7 +8,6 @@ from .coefficients import (
     PhysicalConfig,
     RateError,
     assemble,
-    assemble_free_space,
     f_cross,
     f_single,
     h_cross_parallel,

@@ -384,7 +384,7 @@ def cmd_events(args):
     gen = dy.build_generator(co.assemble(cfg))
     traj = en.scan_trajectory(gen, config.initial(), config.horizon,
                               config.sample_step)
-    ev = en.analyze_events(traj, horizon=config.horizon)
+    ev = en.analyze_events(traj)
     report = {
         "death_times": list(ev.death_times),
         "birth_times": list(ev.birth_times),
@@ -548,6 +548,10 @@ def _oracle_report(cfg, omega0=1.0, settings=None):
 
 
 def cmd_validate(args):
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     if args.output:
         _check_writable(Path(args.output), make_dir=False)
     rng = np.random.default_rng(args.seed)

@@ -115,16 +115,9 @@ class CoefficientSet:
     B1: float
     B2: float
     B3: float
-    provenance: str = "closed_form"
 
     def as_array(self):
         return np.array([self.A1, self.A2, self.A3, self.B1, self.B2, self.B3])
-
-    def scaled(self, factor):
-        return CoefficientSet(self.A1 * factor, self.A2 * factor,
-                              self.A3 * factor, self.B1 * factor,
-                              self.B2 * factor, self.B3 * factor,
-                              provenance=self.provenance)
 
 
 @dataclass(frozen=True)
@@ -151,10 +144,17 @@ _SMALL_S = 1e-3
 
 
 def _phase(a, s):
-    """Orbit phase (2/a)*asinh(a*s/2); reduces to s for an inertial atom."""
+    """Orbit phase (2/a)*asinh(a*s/2); reduces to s for an inertial atom.
+
+    Where 2/a overflows (a below 2/DBL_MAX, about 1.1e-308), a*s/2 is far
+    below 1e-8 and the phase is s to double precision.
+    """
     if a == 0.0:
         return s
-    return 2.0 / a * math.asinh(0.5 * a * s)
+    k = 2.0 / a
+    if k == math.inf:
+        return s
+    return k * math.asinh(0.5 * a * s)
 
 
 def _f_parts(a, s):
@@ -457,14 +457,7 @@ def assemble(config, include_boundary=True):
     if not (math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3)):
         raise _rate_error(config, "are not finite")
     th = tanh_pi_over_a(config.a)
-    return CoefficientSet(a1, a2, a3, a1 * th, a2 * th, a3 * th,
-                          provenance="closed_form")
-
-
-def assemble_free_space(config):
-    """Rates with the boundary terms dropped (free-space companion)."""
-    cs = assemble(config, include_boundary=False)
-    return replace(cs, provenance="closed_form_free_space")
+    return CoefficientSet(a1, a2, a3, a1 * th, a2 * th, a3 * th)
 
 
 def near_boundary_expansion(config):
@@ -491,9 +484,7 @@ def near_boundary_expansion(config):
         a3 = (3.0 * g0 * coth / (2.0 * L3 * p**1.5) * d1[1] * d2[1]
               * (L * math.sqrt(p) * (2.0 + a2 * L2) * c
                  + (-4.0 + L2 * p) * sn))
-        cs = CoefficientSet(a1, a2c, a3, a1 * th, a2c * th, a3 * th,
-                            provenance="near_boundary")
-        return cs
+        return CoefficientSet(a1, a2c, a3, a1 * th, a2c * th, a3 * th)
 
     # vertical alignment
     a1 = 0.5 * g0 * coth * d1[1] * d1[1] * (a2 + 1.0)
@@ -529,8 +520,7 @@ def near_boundary_expansion(config):
     a3 = (-3.0 * g0 * coth / (2.0 * L3 * p**2.5)
           * (L * math.sqrt(p) * cos3 * c - sin3 * sn))
 
-    return CoefficientSet(a1, a2c, a3, a1 * th, a2c * th, a3 * th,
-                          provenance="near_boundary")
+    return CoefficientSet(a1, a2c, a3, a1 * th, a2c * th, a3 * th)
 
 
 def spectral_tensor(config, pair, part):

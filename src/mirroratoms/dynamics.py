@@ -9,10 +9,11 @@ rho_GE, so propagation is an eigendecomposition up to ``t_expm``, the
 first grid time where it drifts the trace, and anchored blocks of
 scaling-and-squaring exponentials from there on: every 64th row is
 expm(M t) v0, and the rows between step from the one before with
-expm(M h) of their grid step h (see :class:`_Propagator`).
-``Trajectory.state_at`` follows the same rule, so its value never depends
-on earlier calls: a grid time gives its row, and an off-grid time past
-``t_expm`` gives expm(M tau) v0.
+expm(M h) of their grid step h.  ``propagate`` checks the generator once
+and builds the one :class:`Trajectory`, which holds ``t_expm``, the eig
+modes and the rows.  ``Trajectory.state_at`` follows the same rule, so its
+value never depends on earlier calls: a grid time gives its row, and an
+off-grid time past ``t_expm`` gives expm(M tau) v0.
 
 A trajectory is array-backed: an (N, 6) array of coordinates and an (N,)
 complex array of rho_GE, computed and validated with whole-array numpy.
@@ -29,6 +30,8 @@ from scipy.linalg import expm
 _TRACE_TOL = 1e-12
 _POS_TOL = 1e-10
 _COND_LIMIT = 1e12
+# population-sum drift that moves a row off the eig route
+_TRACE_GUARD = 1e-13
 # slack of the vectorised min-eigenvalue screen in _validate_rows
 _EIG_SCREEN_MARGIN = 1e-14
 # tail rows per expm anchor in _anchored_rows
@@ -187,12 +190,6 @@ class Generator:
     block_pop: np.ndarray
     rate_ge: float
 
-    def __post_init__(self):
-        m = np.asarray(self.block_pop, dtype=float)
-        if m.shape != (6, 6):
-            raise ValueError("population block must be 6x6")
-        object.__setattr__(self, "block_pop", m)
-
 
 def build_generator(coeffs):
     """Generator of the coupled-basis evolution from the six rates.
@@ -239,9 +236,19 @@ def build_generator(coeffs):
 class Trajectory:
     """Exactly propagated states at the requested times.
 
-    vectors     (N, 6) coordinates (pG, pE, pA, pS, Re rho_AS, Im rho_AS)
-    rho_ge      (N,) complex G-E coherence
-    propagator  the :class:`_Propagator` that computed the rows
+    vectors  (N, 6) coordinates (pG, pE, pA, pS, Re rho_AS, Im rho_AS)
+    rho_ge   (N,) complex G-E coherence
+    t_expm   first time of the expm route: rows before it come from eig,
+             the rest from ``_anchored_rows``
+    modes    (w, v, v^-1 v0), the eigenvalues and eigenvectors of the block
+             and the initial coordinates in that basis; None without eig
+
+    The eigenvector basis of the 6x6 block can be poorly conditioned
+    (nearly defective collective modes at small separations), and then the
+    spectral route leaks trace at the 1e-10 level.  ``propagate`` sets
+    ``t_expm`` to the first grid time whose population sum drifts beyond
+    ``_TRACE_GUARD`` on that route (+inf if none; -inf if the condition
+    number rejects the route).
     """
 
     times: np.ndarray
@@ -249,24 +256,42 @@ class Trajectory:
     rho_ge: np.ndarray
     generator: Generator
     initial_state: XState
-    propagator: _Propagator = field(repr=False)
+    t_expm: float
+    modes: tuple | None = field(repr=False)
 
     @property
     def method(self):
         """"expm" when any row left the eig route, else "eig"."""
-        return "eig" if self.propagator.t_expm == math.inf else "expm"
-
-    def __len__(self):
-        return len(self.times)
+        return "eig" if self.t_expm == math.inf else "expm"
 
     def state_at(self, tau):
-        """Exact state at an arbitrary time; a grid time of ``propagate``
-        gives its row.  ValueError if ``tau`` is negative or not finite."""
+        """Exact state at an arbitrary time; ValueError if ``tau`` is
+        negative or not finite.
+
+        The grid's rule: eig before ``t_expm`` unless that value drifts by
+        itself, the row of a grid time from ``t_expm`` on, and expm(M tau) v0
+        at any other time.
+        """
         if not 0.0 <= tau < math.inf:
             raise ValueError(
                 f"tau must be finite and non-negative, got {float(tau)!r}")
-        vec = self.propagator.at(tau)
-        ge = self.initial_state.rho_ge * np.exp(self.generator.rate_ge * tau)
+        s0 = self.initial_state
+        ge = s0.rho_ge * np.exp(self.generator.rate_ge * tau)
+        if tau == 0.0:
+            return _propagated_state(s0.vector(), ge, tau)
+        if tau < self.t_expm:
+            w, v, coeff = self.modes
+            vec = (v @ (np.exp(w * tau) * coeff)).real
+            p_g, p_e, p_a, p_s = vec.tolist()[:4]
+            # left to right, as propagate adds the drift's columns
+            if (abs(p_g + p_e + p_a + p_s - (s0.pG + s0.pE + s0.pA + s0.pS))
+                    <= _TRACE_GUARD):
+                return _propagated_state(vec, ge, tau)
+        times = self.times
+        i = int(np.searchsorted(times, tau))
+        if tau >= self.t_expm and i < len(times) and times[i] == tau:
+            return _propagated_state(self.vectors[i], ge, tau)
+        vec = expm(self.generator.block_pop * tau) @ s0.vector()
         return _propagated_state(vec, ge, tau)
 
 
@@ -278,72 +303,6 @@ def _propagated_state(vec, rho_ge, tau):
     except ValueError as exc:
         raise PropagationError(
             f"{exc} at gamma0_tau = {float(tau)!r}") from exc
-
-
-class _Propagator:
-    """The rows of one initial state on one time grid, fixed at construction.
-
-    The eigenvector basis of the 6x6 block can be poorly conditioned
-    (nearly defective collective modes at small separations), and then the
-    spectral route leaks trace at the 1e-10 level.  ``t_expm`` is the first
-    grid time whose population sum drifts beyond ``_TRACE_GUARD`` on that
-    route (+inf if none; -inf if the condition number rejects the route).
-    Times before ``t_expm`` use eig, the rest ``_anchored_rows``.
-    :meth:`at` returns the row of a grid time in that tail, and
-    expm(M tau) v0 at any other time past ``t_expm`` or at a time whose
-    eig value drifts by itself.
-    """
-
-    _TRACE_GUARD = 1e-13
-
-    def __init__(self, gen, s0, times):
-        self.block = gen.block_pop
-        self.v0 = s0.vector()
-        self.trace0 = float(self.v0[:4].sum())
-        w, v = np.linalg.eig(self.block)
-        try:
-            cond = np.linalg.cond(v)
-        except np.linalg.LinAlgError:
-            cond = np.inf
-        rows = np.empty((len(times), 6))
-        self.t_expm = -math.inf
-        if np.isfinite(cond) and cond <= _COND_LIMIT:
-            self.w = w
-            self.v = v
-            self.coeff = np.linalg.inv(v) @ self.v0
-            x = np.exp(times[:, None] * w) * self.coeff
-            # one matrix-vector product per sample, as in at(); a single
-            # (N, 6) x (6, 6) product sums in another order
-            rows[:] = np.matmul(v, x[:, :, None])[:, :, 0].real
-            # left to right, as a sum over axis 1 adds the columns
-            drift = np.abs(rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
-                           - self.trace0)
-            leaks = times[(times != 0.0) & ~(drift <= self._TRACE_GUARD)]
-            self.t_expm = leaks[0] if len(leaks) else math.inf
-        # times ascend, so the tail is the suffix from t_expm on
-        self.tail_start = int(np.searchsorted(times, self.t_expm))
-        self.tail_times = times[self.tail_start:]
-        # an empty tail still costs about 60 us in _anchored_rows
-        if len(self.tail_times):
-            rows[self.tail_start:] = _anchored_rows(self.block, self.v0,
-                                                    self.tail_times)
-        rows[times == 0.0] = self.v0
-        self.rows = rows
-
-    def at(self, tau):
-        """The row at one time, by the grid's rule."""
-        if tau == 0.0:
-            return self.v0.copy()
-        if tau < self.t_expm:
-            out = (self.v @ (np.exp(self.w * tau) * self.coeff)).real
-            p_g, p_e, p_a, p_s = out.tolist()[:4]
-            # left to right, as numpy sums four floats
-            if abs(p_g + p_e + p_a + p_s - self.trace0) <= self._TRACE_GUARD:
-                return out
-        i = int(np.searchsorted(self.tail_times, tau))
-        if i < len(self.tail_times) and self.tail_times[i] == tau:
-            return self.rows[self.tail_start + i].copy()
-        return expm(self.block * tau) @ self.v0
 
 
 def _anchored_rows(m, v0, times):
@@ -408,12 +367,40 @@ def propagate(gen, s0, times):
         raise ValueError("times must be a non-empty 1-D sequence")
     if times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("times must be non-negative and ascending")
+    m = gen.block_pop
+    if np.shape(m) != (6, 6):
+        raise ValueError("generator population block must be 6x6")
 
-    prop = _Propagator(gen, s0, times)
+    v0 = s0.vector()
+    rows = np.empty((len(times), 6))
+    t_expm, modes = -math.inf, None
+    w, v = np.linalg.eig(m)
+    try:
+        cond = np.linalg.cond(v)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if np.isfinite(cond) and cond <= _COND_LIMIT:
+        modes = (w, v, np.linalg.inv(v) @ v0)
+        x = np.exp(times[:, None] * w) * modes[2]
+        # one matrix-vector product per sample, as in state_at; a single
+        # (N, 6) x (6, 6) product sums in another order
+        rows[:] = np.matmul(v, x[:, :, None])[:, :, 0].real
+        # left to right, as a sum over axis 1 adds the columns
+        drift = np.abs(rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
+                       - (s0.pG + s0.pE + s0.pA + s0.pS))
+        leaks = times[(times != 0.0) & ~(drift <= _TRACE_GUARD)]
+        t_expm = leaks[0] if len(leaks) else math.inf
+    # times ascend, so the tail is the suffix from t_expm on; an empty tail
+    # still costs about 60 us in _anchored_rows
+    tail = int(np.searchsorted(times, t_expm))
+    if tail < len(times):
+        rows[tail:] = _anchored_rows(m, v0, times[tail:])
+    rows[times == 0.0] = v0
+
     rho_ge = s0.rho_ge * np.exp(gen.rate_ge * times)
-    _validate_rows(times, prop.rows, rho_ge)
-    return Trajectory(times=times, vectors=prop.rows, rho_ge=rho_ge,
-                      generator=gen, initial_state=s0, propagator=prop)
+    _validate_rows(times, rows, rho_ge)
+    return Trajectory(times=times, vectors=rows, rho_ge=rho_ge, generator=gen,
+                      initial_state=s0, t_expm=t_expm, modes=modes)
 
 
 def steady_state(gen, resid_tol=1e-10):

@@ -59,15 +59,14 @@ def _first_max(a, b):
     return np.where(b > a, b, a)
 
 
-def _k_arrays(traj, keep=slice(None)):
-    """K1, K2 of every sample of ``traj`` (or of the ``keep`` rows) at once.
+def _k_arrays(traj):
+    """K1, K2 of every sample of ``traj`` at once.
 
     The same elementwise operations as :func:`_k_values`; squares are
     products in both, so the two agree bit for bit.
     """
-    v = traj.vectors[keep]
-    p_g, p_e, p_a, p_s, re_as, im_as = v.T
-    ge = traj.rho_ge[keep]
+    p_g, p_e, p_a, p_s, re_as, im_as = traj.vectors.T
+    ge = traj.rho_ge
     gap, total = p_a - p_s, p_a + p_s
     rad1 = gap * gap + 4.0 * (im_as * im_as)
     rad2 = total * total - 4.0 * (re_as * re_as)
@@ -184,14 +183,15 @@ def _golden_max(f, lo, hi, tol):
     return x, f(x)
 
 
-def analyze_events(traj, horizon=None, refine_tol=REFINE_TOL):
+def analyze_events(traj, refine_tol=REFINE_TOL):
     """Extract death/birth/revival events and the global maximum of C.
 
-    The trajectory must be sampled densely enough that max{K1, K2} changes
-    sign at most once per sample interval (the default sweep step of
-    1e-2 Gamma_0 tau satisfies this for all configurations here).  Every
-    crossing is refined by bisection on exact propagation; the maximum is
-    polished by golden-section search around the best sample.
+    The scanned horizon is the trajectory's last time.  The trajectory must
+    be sampled densely enough that max{K1, K2} changes sign at most once
+    per sample interval (the default sweep step of 1e-2 Gamma_0 tau
+    satisfies this for all configurations here).  Every crossing is refined
+    by bisection on exact propagation; the maximum is polished by
+    golden-section search around the best sample.
 
     Where C is flat to round-off around its maximum, ``max_c_time`` is
     fixed only to about 1e-4 (the plateau width), and its exact value
@@ -199,13 +199,10 @@ def analyze_events(traj, horizon=None, refine_tol=REFINE_TOL):
     xx points max C is itself round-off: 0 or about 1e-16.
     """
     times = traj.times
-    if horizon is None:
-        horizon = float(times[-1])
-    keep = times <= horizon + 1e-15
-    times = times[keep]
     if len(times) < 2:
-        raise ValueError("need at least two samples inside the horizon")
-    k1, k2 = _k_arrays(traj, keep)
+        raise ValueError("need at least two samples")
+    horizon = float(times[-1])
+    k1, k2 = _k_arrays(traj)
     kvals = _first_max(k1, k2)
     cvals = np.maximum(kvals, 0.0)
     f = _smooth_indicator(traj)
@@ -245,7 +242,7 @@ def analyze_events(traj, horizon=None, refine_tol=REFINE_TOL):
         death_times=tuple(deaths), birth_times=tuple(births),
         revival_intervals=tuple(revivals), max_c=float(max_c),
         max_c_time=float(max_c_time), truncated=truncated,
-        horizon=float(horizon))
+        horizon=horizon)
 
 
 def scan_size(horizon, step):

@@ -129,7 +129,7 @@ def _evaluate_point(spec, value):
                 curve[prefix + "times"] = traj.times
                 curve[prefix + "concurrence"] = en.concurrence_curve(traj)
             if "events" in spec.outputs or "maxc" in spec.outputs:
-                ev = en.analyze_events(traj, horizon=spec.horizon)
+                ev = en.analyze_events(traj)
                 if "maxc" in spec.outputs:
                     row[prefix + "max_c"] = ev.max_c
                     row[prefix + "max_c_time"] = ev.max_c_time

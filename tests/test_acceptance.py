@@ -119,12 +119,12 @@ def test_criterion_4_factor_two_law(acceptance_report):
     cfg = co.PhysicalConfig.from_ratios(0.5, 1.0, 1e-3, "parallel",
                                         d1=Y, d2=Y)
     with_b = co.assemble(cfg).as_array()
-    free = co.assemble_free_space(cfg).as_array()
+    free = co.assemble(cfg, include_boundary=False).as_array()
     coeff_dev = np.max(np.abs(with_b - 2.0 * free) / np.abs(2.0 * free))
 
     times = np.linspace(0.0, 10.0, 201)
     gen_b = dy.build_generator(co.assemble(cfg))
-    gen_f = dy.build_generator(co.assemble_free_space(cfg))
+    gen_f = dy.build_generator(co.assemble(cfg, include_boundary=False))
     c_b = en.concurrence_curve(
         dy.propagate(gen_b, dy.XState.symmetric(), times))
     c_f2 = en.concurrence_curve(
@@ -174,13 +174,13 @@ def test_criterion_7_revival_phenomenology(acceptance_report):
                                         d1=X, d2=X)
     gen = dy.build_generator(co.assemble(cfg))
     ev = en.analyze_events(
-        en.scan_trajectory(gen, dy.XState.symmetric(), 20.0), horizon=20.0)
+        en.scan_trajectory(gen, dy.XState.symmetric(), 20.0))
     vertical_ok = len(ev.death_times) >= 1 and ev.has_revival
 
     cfg_p = cfg.with_(alignment="parallel")
     gen_p = dy.build_generator(co.assemble(cfg_p))
     ev_p = en.analyze_events(
-        en.scan_trajectory(gen_p, dy.XState.symmetric(), 20.0), horizon=20.0)
+        en.scan_trajectory(gen_p, dy.XState.symmetric(), 20.0))
     acceptance_report(
         7, "vertical alignment revives entanglement, parallel does not",
         vertical_ok and not ev_p.has_revival,
@@ -193,12 +193,12 @@ def test_criterion_8_inertial_separability(acceptance_report):
                                          d1=X, d2=Y)
     gen0 = dy.build_generator(co.assemble(cfg0))
     ev0 = en.analyze_events(
-        en.scan_trajectory(gen0, dy.XState.excited(), 20.0), horizon=20.0)
+        en.scan_trajectory(gen0, dy.XState.excited(), 20.0))
 
     cfg5 = cfg0.with_(a=0.5)
     gen5 = dy.build_generator(co.assemble(cfg5))
     ev5 = en.analyze_events(
-        en.scan_trajectory(gen5, dy.XState.excited(), 20.0), horizon=20.0)
+        en.scan_trajectory(gen5, dy.XState.excited(), 20.0))
     acceptance_report(
         8, "inertial cross-polarized atoms stay separable; accelerated "
            "ones entangle",

@@ -171,13 +171,9 @@ def test_propagation_failure_is_a_numerical_failure(command, tmp_path,
      "divide by zero at a/omega = 0.5, omega*L = 1e-300, y/L = 0.5 (par"),
     (["coeffs", "--a", "1e200", "--alignment", "vertical"],
      "are not finite at a/omega = 1e+200, omega*L = 1.0, y/L = 0.5 (vert"),
-    # 2/a overflows in the orbit phase, which becomes inf * 0
-    (["coeffs", "--a", "5e-324"],
-     "are not finite at a/omega = 5e-324, omega*L = 1.0, y/L = 0.5 (par"),
     (["evolve", "--a", "1e200"],
      "overflow at a/omega = 1e+200, omega*L = 1.0, y/L = 0.5 (parallel"),
-], ids=["a-1e80", "wl-1e300", "wl-1e-300", "a-1e200-vertical",
-        "a-subnormal", "evolve"])
+], ids=["a-1e80", "wl-1e300", "wl-1e-300", "a-1e200-vertical", "evolve"])
 def test_overflowing_closed_forms_are_a_numerical_failure(argv, message,
                                                           tmp_path, capsys):
     rc = run_cli(*argv, "--output", str(tmp_path / "out.csv"))
@@ -186,6 +182,19 @@ def test_overflowing_closed_forms_are_a_numerical_failure(argv, message,
     assert err.startswith(f"numerical failure: closed-form rates {message}")
     assert "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("alignment", ["parallel", "vertical"])
+@pytest.mark.parametrize("a", ["1e-310", "5e-324"])
+def test_subnormal_acceleration_gives_the_inertial_rates(a, alignment,
+                                                         capsys):
+    # 2/a overflows in the orbit phase, whose value is then s itself
+    rc = run_cli("coeffs", "--a", a, "--alignment", alignment)
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "Traceback" not in captured.err
+    assert run_cli("coeffs", "--a", "0", "--alignment", alignment) == 0
+    assert captured.out == capsys.readouterr().out
 
 
 def test_presets_lists_figures(capsys):
@@ -218,6 +227,26 @@ def test_sweep_from_spec_file(tmp_path):
     assert cheader[:4] == ["label", "axis_value", "gamma0_tau",
                            "concurrence"]
     assert len(crows) >= 2 * 600
+
+
+def test_time_axis_events_scan_to_the_last_time(tmp_path):
+    # the default horizon (40) ends before the last sample time (100); the
+    # events must cover every sample, as the curve does
+    spec = {"label": "t", "axis": "time", "values": [0, 10, 50, 100],
+            "initial_state": "S", "outputs": ["events", "maxc"]}
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    assert run_cli("sweep", "--spec", str(spec_file),
+                   "--output", str(tmp_path)) == 0
+    _, cheader, crows = _read_csv(tmp_path / "t_curves.csv")
+    curve = [float(r[cheader.index("concurrence")]) for r in crows]
+    assert curve[0] == 1.0 and curve[1] > 0.0 and curve[2:] == [0.0, 0.0]
+    _, header, (row,) = _read_csv(tmp_path / "t_summary.csv")
+    row = dict(zip(header, row))
+    assert row["error"] == ""
+    assert row["n_deaths"] == "1"
+    assert float(row["first_death"]) == pytest.approx(13.326, abs=1e-3)
+    assert row["truncated"] == "false"
 
 
 def test_sweep_spec_inline_initial_state_matches_preset(tmp_path):
@@ -472,6 +501,26 @@ def test_unwritable_validate_output_fails_before_the_battery(tmp_path, capsys,
     assert reports == []
     assert captured.out == ""
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--samples", "0"], "--samples must be at least 1, got 0"),
+    (["--samples", "-3"], "--samples must be at least 1, got -3"),
+    (["--seed", "-1"], "--seed must be non-negative, got -1"),
+], ids=["samples-0", "samples-negative", "seed-negative"])
+def test_invalid_validate_flags_are_config_errors(argv, message, capsys,
+                                                  monkeypatch):
+    reports = []
+    monkeypatch.setattr(cli, "_oracle_report",
+                        lambda cfg: reports.append(cfg)
+                        or (0, {"max_rel_error": 0.0,
+                                "worst_component": "", "failures": []}))
+    rc = run_cli("validate", *argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"configuration error: {message}\n"
+    assert reports == []
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["evolve", "events"])

@@ -161,7 +161,7 @@ def test_symmetric_atoms_decouple_as_channels():
 def test_doubly_excited_decay_rate_free_space():
     cfg = co.PhysicalConfig.from_ratios(0.0, 1.0, 1e3, "parallel",
                                         d1=Y, d2=Y)
-    cs = co.assemble_free_space(cfg)
+    cs = co.assemble(cfg, include_boundary=False)
     assert_allclose([cs.A1, cs.A2], [0.25, 0.25], rtol=1e-12)
     gen = dy.build_generator(cs)
     times = np.linspace(0.0, 3.0, 7)
@@ -172,6 +172,13 @@ def test_doubly_excited_decay_rate_free_space():
 def test_generator_rejects_nonfinite():
     with pytest.raises(ValueError):
         dy.build_generator(coeffs(a1=np.nan))
+
+
+def test_propagate_refuses_a_block_that_is_not_6x6():
+    gen = dy.Generator(np.zeros((5, 5)), rate_ge=0.0)
+    with pytest.raises(ValueError,
+                       match="generator population block must be 6x6"):
+        dy.propagate(gen, dy.XState.symmetric(), [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------
@@ -327,7 +334,7 @@ def test_expm_tail_rows_are_exact(gen):
     s0 = dy.XState.excited()
     times = np.linspace(0.0, 40.0, 4001)
     traj = dy.propagate(gen, s0, times)
-    start = int(np.searchsorted(times, traj.propagator.t_expm))
+    start = int(np.searchsorted(times, traj.t_expm))
     # anchors, the rows one and 63 steps past them, and the last row
     picks = sorted({*(start + np.array([0, 1, 63, 64, 127, 128])),
                     2047, 3967, len(times) - 1})
@@ -347,7 +354,7 @@ def test_expm_tail_on_a_non_uniform_grid():
     times = np.sort(np.random.default_rng(3).uniform(0.0, 40.0, 300))
     times[150] = times[149]
     traj = dy.propagate(gen, s0, times)
-    assert traj.propagator.t_expm == times[0]
+    assert traj.t_expm == times[0]
 
     direct = np.array([expm(gen.block_pop * t) @ s0.vector() for t in times])
     assert np.max(np.abs(traj.vectors - direct)) <= 1e-13
@@ -366,7 +373,7 @@ def test_expm_tail_costs_a_few_exponentials(monkeypatch):
     times = np.linspace(0.0, 40.0, 4001)
     traj = dy.propagate(_drift_generator(0.0, "vertical"),
                         dy.XState.excited(), times)
-    assert traj.propagator.t_expm == times[1]
+    assert traj.t_expm == times[1]
     assert sum(matrices) <= 100
 
 
@@ -437,7 +444,7 @@ def test_steady_state_frozen_dynamics_signal():
 
 def test_steady_state_accelerated_matches_long_time_limit():
     cfg = co.PhysicalConfig.from_ratios(1.0, 1.0, 1e3, "parallel")
-    gen = dy.build_generator(co.assemble_free_space(cfg))
+    gen = dy.build_generator(co.assemble(cfg, include_boundary=False))
     ss = dy.steady_state(gen)
     assert np.linalg.norm(gen.block_pop @ ss.vector()) <= 1e-10
     late = dy.propagate(gen, dy.XState.symmetric(), [200.0]).vectors[0]

@@ -93,7 +93,8 @@ def test_negative_radicand_is_reported():
 
 
 def _trajectory_of_rows(vectors):
-    """A trajectory of the given rows, built without propagate's checks."""
+    """A trajectory of the given rows, built without propagate's checks;
+    every row counts as an expm row."""
     vectors = np.asarray(vectors, dtype=float)
     gen = dy.build_generator(co.CoefficientSet(0.25, 0.25, 0.0,
                                                0.25, 0.25, 0.0))
@@ -102,8 +103,7 @@ def _trajectory_of_rows(vectors):
     s0 = dy.XState.ground()
     return dy.Trajectory(times=times, vectors=vectors,
                          rho_ge=np.zeros(n, complex), generator=gen,
-                         initial_state=s0,
-                         propagator=dy._Propagator(gen, s0, times))
+                         initial_state=s0, t_expm=-math.inf, modes=None)
 
 
 def test_negative_radicand_is_reported_along_a_trajectory():
@@ -224,7 +224,7 @@ def test_time_rescaling_law():
                                         d1=X, d2=X)
     cs = co.assemble(cfg)
     gen = dy.build_generator(cs)
-    gen2 = dy.build_generator(cs.scaled(2.0))
+    gen2 = dy.build_generator(co.CoefficientSet(*(2.0 * cs.as_array())))
     taus = np.linspace(0.0, 8.0, 33)
     c_slow = en.concurrence_curve(
         dy.propagate(gen, dy.XState.symmetric(), 2.0 * taus))
@@ -241,7 +241,7 @@ def _events_for(cfg, init="S", horizon=20.0, include_boundary=True):
     cs = co.assemble(cfg, include_boundary=include_boundary)
     gen = dy.build_generator(cs)
     traj = en.scan_trajectory(gen, dy.XState.preset(init), horizon)
-    return en.analyze_events(traj, horizon=horizon), traj
+    return en.analyze_events(traj), traj
 
 
 def test_frozen_dynamics_has_no_events():
@@ -308,9 +308,9 @@ def test_birth_event_from_separable_start():
 def test_analyze_events_needs_two_samples():
     cfg = co.PhysicalConfig.from_ratios(0.5, 1.0, 0.5, "parallel")
     gen = dy.build_generator(co.assemble(cfg))
-    traj = dy.propagate(gen, dy.XState.symmetric(), [0.0, 1.0])
-    with pytest.raises(ValueError):
-        en.analyze_events(traj, horizon=0.5)
+    traj = dy.propagate(gen, dy.XState.symmetric(), [1.0])
+    with pytest.raises(ValueError, match="two samples"):
+        en.analyze_events(traj)
 
 
 def test_scan_size_bounds_the_grid():

@@ -17,7 +17,7 @@ def events(a, wl, yl, alignment, d1, d2, init, horizon=40.0, boundary=True):
     cfg = co.PhysicalConfig.from_ratios(a, wl, yl, alignment, d1=d1, d2=d2)
     gen = dy.build_generator(co.assemble(cfg, include_boundary=boundary))
     traj = en.scan_trajectory(gen, dy.XState.preset(init), horizon)
-    return en.analyze_events(traj, horizon=horizon)
+    return en.analyze_events(traj)
 
 
 # ---------------------------------------------------------------------
