@@ -330,6 +330,7 @@ def cmd_coeffs(args):
         status, report = _oracle_report(cfg)
         extra["oracle"] = report
         print(f"oracle max relative error: {_fmt(report['max_rel_error'])}")
+        print(f"capped components: {len(report['capped'])}")
         if status != 0:
             return status
     if path:
@@ -449,7 +450,7 @@ def cmd_sweep(args):
                 lead=(spec.label, result.rows[idx]["axis_value"])))
 
     header = sorted({k for row in all_rows for k in row})
-    meta = _metadata({"preset": name, "horizon": specs[0].horizon,
+    meta = _metadata({"preset": name, "horizon": specs[0].span,
                       "sample_step": specs[0].sample_step,
                       "specs": [_spec_record(spec) for spec in specs]})
     if fmt == "json":
@@ -517,13 +518,18 @@ def _spec_from_dict(raw):
 
 
 def _oracle_report(cfg, omega0=1.0, settings=None):
-    """Compare closed-form spectral tensors against the quadrature oracle."""
+    """Compare closed-form spectral tensors against the quadrature oracle.
+
+    ``capped`` lists the components whose quadrature reached the
+    subdivision limit; it does not change the status.
+    """
     settings = settings or fc.QuadratureSettings()
     pref = co.spectral_prefactor(omega0, cfg.a)
     worst = 0.0
     worst_tag = ""
     checks = 0
     failures = []
+    capped = []
     for part, sign in (("free", 1.0), ("boundary", -1.0)):
         for pair, tens in co.spectral_tensors(cfg, part).items():
             for m in range(1, 4):
@@ -536,15 +542,17 @@ def _oracle_report(cfg, omega0=1.0, settings=None):
                     scale = max(abs(closed), 1e-5)
                     rel = abs(res.value - closed) / scale
                     checks += 1
+                    tag = f"{part} {pair} [{m}{n}]"
+                    if res.capped:
+                        capped.append(tag)
                     if not res.converged:
-                        failures.append(
-                            f"{part} {pair} [{m}{n}]: {res.message}")
+                        failures.append(f"{tag}: {res.message}")
                     if rel > worst:
                         worst = rel
-                        worst_tag = f"{part} {pair} [{m}{n}]"
+                        worst_tag = tag
     return (2 if failures or worst > 0.01 else 0,
             {"max_rel_error": worst, "worst_component": worst_tag,
-             "checks": checks, "failures": failures})
+             "checks": checks, "failures": failures, "capped": capped})
 
 
 def cmd_validate(args):
@@ -556,6 +564,7 @@ def cmd_validate(args):
         _check_writable(Path(args.output), make_dir=False)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
+    capped = 0
     report_rows = []
     status = 0
     for i in range(args.samples):
@@ -566,20 +575,23 @@ def cmd_validate(args):
         st, rep = _oracle_report(cfg)
         status = max(status, st)
         worst = max(worst, rep["max_rel_error"])
+        capped += len(rep["capped"])
         report_rows.append([i, alignment, cfg.a, cfg.L, cfg.y_over_L,
                             rep["max_rel_error"], rep["worst_component"],
-                            "; ".join(rep["failures"])])
+                            "; ".join(rep["failures"]),
+                            "; ".join(rep["capped"])])
         print(f"config {i:2d} {alignment:8s} a={cfg.a:.3f} wL={cfg.L:.3f} "
               f"y/L={cfg.y_over_L:.3f}: max rel {rep['max_rel_error']:.3e}"
               + (f"  FAILED: {rep['failures']}" if rep["failures"] else ""))
     print(f"overall max relative error: {worst:.3e}")
+    print(f"capped components: {capped}")
     if args.output:
         meta = _metadata({"samples": args.samples, "seed": args.seed,
                           "epsilons": list(fc.QuadratureSettings().epsilons)})
         write_csv(Path(args.output), meta,
                   ["index", "alignment", "a_over_omega", "omega_L",
                    "y_over_L", "max_rel_error", "worst_component",
-                   "failures"],
+                   "failures", "capped"],
                   report_rows)
     if status:
         print("oracle validation FAILED", file=sys.stderr)

@@ -7,14 +7,17 @@ mixed-component sign conventions match the closed-form spectral tensors.
 The vacuum two-point function of the electric field in the comoving frame
 is obtained by contracting second derivatives of the scalar photon kernel
 with the orbit tetrad; the mirror at y = 0 adds an image kernel with a
-reflected polarization matrix.  The orbit, its tetrad and the correlation
-broadcast over arrays of proper times; a scalar proper time goes through
-the same code.
+reflected polarization matrix.
 
-The regulator enters by evaluating the *second* proper time at
-tau' + i*epsilon, which keeps the correlation exactly stationary in
-tau - tau' at finite epsilon and puts the light-cone poles on the correct
-side of the real axis.
+The orbit is boost invariant, so the correlation depends on the proper
+times only through Delta = (tau - tau') - i*epsilon (Takagi, Prog. Theor.
+Phys. Suppl. 88, 1 (1986)).  It is evaluated with the second point at
+proper time 0, where its tetrad is the identity, and the first at Delta;
+the regulator epsilon puts the light-cone poles on the correct side of
+the real axis.  The tetrad contractions are done in closed form, so no
+two terms of size e^{a|tau - tau'|} cancel.  The correlation broadcasts
+over arrays of proper times and of regulators; a scalar proper time goes
+through the same code.
 
 :func:`fourier_oracle` turns these correlations into spectral values by
 direct quadrature with an epsilon-sequence extrapolation.  The complex
@@ -39,12 +42,7 @@ FREE = "free"
 BOUNDARY = "boundary"
 _KINDS = (FREE, BOUNDARY)
 
-_FOUR_PI_SQ = 4.0 * math.pi**2
-
-# polarization matrices of the photon kernel, index order (t, x, y, z):
-# eta for the free part, -(eta + 2 n n) for the image part (n = y-normal)
-_G_FREE = (1.0, -1.0, -1.0, -1.0)
-_G_BND = (-1.0, 1.0, -1.0, 1.0)
+_PI_SQ = math.pi**2
 
 
 @dataclass(frozen=True)
@@ -59,25 +57,6 @@ class TrajectoryParams:
         if self.a < 0:
             raise ValueError("acceleration must be non-negative")
 
-    def lab_coords(self, tau):
-        """Lab (t, x) at proper time tau; tau may be complex or an array."""
-        if self.a == 0.0:
-            return tau, 0.0 * tau
-        return np.sinh(self.a * tau) / self.a, -np.cosh(self.a * tau) / self.a
-
-    def frame(self, tau):
-        """Comoving tetrad (u, e1, e2, e3) as 4-tuples in (t, x, y, z).
-
-        Components broadcast like tau; the constant ones are plain floats.
-        """
-        if self.a == 0.0:
-            return ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
-                    (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
-        ch = np.cosh(self.a * tau)
-        sh = np.sinh(self.a * tau)
-        return ((ch, -sh, 0.0, 0.0), (-sh, ch, 0.0, 0.0),
-                (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
-
 
 @dataclass(frozen=True)
 class CorrelationKernel:
@@ -86,98 +65,96 @@ class CorrelationKernel:
     kind      "free" or "boundary" (image) part of the photon kernel
     y, y_prime   heights of the two field points above the mirror
     dz        z offset z_1 - z_2 (constant along the orbit)
-    dx        static lab x offset; zero for atoms sharing the orbit
-    epsilon   positive regulator applied to the second proper time; an
-              array of regulators broadcasts with the proper times
+    epsilon   positive regulator, the imaginary part of -Delta; an array
+              of regulators broadcasts with the proper times
     """
 
     kind: str
     y: float
     y_prime: float
     dz: float = 0.0
-    dx: float = 0.0
     epsilon: float = 1e-3
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kernel kind must be one of {_KINDS}")
-        for name in ("y", "y_prime", "dz", "dx", "epsilon"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        for name in ("y", "y_prime", "dz"):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if np.any(self.epsilon <= 0):
+        epsilon = np.asarray(self.epsilon)
+        if not np.isfinite(epsilon).all():
+            raise ValueError("epsilon must be finite")
+        if (epsilon <= 0).any():
             raise ValueError("epsilon must be positive")
 
     @property
     def chord(self):
         """Spatial distance between field point 1 and (image of) point 2."""
         wy = self.y - self.y_prime if self.kind == FREE else self.y + self.y_prime
-        return math.sqrt(self.dx**2 + wy**2 + self.dz**2)
-
-
-# the tetrad is a boost in the (t, x) plane: u and e1 have only t and x
-# components, e2 and e3 are the fixed y and z axes, so every contraction
-# with a frame leg runs over that leg's support only
-_SUPPORT = ((0, 1), (0, 1), (2,), (3,))
+        return math.sqrt(wy**2 + self.dz**2)
 
 
 def electric_correlation(kernel, m, n, tau, tau_prime, a):
     """<0| E_m(x_1(tau)) E_n(x_2(tau')) |0> for one kernel part.
 
     m, n are frame axis indices in {1, 2, 3} = (x, y, z).  The value is the
-    finite-epsilon regularized Wightman function; it is complex and depends
-    on tau, tau' only through tau - tau' for the shared-orbit geometry.
-    tau and tau' may be arrays; the value broadcasts over them.
+    finite-epsilon regularized Wightman function at
+    Delta = (tau - tau') - i epsilon; it is complex.  tau and tau' are real
+    and may be arrays; the value broadcasts over them and the kernel's
+    epsilon.
+
+    With point 2 at proper time 0 and point 1 at Delta, let
+    d = sinh(a Delta/2), T = 2 d/a (T = Delta at a = 0) and
+    C = cosh(a Delta) = 1 + 2 d^2.  The separation is
+    (wt, wx) = (T cosh(a Delta/2), -T d), so wt^2 - wx^2 = T^2 and the
+    kernel interval is s = T^2 - wy^2 - wz^2.  The frame legs contract
+    with the kernel gradient to u1.grad = 2 wt = 2 sinh(a Delta)/a and
+    e1.grad = 2 wx = -4 d^2/a at point 1, to -2 wt and 2 wx at point 2,
+    and to 2 p and 2 q for (e2, e3) at points 1 and 2, with
+    p = (-wy, -wz), q = (k wy, wz) and k = +1 for the free part, -1 for
+    the image part.  With cosh^2 - sinh^2 = 1 the sixteen tetrad terms
+    collapse to W_mn = N_mn / (pi^2 s^3), where, for transverse m and n,
+
+        N_11 = k (T^2 + wy^2 + wz^2)
+        N_m1 = 2 k T d p_m        N_1n = 2 k T d q_n
+        N_mn = 2 k C p_m q_n + [m = n] g_m (T^2 + C (wy^2 + wz^2))
+
+    and g = (1, k) over (y, z).
     """
     if m not in (1, 2, 3) or n not in (1, 2, 3):
         raise ValueError("axis indices must be in {1, 2, 3}")
-    traj = TrajectoryParams(a)
-    tau2 = tau_prime + 1j * kernel.epsilon
-
-    t1, x1 = traj.lab_coords(tau)
-    t2, x2 = traj.lab_coords(tau2)
-    wt = t1 - t2
-    wx = x1 - x2 + kernel.dx
-    wz = kernel.dz
-
-    if kernel.kind == FREE:
-        wy = kernel.y - kernel.y_prime
-        grad2 = (-2.0 * wt, 2.0 * wx, 2.0 * wy, 2.0 * wz)
-        myy = 2.0
-        gmat = _G_FREE
+    TrajectoryParams(a)
+    u = tau - tau_prime
+    if a == 0.0:
+        d, cosh_boost = 0.0, 1.0
+        chord_time = u - 1j * kernel.epsilon
     else:
-        wy = kernel.y + kernel.y_prime
-        grad2 = (-2.0 * wt, 2.0 * wx, -2.0 * wy, 2.0 * wz)
-        myy = -2.0
-        gmat = _G_BND
+        half = 0.5 * a * u
+        phase = 0.5 * a * kernel.epsilon
+        d = np.sinh(half) * np.cos(phase) - 1j * (np.cosh(half)
+                                                   * np.sin(phase))
+        cosh_boost = 1.0 + 2.0 * d * d
+        chord_time = (2.0 / a) * d
 
-    grad1 = (2.0 * wt, -2.0 * wx, -2.0 * wy, -2.0 * wz)
-    mixed = (-2.0, 2.0, myy, 2.0)
-    s = wt * wt - wx * wx - wy * wy - wz * wz
-    inv2 = 1.0 / (s * s)
-    inv3 = inv2 / s
-
-    frame1 = traj.frame(tau)
-    frame2 = traj.frame(tau2)
-    def leg(frame, k, grad):
-        # (components, support, contraction with its point's gradient)
-        vec = frame[k]
-        return vec, _SUPPORT[k], sum(vec[i] * grad[i] for i in _SUPPORT[k])
-
-    u1, em = leg(frame1, 0, grad1), leg(frame1, m, grad1)
-    u2, en = leg(frame2, 0, grad2), leg(frame2, n, grad2)
-
-    def form(diag, p, q):
-        # sum_i diag_i p^i q^i over the components both legs carry
-        return sum(p[0][i] * q[0][i] * diag[i] for i in p[1] if i in q[1])
-
-    def d2(p, q):
-        # p^mu q^rho d_mu d'_rho of the scalar kernel 1/(4 pi^2 s)
-        return (-form(mixed, p, q) * inv2
-                + 2.0 * p[2] * q[2] * inv3) / _FOUR_PI_SQ
-
-    return (form(gmat, em, en) * d2(u1, u2) - form(gmat, em, u2) * d2(u1, en)
-            - form(gmat, u1, en) * d2(em, u2)
-            + form(gmat, u1, u2) * d2(em, en))
+    k = 1.0 if kernel.kind == FREE else -1.0
+    wy = kernel.y - kernel.y_prime if k > 0 else kernel.y + kernel.y_prime
+    wz = kernel.dz
+    p, q = (-wy, -wz), (k * wy, wz)
+    perp = wy * wy + wz * wz
+    # s = T^2 - chord^2 as a product: near the light cone T - chord is
+    # exact, so s carries the rounding of T but not that of T^2 or chord^2
+    s = (chord_time - kernel.chord) * (chord_time + kernel.chord)
+    if m == 1 and n == 1:
+        num = k * (s + 2.0 * perp)
+    elif n == 1:
+        num = 2.0 * k * p[m - 2] * chord_time * d
+    elif m == 1:
+        num = 2.0 * k * q[n - 2] * chord_time * d
+    else:
+        num = 2.0 * k * p[m - 2] * q[n - 2] * cosh_boost
+        if m == n:
+            num += (1.0, k)[m - 2] * (s + perp * (1.0 + cosh_boost))
+    return num / (_PI_SQ * (s * s * s))
 
 
 def pair_geometry(config, pair):
@@ -241,6 +218,7 @@ class OracleResult:
     converged: bool
     quad_error: float = 0.0
     message: str = ""
+    capped: bool = False
 
     def require(self):
         """Return the value, raising when the transform did not converge."""
@@ -436,7 +414,8 @@ def fourier_oracle(kernel_kind, m, n, pair, config, omega0,
     extrapolates the sequence to epsilon -> 0 (Richardson, quadratic in
     epsilon).  Returns an :class:`OracleResult`; ``converged`` is False when
     the extrapolation disagrees beyond its own error estimate or the window
-    tail is too large.
+    tail is too large, and ``capped`` is True when a panel reached the
+    subdivision limit above its tolerance (which decides nothing).
     """
     settings = settings or QuadratureSettings()
     if kernel_kind not in _KINDS:
@@ -470,7 +449,7 @@ def fourier_oracle(kernel_kind, m, n, pair, config, omega0,
                         imag=float(extrap.imag), tail=float(tail),
                         window=float(window), epsilons=tuple(settings.epsilons),
                         converged=converged, quad_error=float(quad_err),
-                        message=message)
+                        message=message, capped=bool(warn))
 
 
 def _richardson(epsilons, values):

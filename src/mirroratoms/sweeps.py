@@ -82,6 +82,12 @@ class SweepSpec:
     def initial(self):
         return dy.XState.resolve(self.initial_state)
 
+    @property
+    def span(self):
+        """Proper time the sweep scans: the last sample time of a time axis,
+        the horizon otherwise."""
+        return max(self.values) if self.axis == "time" else self.horizon
+
 
 @dataclass
 class SweepResult:
@@ -101,7 +107,7 @@ def _evaluate_point(spec, value):
         "y_over_L": spec.base.y_over_L,
         "initial_state": spec.initial_state if isinstance(
             spec.initial_state, str) else "custom",
-        "horizon": spec.horizon,
+        "horizon": spec.span,
         "error": "",
     }
     curve = {}
@@ -115,7 +121,7 @@ def _evaluate_point(spec, value):
         for prefix, with_boundary in variants:
             cs = co.assemble(cfg, include_boundary=with_boundary)
             # no appreciable decay over the whole scan: dynamics frozen
-            frozen = (np.max(np.abs(cs.as_array())) * spec.horizon
+            frozen = (np.max(np.abs(cs.as_array())) * spec.span
                       < _FROZEN_TOL * cfg.gamma0)
             gen = dy.build_generator(cs)
             if spec.axis == "time":

@@ -231,7 +231,8 @@ def test_sweep_from_spec_file(tmp_path):
 
 def test_time_axis_events_scan_to_the_last_time(tmp_path):
     # the default horizon (40) ends before the last sample time (100); the
-    # events must cover every sample, as the curve does
+    # events must cover every sample, as the curve does, and the row and
+    # the metadata state that span
     spec = {"label": "t", "axis": "time", "values": [0, 10, 50, 100],
             "initial_state": "S", "outputs": ["events", "maxc"]}
     spec_file = tmp_path / "spec.json"
@@ -241,9 +242,11 @@ def test_time_axis_events_scan_to_the_last_time(tmp_path):
     _, cheader, crows = _read_csv(tmp_path / "t_curves.csv")
     curve = [float(r[cheader.index("concurrence")]) for r in crows]
     assert curve[0] == 1.0 and curve[1] > 0.0 and curve[2:] == [0.0, 0.0]
-    _, header, (row,) = _read_csv(tmp_path / "t_summary.csv")
+    meta, header, (row,) = _read_csv(tmp_path / "t_summary.csv")
     row = dict(zip(header, row))
     assert row["error"] == ""
+    assert float(row["horizon"]) == 100.0
+    assert float(meta["horizon"]) == 100.0
     assert row["n_deaths"] == "1"
     assert float(row["first_death"]) == pytest.approx(13.326, abs=1e-3)
     assert row["truncated"] == "false"
@@ -395,6 +398,14 @@ def test_validate_small_sample(capsys):
     assert "overall max relative error" in out
     worst = float(out.split("overall max relative error:")[1].split()[0])
     assert worst <= 0.01
+    assert "capped components: 0" in out
+
+
+def test_coeffs_oracle_prints_the_capped_component_count(capsys):
+    rc = run_cli("coeffs", "--a", "0.5", "--omega-l", "1", "--y-over-l",
+                 "0.1", "--oracle")
+    assert rc == 0
+    assert "capped components: 0" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------

@@ -1,17 +1,22 @@
-"""Field correlation functions: symmetries, boundary conditions, and the
-lock between the hand-derived kernel derivatives and numerical
-differentiation."""
+"""Field correlation functions: symmetries, boundary conditions, the lock
+between the hand-derived kernel derivatives and numerical differentiation,
+and the stationary form against the lab-frame reference."""
 
 import cmath
 import math
+import sys
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirroratoms.correlations import (
     FREE, BOUNDARY, CorrelationKernel, OracleConvergenceError,
-    QuadratureSettings, TrajectoryParams, _adaptive_gk21, default_window,
-    electric_correlation, fourier_oracle, pair_geometry,
+    QuadratureSettings, TrajectoryParams, _adaptive_gk21, _light_cone_time,
+    default_window, electric_correlation, fourier_oracle, pair_geometry,
 )
 from mirroratoms.coefficients import PhysicalConfig, spectral_prefactor
 
@@ -19,19 +24,126 @@ FOUR_PI_SQ = 4.0 * math.pi**2
 
 
 # ---------------------------------------------------------------------
+# lab-frame reference: both field points on the lab hyperbola, their
+# tetrads contracted term by term, the regulator on the second proper
+# time.  lib is numpy, or mpmath for high-precision references.
+# ---------------------------------------------------------------------
+
+# polarization matrices of the photon kernel, index order (t, x, y, z):
+# eta for the free part, -(eta + 2 n n) for the image part (n = y-normal)
+_G_FREE = (1.0, -1.0, -1.0, -1.0)
+_G_BND = (-1.0, 1.0, -1.0, 1.0)
+
+# the tetrad is a boost in the (t, x) plane: u and e1 have only t and x
+# components, e2 and e3 are the fixed y and z axes, so every contraction
+# with a frame leg runs over that leg's support only
+_SUPPORT = ((0, 1), (0, 1), (2,), (3,))
+
+
+def lab_coords(a, tau, lib=np):
+    """Lab (t, x) at proper time tau; tau may be complex or an array."""
+    if a == 0.0:
+        return tau, 0.0 * tau
+    return lib.sinh(a * tau) / a, -lib.cosh(a * tau) / a
+
+
+def frame(a, tau, lib=np):
+    """Comoving tetrad (u, e1, e2, e3) as 4-tuples in (t, x, y, z).
+
+    Components broadcast like tau; the constant ones are plain floats.
+    """
+    if a == 0.0:
+        return ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+    ch = lib.cosh(a * tau)
+    sh = lib.sinh(a * tau)
+    return ((ch, -sh, 0.0, 0.0), (-sh, ch, 0.0, 0.0),
+            (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+
+
+def lab_correlation(kernel, m, n, tau, tau_prime, a, lib=np):
+    """electric_correlation from lab coordinates and tetrads at both points.
+
+    The second proper time is evaluated at tau' + i epsilon.  s = wt^2 -
+    wx^2 - ... cancels between lab coordinates of size cosh(a tau)/a, so
+    in double precision this form loses about e^{a |tau - tau'|} ulps.
+    """
+    tau2 = tau_prime + 1j * kernel.epsilon
+
+    t1, x1 = lab_coords(a, tau, lib)
+    t2, x2 = lab_coords(a, tau2, lib)
+    wt = t1 - t2
+    wx = x1 - x2
+    wz = kernel.dz
+
+    if kernel.kind == FREE:
+        wy = kernel.y - kernel.y_prime
+        grad2 = (-2.0 * wt, 2.0 * wx, 2.0 * wy, 2.0 * wz)
+        myy = 2.0
+        gmat = _G_FREE
+    else:
+        wy = kernel.y + kernel.y_prime
+        grad2 = (-2.0 * wt, 2.0 * wx, -2.0 * wy, 2.0 * wz)
+        myy = -2.0
+        gmat = _G_BND
+
+    grad1 = (2.0 * wt, -2.0 * wx, -2.0 * wy, -2.0 * wz)
+    mixed = (-2.0, 2.0, myy, 2.0)
+    s = wt * wt - wx * wx - wy * wy - wz * wz
+    inv2 = 1.0 / (s * s)
+    inv3 = inv2 / s
+    four_pi_sq = 4.0 * lib.pi**2
+
+    frame1 = frame(a, tau, lib)
+    frame2 = frame(a, tau2, lib)
+
+    def leg(frame, k, grad):
+        # (components, support, contraction with its point's gradient)
+        vec = frame[k]
+        return vec, _SUPPORT[k], sum(vec[i] * grad[i] for i in _SUPPORT[k])
+
+    u1, em = leg(frame1, 0, grad1), leg(frame1, m, grad1)
+    u2, en = leg(frame2, 0, grad2), leg(frame2, n, grad2)
+
+    def form(diag, p, q):
+        # sum_i diag_i p^i q^i over the components both legs carry
+        return sum(p[0][i] * q[0][i] * diag[i] for i in p[1] if i in q[1])
+
+    def d2(p, q):
+        # p^mu q^rho d_mu d'_rho of the scalar kernel 1/(4 pi^2 s)
+        return (-form(mixed, p, q) * inv2
+                + 2.0 * p[2] * q[2] * inv3) / four_pi_sq
+
+    return (form(gmat, em, en) * d2(u1, u2) - form(gmat, em, u2) * d2(u1, en)
+            - form(gmat, u1, en) * d2(em, u2)
+            + form(gmat, u1, u2) * d2(em, en))
+
+
+def mp_correlation(kernel, m, n, u, a, dps=120):
+    """lab_correlation at proper-time difference u in dps-digit arithmetic,
+    of the double inputs exactly, rounded to a complex double."""
+    with mpmath.workdps(dps):
+        exact = SimpleNamespace(
+            kind=kernel.kind, y=mpmath.mpf(kernel.y),
+            y_prime=mpmath.mpf(kernel.y_prime), dz=mpmath.mpf(kernel.dz),
+            epsilon=mpmath.mpf(kernel.epsilon))
+        value = lab_correlation(exact, m, n, mpmath.mpf(u), mpmath.mpf(0),
+                                mpmath.mpf(a), lib=mpmath)
+        return complex(value)
+
+
+# ---------------------------------------------------------------------
 # trajectory
 # ---------------------------------------------------------------------
 
 def test_orbit_is_hyperbola():
-    traj = TrajectoryParams(a=0.7)
     for tau in (-2.0, 0.0, 0.3, 5.0):
-        t, x = traj.lab_coords(tau)
+        t, x = lab_coords(0.7, tau)
         assert abs((x.real**2 - t.real**2) - 1.0 / 0.49) < 1e-12
 
 
 def test_inertial_orbit_is_straight():
-    traj = TrajectoryParams(a=0.0)
-    t, x = traj.lab_coords(1.7)
+    t, x = lab_coords(0.0, 1.7)
     assert t == 1.7
     assert x == 0.0
 
@@ -70,7 +182,7 @@ def test_rejects_nonpositive_epsilon():
         CorrelationKernel(kind=FREE, y=1.0, y_prime=1.0, epsilon=-1e-3)
 
 
-@pytest.mark.parametrize("name", ["y", "y_prime", "dz", "dx", "epsilon"])
+@pytest.mark.parametrize("name", ["y", "y_prime", "dz", "epsilon"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_kernel_rejects_non_finite_inputs_by_name(name, value):
     args = {"kind": FREE, "y": 1.0, "y_prime": 1.0, name: value}
@@ -222,18 +334,15 @@ def _numdiff_hessian(kind, c1, c2, mu, rho, h):
 def _correlation_numdiff(kernel, m, n, tau, tau_p, a, h=1e-3):
     """Independent evaluation: numerical second derivatives of the scalar
     kernel contracted with the orbit tetrad."""
-    g_free = (1.0, -1.0, -1.0, -1.0)
-    g_bnd = (-1.0, 1.0, -1.0, 1.0)
-    traj = TrajectoryParams(a)
     tau2 = tau_p + 1j * kernel.epsilon
-    t1, x1 = traj.lab_coords(tau)
-    t2, x2 = traj.lab_coords(tau2)
+    t1, x1 = lab_coords(a, tau)
+    t2, x2 = lab_coords(a, tau2)
     c1 = (t1, x1, kernel.y, 0.0)
-    c2 = (t2, x2 - kernel.dx, kernel.y_prime, -kernel.dz)
-    g = g_free if kernel.kind == FREE else g_bnd
+    c2 = (t2, x2, kernel.y_prime, -kernel.dz)
+    g = _G_FREE if kernel.kind == FREE else _G_BND
     hess = [[_numdiff_hessian(kernel.kind, c1, c2, mu, rho, h)
              for rho in range(4)] for mu in range(4)]
-    f1, f2 = traj.frame(tau), traj.frame(tau2)
+    f1, f2 = frame(a, tau), frame(a, tau2)
     u1, u2 = f1[0], f2[0]
     em, en = f1[m], f2[n]
 
@@ -273,6 +382,94 @@ def test_conductor_boundary_condition_near_the_mirror():
     wf = electric_correlation(free, 2, 2, dt, 0.0, a)
     wb = electric_correlation(bnd, 2, 2, dt, 0.0, a)
     assert abs((wf + wb) - 2.0 * wf) <= 1e-6 * abs(wf)
+
+
+# ---------------------------------------------------------------------
+# stationary form against the lab-frame reference
+# ---------------------------------------------------------------------
+
+DBL_EPS = sys.float_info.epsilon
+
+
+def _lab_coordinate_size(a, chord):
+    """Size of the lab coordinates where the orbit crosses the light cone
+    of the chord: cosh(a u*)/a = (1 + (a chord)^2/2)/a on the hyperbola,
+    the chord itself on the inertial line."""
+    return (1.0 + 0.5 * (a * chord) ** 2) / a if a > 0 else chord
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from((FREE, BOUNDARY)),
+       a=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+       y=st.floats(0.05, 5.0), y_prime=st.floats(0.05, 5.0),
+       dz=st.floats(-5.0, 5.0), eps=st.floats(1e-4, 1e-1),
+       fractions=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+def test_stationary_form_equals_the_lab_frame_reference(kind, a, y, y_prime,
+                                                        dz, eps, fractions):
+    # every (m, n) at proper-time differences drawn within the window, but
+    # |a u| <= 30: beyond that the reference's s = wt^2 - wx^2 - ... has
+    # lost all its digits to the cancellation of its e^{a|u|} lab
+    # coordinates.  The light-cone peaks are always evaluated; they set
+    # the scale.
+    k = CorrelationKernel(kind=kind, y=y, y_prime=y_prime, dz=dz,
+                          epsilon=eps)
+    reach = min(default_window(a), 30.0 / a) if a > 0 else default_window(a)
+    peak = _light_cone_time(a, k.chord)
+    u = np.array([f * reach for f in fractions]
+                 + [peak, -peak, peak + eps, -peak - eps])
+    pairs = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+    new = [electric_correlation(k, m, n, u, 0.0, a) for m, n in pairs]
+    lab = [lab_correlation(k, m, n, u, 0.0, a) for m, n in pairs]
+    scale = max(np.max(np.abs(w)) for w in lab)
+    # round-off of the reference: its interval cancels between lab
+    # coordinates of size X, which at a peak, where |s| ~ 2 chord eps,
+    # magnifies an ulp by about X / eps
+    bound = 32 * DBL_EPS * (1.0 + _lab_coordinate_size(a, k.chord) / eps)
+    for (m, n), w_new, w_lab in zip(pairs, new, lab):
+        assert np.max(np.abs(w_new - w_lab)) <= bound * scale, (m, n)
+
+
+def _peak_kernel():
+    # the vertical configuration of the frozen oracle values, boundary
+    # part of pair (2, 2): chord 3.9, light-cone crossing at a u = 2.6
+    cfg = PhysicalConfig.from_ratios(0.9, 1.3, 0.5, "vertical")
+    y1, y2, dz = pair_geometry(cfg, (2, 2))
+    return cfg.a, CorrelationKernel(kind=BOUNDARY, y=y1, y_prime=y2, dz=dz,
+                                    epsilon=1e-3)
+
+
+def _relative_errors(k, m, n, u, a):
+    exact = np.array([mp_correlation(k, m, n, float(x), a) for x in u])
+    new = electric_correlation(k, m, n, u, 0.0, a)
+    lab = lab_correlation(k, m, n, u, 0.0, a)
+    return np.abs(new - exact) / np.abs(exact), np.abs(lab - exact) / np.abs(
+        exact)
+
+
+def test_stationary_form_at_a_light_cone_peak_against_mpmath():
+    # 41 nodes across +-40 epsilon of the peak, against 120 digits.  W
+    # goes as 1/s^3 with s = T^2 - chord^2, so near the peak one ulp of
+    # T = 2 sinh(a Delta/2)/a moves W by about 6 ulp chord^2/|s|, in any
+    # double-precision form: that is the floor.  Node by node the two
+    # forms then differ by the luck of their roundings; the stationary
+    # one stays within the floor and is better in the median.
+    a, k = _peak_kernel()
+    u = _light_cone_time(a, k.chord) + np.linspace(-40.0, 40.0, 41) * 1e-3
+    new_err, lab_err = _relative_errors(k, 2, 1, u, a)
+    t = 2.0 * np.sinh(0.5 * a * (u - 1j * k.epsilon)) / a
+    floor = 16 * DBL_EPS * k.chord**2 / np.abs(t * t - k.chord**2)
+    assert np.all(new_err <= np.maximum(lab_err, floor))
+    assert np.median(new_err) <= np.median(lab_err)
+
+
+def test_stationary_form_far_along_the_orbit_against_mpmath():
+    # at a u = 30 the lab form is off by about 8e-4: its interval cancels
+    # between lab coordinates of size e^{a u}/a
+    a, k = _peak_kernel()
+    u = np.array([5.0, 10.0, 20.0, 30.0]) / a
+    new_err, lab_err = _relative_errors(k, 2, 1, u, a)
+    assert np.all(new_err <= 8 * DBL_EPS)
+    assert np.all(new_err <= lab_err)
 
 
 # ---------------------------------------------------------------------

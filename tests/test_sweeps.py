@@ -103,6 +103,19 @@ def test_frozen_point_is_flagged():
     assert res.rows[0]["max_c"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_time_axis_judges_frozen_over_the_span_it_scans():
+    # the largest rate is 5e-9 gamma0: below the 1e-6 decay threshold over
+    # the default horizon (40), above it over the sampled 1,000
+    base = co.PhysicalConfig.from_ratios(0.5, 1.0, 1e-4, "parallel",
+                                         d1=X, d2=(0.0, 0.0, 1.0))
+    spec = sw.SweepSpec(label="t", base=base, axis="time",
+                        values=(0.0, 1.0, 1000.0), initial_state="S",
+                        outputs=("maxc",))
+    (row,) = sw.run_sweep(spec).rows
+    assert row["horizon"] == 1000.0
+    assert not row["frozen"]
+
+
 def test_time_axis_returns_a_curve():
     spec = small_spec(axis="time", values=(0.0, 0.5, 1.0),
                       outputs=("curve",))
