@@ -7,6 +7,13 @@ metadata header recording the fully resolved configuration, the code
 version and the tolerance choices, so a figure run can be reproduced from
 its own output.
 
+Every float in a CSV is written as ``'%.17g' % v``.  Trajectory and curve
+bodies (:class:`FloatRows`) are formatted 512 rows at a time by a numpy
+kernel whose bytes equal that conversion, cell by cell; a cell it cannot
+prove exact goes through ``%.17g`` itself.  A metadata value that holds a
+line break is written as JSON, so every line above the header starts with
+``#``.
+
 Exit status: 0 success, 1 configuration/validation error, 2 numerical
 failure (oracle non-convergence, a propagated row that is not a state, or
 frozen-dynamics signals where a value was required).
@@ -17,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import inspect
 import io
 import json
@@ -161,28 +169,192 @@ class FloatRows:
     lead: tuple = ()
 
 
-# rows formatted per write: bounds the block's string (about 120 kB for a
-# trajectory) however long the trajectory is
+# rows formatted per write: bounds the kernel's buffers (about 0.2 MB for a
+# trajectory block) however long the trajectory is
 _ROWS_PER_WRITE = 512
+
+# ---------------------------------------------------------------------
+# '%.17g' for a whole block of floats at once
+#
+# A cell in the fast range becomes the 17-digit integer d = round(|v| *
+# 10**(16 - k)), k = floor(log10 |v|), and is laid out from d's digits and
+# k.  The product is taken in double-double arithmetic: a table of powers
+# of ten split as ph + pl, and Dekker's exact two-product (Numer. Math. 18,
+# 224 (1971)).  Its error is below 1e-13 on a value near 1e17, so rounding
+# to the nearest integer is exact unless the fraction lies within
+# _TIE_GUARD of one half.  A cell the kernel cannot prove is formatted by
+# '%.17g' itself: non-finite, outside the fast range, that close to a
+# rounding tie, or with an integer part outside [1e16, 1e17) because
+# log10 put k one off.  Each cell gets fixed byte slots, and a slot the
+# cell does not use holds 0xFF, a byte UTF-8 text never contains.
+# Deleting the 0xFF bytes leaves '%.17g' of every cell.
+# ---------------------------------------------------------------------
+
+# the range keeps every partial product of the two-product far from
+# overflow and underflow
+_FAST_MIN, _FAST_MAX = 1e-250, 1e250
+_POW_LO, _POW_HI = 16 - 251, 16 + 251     # 10**(16 - k), with k one off
+_SPLIT = 134217729.0                      # 2**27 + 1, Dekker's splitter
+_TIE_GUARD = 1e-6
+_PAD = 0xFF
+# a cell's slots: sign, "0.000" of 1e-4 <= |v| < 1, 18 digit slots that
+# hold the 17 digits and the decimal point, "e", exponent sign, 3 exponent
+# digits, then the cell's separator
+_SIGN, _LEAD0, _DIGITS, _EXP = 0, 1, 6, 24
+_SEP = 29
+_DIGIT_SLOTS = np.arange(18, dtype=np.int8)[:, None]
+_DIGIT_COUNT = np.arange(1, 18, dtype=np.uint8)[:, None]
+
+
+@functools.cache
+def _g17_tables():
+    """Powers of ten 10**n, n in [_POW_LO, _POW_HI], as the double nearest
+    to each and the double nearest to its remainder, both from exact
+    integer arithmetic (int / int is correctly rounded), with the nearest
+    double also split in halves for the two-product; and the ASCII digits
+    of 0..9999 as four rows.  Built by the first CSV body, not on
+    import."""
+    ph, pl = [], []
+    for n in range(_POW_LO, _POW_HI + 1):
+        if n >= 0:
+            p = 10 ** n
+            ph.append(float(p))
+            pl.append(float(p - int(ph[-1])))
+        else:
+            q = 10 ** -n
+            ph.append(1 / q)
+            num, den = ph[-1].as_integer_ratio()
+            pl.append((den - num * q) / (den * q))
+    ph, pl = np.array(ph), np.array(pl)
+    c = _SPLIT * ph
+    ph_hi = c - (c - ph)
+    i = np.arange(10000)
+    digits4 = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10])
+    tables = (ph, ph_hi, ph - ph_hi, pl,
+              digits4.astype(np.uint8) + ord("0"))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _slot(cond, char):
+    """``char`` where ``cond``, else the pad byte."""
+    return (cond.view(np.uint8) - 1) | char
+
+
+def _g17_block(values, lead=b""):
+    """The CSV lines of a 2-D float block, cells as ``'%.17g' % v``,
+    each line starting with the bytes ``lead``."""
+    ph, ph_hi, ph_lo, pl, digits4 = _g17_tables()
+    rows, cols = values.shape
+    n = rows * cols
+    v = np.ascontiguousarray(values, dtype=np.float64).reshape(n)
+    a = np.abs(v)
+    x = np.fmin(np.fmax(a, _FAST_MIN), _FAST_MAX)
+    k = np.floor(np.log10(x)).astype(np.intp)
+    p = (16 - _POW_LO) - k
+    # hi + lo = x * 10**(16 - k): Dekker's two-product with ph, then x * pl
+    b_hi, b_lo = ph_hi.take(p), ph_lo.take(p)
+    c = _SPLIT * x
+    x_hi = c - (c - x)
+    x_lo = x - x_hi
+    hi = x * ph.take(p)
+    lo = ((x_hi * b_hi - hi) + x_hi * b_lo + x_lo * b_hi) + x_lo * b_lo
+    lo += x * pl.take(p)
+    # hi >= 1e16 > 2**53 is an integer, so d + r splits hi + lo exactly
+    floor_lo = np.floor(lo)
+    r = lo - floor_lo
+    d = hi.astype(np.int64)
+    d += floor_lo.astype(np.int64)
+    exact = ((x == a) & (d >= 10**16) & (d < 10**17)
+             & (np.abs(r - 0.5) >= _TIE_GUARD))
+    d += r > 0.5
+    carry = d == 10**17
+    d -= carry * (9 * 10**16)
+    k += carry
+    zero = a == 0
+
+    # the digits of d, one row each, between two pad rows
+    digits = np.empty((19, n), np.uint8)
+    digits[0] = digits[18] = _PAD
+    top = d // 10**8
+    low8 = (d - top * 10**8).astype(np.int32)
+    top = top.astype(np.int32)
+    first = top // 10**8
+    mid8 = top - first * 10**8
+    g1, g3 = mid8 // 10**4, low8 // 10**4
+    digits[1] = first + ord("0")
+    digits[2:6] = digits4.take(g1, axis=1)
+    digits[6:10] = digits4.take(mid8 - g1 * 10**4, axis=1)
+    digits[10:14] = digits4.take(g3, axis=1)
+    digits[14:18] = digits4.take(low8 - g3 * 10**4, axis=1)
+    nsig = np.max(_DIGIT_COUNT * (digits[1:18] != ord("0")), axis=0)
+
+    # %g: fixed notation for -4 <= k < 17, else d.ddde+XX
+    sci = ((k < -4) | (k > 16)) & ~zero
+    below_one = (k < 0) & (k >= -4)
+    point = np.where(sci, 0, k)           # the digit the point follows
+    has_point = (nsig > point + 1) & ~(below_one | zero)
+    after = np.where(has_point, point + 1, 99).astype(np.int8)
+    shown = np.where(below_one | sci, nsig, np.maximum(nsig, k + 1))
+    shown += has_point
+    shown[zero] = 0
+
+    slots = np.empty((_SEP + 1, n), np.uint8)
+    slots[_SIGN] = _slot(np.signbit(v), ord("-"))
+    slots[_LEAD0] = _slot(below_one | zero, ord("0"))
+    slots[_LEAD0 + 1] = _slot(below_one, ord("."))
+    for i in range(1, 4):
+        slots[_LEAD0 + 1 + i] = _slot(below_one & (k <= -1 - i), ord("0"))
+    # digit slot s holds digit s before the point and digit s - 1 after it
+    body = slots[_DIGITS:_EXP]
+    before = (_DIGIT_SLOTS < after).view(np.uint8)
+    np.negative(before, out=before)
+    np.bitwise_xor(digits[1:19], digits[0:18], out=body)
+    body &= before
+    body ^= digits[0:18]
+    body |= (_DIGIT_SLOTS < shown.astype(np.int8)).view(np.uint8) - 1
+    cells = np.flatnonzero(has_point)
+    slots.reshape(-1)[(_DIGITS + after[cells].astype(np.intp)) * n
+                      + cells] = ord(".")
+    e = np.abs(k)
+    no_exp = _slot(sci, 0)
+    slots[_EXP] = no_exp | ord("e")
+    slots[_EXP + 1] = no_exp | np.where(k < 0, ord("-"), ord("+"))
+    slots[_EXP + 2] = _slot(sci & (e >= 100), 0) | e // 100 + ord("0")
+    slots[_EXP + 3] = no_exp | e // 10 % 10 + ord("0")
+    slots[_EXP + 4] = no_exp | e % 10 + ord("0")
+    slots[_SEP] = ord(",")
+    slots[_SEP].reshape(rows, cols)[:, -1] = ord("\r")
+
+    slow = np.flatnonzero(~(exact | zero))
+    if len(slow):
+        text = b"".join(("%.17g" % f).encode().ljust(_SEP, b"\xff")
+                        for f in v[slow].tolist())
+        slots[:_SEP, slow] = np.frombuffer(text, np.uint8).reshape(-1, _SEP).T
+
+    width = len(lead) + cols * (_SEP + 1)
+    out = np.empty((rows, width + 1), np.uint8)
+    out[:, :len(lead)] = np.frombuffer(lead, np.uint8)
+    out[:, len(lead):width] = slots.T.reshape(rows, cols * (_SEP + 1))
+    out[:, width] = ord("\n")
+    return out.tobytes().translate(None, b"\xff").decode("utf-8",
+                                                         "surrogatepass")
 
 
 def _write_float_rows(fh, block):
-    """Write a :class:`FloatRows` block with one ``%`` row template.
-
-    ``%.17g`` is the conversion ``_fmt`` applies to a float, and the lead
-    cells are quoted by the csv module itself, so the bytes are those of
-    ``csv.writer.writerow`` on each row.
-    """
-    lead = ""
+    """Write a :class:`FloatRows` block: the bytes of ``csv.writer.writerow``
+    on each row, its floats as ``_fmt`` writes them (``%.17g``)."""
+    lead = b""
     if block.lead:
         buf = io.StringIO()
         # a trailing empty cell leaves the lead's closing delimiter
         csv.writer(buf).writerow([_fmt(v) for v in block.lead] + [""])
-        lead = buf.getvalue().removesuffix("\r\n").replace("%", "%%")
-    line = lead + ",".join(["%.17g"] * block.values.shape[1]) + "\r\n"
+        lead = buf.getvalue().removesuffix("\r\n").encode("utf-8",
+                                                          "surrogatepass")
     for start in range(0, len(block.values), _ROWS_PER_WRITE):
-        chunk = block.values[start:start + _ROWS_PER_WRITE]
-        fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+        fh.write(_g17_block(block.values[start:start + _ROWS_PER_WRITE],
+                            lead))
 
 
 def _open_output(path, **kwargs):
@@ -210,13 +382,22 @@ def _check_writable(*paths, make_dir=True):
             raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _meta_value(value):
+    """A metadata value on its ``#`` line: lists, dicts and strings that
+    hold a line break as JSON, so the value stays on that one line."""
+    if isinstance(value, (list, dict)) or (
+            isinstance(value, str) and ("\n" in value or "\r" in value)):
+        return json.dumps(value)
+    return _fmt(value)
+
+
 def write_csv(path, meta, header, rows):
     """``#`` metadata lines, then the header and rows as the csv module
     writes them, floats as ``%.17g``.  Each item of ``rows`` is a row of
     cells of any type or a :class:`FloatRows` block."""
     with _open_output(path, newline="") as fh:
         for key, value in meta.items():
-            fh.write(f"# {key} = {json.dumps(value) if isinstance(value, (list, dict)) else _fmt(value)}\n")
+            fh.write(f"# {key} = {_meta_value(value)}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -606,7 +787,10 @@ def cmd_presets(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and every call of ``main`` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="mirroratoms",
         description="Entanglement dynamics of two accelerated atoms near "

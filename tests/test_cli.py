@@ -2,9 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mirroratoms import cli
 
@@ -652,7 +658,20 @@ def _reference_write_csv(path, meta, header, rows):
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e16, 1e17,
                 123456789012345678.0, float("nan"), float("inf"),
-                float("-inf"), 1.0, -3.0, 42.0, 1e15, 0.1, 1 / 3]
+                float("-inf"), 1.0, -3.0, 42.0, 1e15, 0.1, 1 / 3,
+                # exact ties at the 17th digit, which round half to even
+                1234567890123456.75, 1234567890123457.25,
+                # the switch between fixed and exponent notation
+                *(np.nextafter(x, to) for x in (1e-5, 1e-4)
+                  for to in (0.0, x, 1.0)),
+                9.9999999999999992e22]
+
+# every power of ten a double reaches and both neighbours of each: 10**k
+# as the nearest double and as 10.0 ** k, which can differ by an ulp
+_POWERS_OF_TEN = [float(x) for k in range(-323, 309)
+                  for p in {float(f"1e{k}"), 10.0 ** k}
+                  for x in (np.nextafter(p, -np.inf), p,
+                            np.nextafter(p, np.inf))]
 
 
 def _assert_same_bytes(tmp_path, header, body, reference_rows):
@@ -689,3 +708,72 @@ def test_labelled_float_rows_match_the_csv_writer_loop(tmp_path, rng):
         reference += [[label, _EDGE_FLOATS[i], *row] for row in values]
     _assert_same_bytes(tmp_path, ["label", "axis_value", "t", "c", "f"],
                        body, reference)
+
+
+def test_powers_of_ten_and_their_neighbours_match(tmp_path):
+    values = np.array(_POWERS_OF_TEN)
+    values = np.concatenate([values, -values])[:, None] * [1.0, 1.0]
+    values[:, 1] = values[::-1, 0]
+    _assert_same_bytes(tmp_path, ["a", "b"], [cli.FloatRows(values)],
+                       values.tolist())
+
+
+_BIT_PATTERNS = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.uint64(b).view(np.float64)))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cells=st.lists(_BIT_PATTERNS | st.floats() | st.sampled_from(
+           _EDGE_FLOATS + _POWERS_OF_TEN), max_size=60),
+       cols=st.integers(1, 6), rows_per_write=st.sampled_from([1, 3, 512]),
+       lead=st.sampled_from([(), ("fig2", 0.5), ("a,b", -0.0),
+                             ('say "hi"', float("nan"))]))
+def test_float_rows_match_the_csv_writer_loop_on_any_bits(
+        cells, cols, rows_per_write, lead, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
+    values = np.array(cells[:len(cells) // cols * cols]).reshape(-1, cols)
+    _assert_same_bytes(tmp_path, ["label", "x"],
+                       [cli.FloatRows(values, lead=lead)],
+                       [[*lead, *row] for row in values.tolist()])
+
+
+# ---------------------------------------------------------------------
+# metadata and the parser
+# ---------------------------------------------------------------------
+
+def test_line_break_in_a_metadata_value_stays_on_its_line(tmp_path):
+    out = tmp_path / "a\nb\rc.csv"
+    rc = run_cli("evolve", "--horizon", "1", "--sample-step", "0.5",
+                 "--output", str(out))
+    assert rc == 0
+    lines = out.read_bytes().split(b"\r\n")[0].split(b"\n")
+    header = lines.index(b"gamma0_tau,pG,pE,pA,pS,re_rhoAS,im_rhoAS,"
+                         b"re_rhoGE,im_rhoGE,concurrence")
+    assert all(line.startswith(b"# ") for line in lines[:header])
+    meta, _, _ = _read_csv(out)
+    assert json.loads(meta["output_path"]) == str(out)
+
+
+def test_main_leaks_nothing_between_calls(tmp_path):
+    # the parser is built once per process; each run must still write
+    # what a fresh process writes
+    common = ["--a", "0.5", "--alignment", "vertical", "--y-over-l", "0.1",
+              "--initial-state", "S", "--horizon", "6"]
+    runs = [["evolve", *common, "--free-space-companion"],
+            ["evolve", *common], ["events", *common]]
+    in_process = []
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"run{i}.csv"
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        in_process.append(out.read_bytes())
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"run{i}.csv"
+        out.unlink()
+        subprocess.run([sys.executable, "-m", "mirroratoms.cli", *argv,
+                        "--output", str(out)], env=env, check=True,
+                       capture_output=True, timeout=120)
+        assert out.read_bytes() == in_process[i], argv
