@@ -384,9 +384,10 @@ def _check_writable(*paths, make_dir=True):
 
 def _meta_value(value):
     """A metadata value on its ``#`` line: lists, dicts and strings that
-    hold a line break as JSON, so the value stays on that one line."""
+    ``str.splitlines`` would break as JSON, so the value stays on that one
+    line."""
     if isinstance(value, (list, dict)) or (
-            isinstance(value, str) and ("\n" in value or "\r" in value)):
+            isinstance(value, str) and "".join(value.splitlines()) != value):
         return json.dumps(value)
     return _fmt(value)
 
@@ -511,7 +512,6 @@ def cmd_coeffs(args):
         status, report = _oracle_report(cfg)
         extra["oracle"] = report
         print(f"oracle max relative error: {_fmt(report['max_rel_error'])}")
-        print(f"capped components: {len(report['capped'])}")
         if status != 0:
             return status
     if path:
@@ -594,16 +594,14 @@ def cmd_sweep(args):
     presets = sw.figure_presets()
     if args.preset:
         if args.preset not in presets:
-            print(f"unknown preset {args.preset!r}; see 'presets'",
-                  file=sys.stderr)
-            return 1
+            raise ConfigError(f"unknown preset {args.preset!r}; "
+                              "see 'presets'")
         preset = presets[args.preset]
         specs = preset.specs
         name = args.preset
     else:
         if not args.spec:
-            print("either --preset or --spec is required", file=sys.stderr)
-            return 1
+            raise ConfigError("either --preset or --spec is required")
         raw = _read_json_object(args.spec, "spec")
         specs = [_spec_from_dict(raw)]
         name = specs[0].label
@@ -699,18 +697,13 @@ def _spec_from_dict(raw):
 
 
 def _oracle_report(cfg, omega0=1.0, settings=None):
-    """Compare closed-form spectral tensors against the quadrature oracle.
-
-    ``capped`` lists the components whose quadrature reached the
-    subdivision limit; it does not change the status.
-    """
+    """Compare closed-form spectral tensors against the quadrature oracle."""
     settings = settings or fc.QuadratureSettings()
     pref = co.spectral_prefactor(omega0, cfg.a)
     worst = 0.0
     worst_tag = ""
     checks = 0
     failures = []
-    capped = []
     for part, sign in (("free", 1.0), ("boundary", -1.0)):
         for pair, tens in co.spectral_tensors(cfg, part).items():
             for m in range(1, 4):
@@ -724,8 +717,6 @@ def _oracle_report(cfg, omega0=1.0, settings=None):
                     rel = abs(res.value - closed) / scale
                     checks += 1
                     tag = f"{part} {pair} [{m}{n}]"
-                    if res.capped:
-                        capped.append(tag)
                     if not res.converged:
                         failures.append(f"{tag}: {res.message}")
                     if rel > worst:
@@ -733,7 +724,7 @@ def _oracle_report(cfg, omega0=1.0, settings=None):
                         worst_tag = tag
     return (2 if failures or worst > 0.01 else 0,
             {"max_rel_error": worst, "worst_component": worst_tag,
-             "checks": checks, "failures": failures, "capped": capped})
+             "checks": checks, "failures": failures})
 
 
 def cmd_validate(args):
@@ -745,7 +736,6 @@ def cmd_validate(args):
         _check_writable(Path(args.output), make_dir=False)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
-    capped = 0
     report_rows = []
     status = 0
     for i in range(args.samples):
@@ -756,23 +746,20 @@ def cmd_validate(args):
         st, rep = _oracle_report(cfg)
         status = max(status, st)
         worst = max(worst, rep["max_rel_error"])
-        capped += len(rep["capped"])
         report_rows.append([i, alignment, cfg.a, cfg.L, cfg.y_over_L,
                             rep["max_rel_error"], rep["worst_component"],
-                            "; ".join(rep["failures"]),
-                            "; ".join(rep["capped"])])
+                            "; ".join(rep["failures"])])
         print(f"config {i:2d} {alignment:8s} a={cfg.a:.3f} wL={cfg.L:.3f} "
               f"y/L={cfg.y_over_L:.3f}: max rel {rep['max_rel_error']:.3e}"
               + (f"  FAILED: {rep['failures']}" if rep["failures"] else ""))
     print(f"overall max relative error: {worst:.3e}")
-    print(f"capped components: {capped}")
     if args.output:
         meta = _metadata({"samples": args.samples, "seed": args.seed,
                           "epsilons": list(fc.QuadratureSettings().epsilons)})
         write_csv(Path(args.output), meta,
                   ["index", "alignment", "a_over_omega", "omega_L",
                    "y_over_L", "max_rel_error", "worst_component",
-                   "failures", "capped"],
+                   "failures"],
                   report_rows)
     if status:
         print("oracle validation FAILED", file=sys.stderr)

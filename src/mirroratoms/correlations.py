@@ -20,13 +20,12 @@ over arrays of proper times and of regulators; a scalar proper time goes
 through the same code.
 
 :func:`fourier_oracle` turns these correlations into spectral values by
-direct quadrature with an epsilon-sequence extrapolation.  The complex
-integrands of every epsilon of the sequence are integrated in one adaptive
-pass over the panels of all of them by a Gauss-Kronrod G10/K21 rule
-(QUADPACK's ``qk21`` nodes and error estimate) that evaluates every new
-subinterval of every panel, whatever its epsilon, in one array call; the
-regulator may be an array that broadcasts with the proper times.  The
-oracle exists purely to validate the closed forms in
+direct quadrature with an epsilon-sequence extrapolation.  Each epsilon
+of the sequence gets one fixed mesh, graded geometrically toward the
+light-cone peaks, and every panel of every mesh is integrated by a
+Gauss-Kronrod G10/K21 rule (QUADPACK's ``qk21`` nodes and error estimate)
+in one array call; the regulator may be an array that broadcasts with the
+proper times.  The oracle exists purely to validate the closed forms in
 :mod:`mirroratoms.coefficients` and shares no code with them; nothing in
 the production path calls it.
 """
@@ -179,9 +178,6 @@ class QuadratureSettings:
 
     epsilons: tuple = (4e-3, 2e-3, 1e-3)
     window: float | None = None
-    quad_rel: float = 1e-9
-    quad_abs: float = 1e-13
-    limit: int = 2000
     rel_tol: float = 5e-3
     abs_floor: float = 1e-7
     tail_tol: float = 1e-4
@@ -195,8 +191,8 @@ class QuadratureSettings:
             raise ValueError("epsilons must be positive")
         if list(self.epsilons) != sorted(self.epsilons, reverse=True):
             raise ValueError("epsilons must be strictly decreasing")
-        named = ["quad_rel", "quad_abs", "limit", "rel_tol", "abs_floor",
-                 "tail_tol"] + ([] if self.window is None else ["window"])
+        named = ["rel_tol", "abs_floor", "tail_tol"] + (
+            [] if self.window is None else ["window"])
         for name in named:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -218,7 +214,6 @@ class OracleResult:
     converged: bool
     quad_error: float = 0.0
     message: str = ""
-    capped: bool = False
 
     def require(self):
         """Return the value, raising when the transform did not converge."""
@@ -241,14 +236,20 @@ def _light_cone_time(a, chord):
     return 2.0 / a * math.asinh(0.5 * a * chord)
 
 
-def _panel_edges(window, peaks, width):
-    """Panel boundaries isolating each light-cone peak in a narrow strip."""
-    edges = {-window, window}
-    for p in peaks:
-        for q in (p - width, p, p + width):
-            if -window < q < window:
-                edges.add(q)
-    return sorted(edges)
+def _graded_edges(window, peaks, eps):
+    """Panel edges of [-window, window], graded geometrically to each peak.
+
+    Each peak p adds the edges p and p +- eps 2^k (k = 0, 1, ...) that lie
+    strictly inside the window.  A panel beside a peak is then about as
+    wide as its distance from the pole eps off the real axis, so the K21
+    rule converges at the same rate on every panel however close it is.
+    """
+    span = window + max(abs(p) for p in peaks)
+    steps = eps * 2.0 ** np.arange(math.ceil(math.log2(span / eps)) + 1)
+    inner = np.concatenate([p + np.concatenate([[0.0], steps, -steps])
+                            for p in peaks])
+    inner = inner[(-window < inner) & (inner < window)]
+    return np.unique(np.concatenate([[-window, window], inner]))
 
 
 # QUADPACK qk21 on [0, 1]: Kronrod abscissae (the 10-point Gauss ones at
@@ -299,78 +300,20 @@ def _gk21(f, lo, hi, group):
     return kronrod * half, err * half
 
 
-def _adaptive_gk21(f, groups, settings):
-    """Integral of f from edges[0] to edges[-1] for each edge list of groups.
-
-    All groups are refined in one pass, panel by panel.  Every panel
-    between consecutive edges of a group is refined until its summed error
-    estimate is at most max(quad_abs, quad_rel |panel integral|).  Each
-    round bisects, in every panel of every group still above its
-    tolerance, the subintervals whose error exceeds an equal share of that
-    tolerance (largest first, at most ``settings.limit`` subintervals a
-    panel) and evaluates all the new halves in one call f(u, group), group
-    being the index in groups of each row of u.  A panel's decisions read
-    only its own subintervals, so each group's result is the one a pass
-    over that group alone would give.  Returns (integrals, summed error
-    estimates, warning), one integral and one error per group; the warning
-    is set when a panel reached the subinterval limit above its tolerance.
-    """
-    lo = np.concatenate([np.asarray(e[:-1], float) for e in groups])
-    hi = np.concatenate([np.asarray(e[1:], float) for e in groups])
-    sizes = [len(e) - 1 for e in groups]
-    cuts = np.cumsum(sizes)[:-1]
-    npanels = len(lo)
-    group = np.repeat(np.arange(len(groups)), sizes)
-    panel = np.arange(npanels)
-    val, err = _gk21(f, lo, hi, group)
-    warn = ""
-    while True:
-        sums = (np.bincount(panel, val.real, npanels)
-                + 1j * np.bincount(panel, val.imag, npanels))
-        perr = np.bincount(panel, err, npanels)
-        count = np.bincount(panel, minlength=npanels)
-        tol = np.maximum(settings.quad_abs, settings.quad_rel * np.abs(sums))
-        above = perr > tol
-        if np.any(above & (count >= settings.limit)):
-            warn = (f"The maximum number of subdivisions ({settings.limit})"
-                    " has been achieved.")
-        above &= count < settings.limit
-        if not above.any():
-            return ([s.sum() for s in np.split(sums, cuts)],
-                    [float(e.sum()) for e in np.split(perr, cuts)], warn)
-        cand = np.flatnonzero(above[panel] & (err > (tol / count)[panel]))
-        cand = cand[np.lexsort((-err[cand], panel[cand]))]
-        owner = panel[cand]
-        rank = np.arange(len(cand)) - np.searchsorted(owner, owner)
-        split = cand[rank < (settings.limit - count)[owner]]
-
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_panel = np.concatenate([panel[split], panel[split]])
-        new_val, new_err = _gk21(f, new_lo, new_hi, group[new_panel])
-        keep = np.ones(len(lo), bool)
-        keep[split] = False
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        panel = np.concatenate([panel[keep], new_panel])
-        val = np.concatenate([val[keep], new_val])
-        err = np.concatenate([err[keep], new_err])
-
-
-def _windowed_transform(kernel, m, n, a, omega0, window, settings):
+def _windowed_transform(kernel, m, n, a, omega0, window):
     """integral over [-T, T] of exp(i w u) W(u) du plus error estimates.
 
     kernel.epsilon is the epsilon sequence, a 1-D array.  The integrand is
     huge (but smooth at scale epsilon) where the orbit crosses the light
-    cone of the chord, so for each epsilon the interval is cut into panels
-    that isolate those crossings, and the complex integrands of every
-    epsilon are integrated over all their panels in one adaptive G10/K21
-    pass (:func:`_adaptive_gk21`).  Returns (values, quad_errors,
-    roundoff_floors, tails, warn), one entry per epsilon; the roundoff
-    floor is the cancellation noise of the peak panels, which is the
-    realistic accuracy limit there.  QUADPACK's estimate steers the
-    refinement and is reported as ``quad_error``, but it does not decide
+    cone of the chord, and near each crossing it behaves like
+    (u - u* - i epsilon)^-3.  So each epsilon gets one mesh graded
+    geometrically toward the crossings (:func:`_graded_edges`), on which a
+    G10/K21 rule per panel integrates that pole to full accuracy in one
+    fixed pass; the panels of every epsilon are evaluated in one integrand
+    call.  Returns (values, quad_errors, roundoff_floors, tails), one entry
+    per epsilon; the roundoff floor is the cancellation noise of the peak
+    panels, which is the realistic accuracy limit there.  The summed K21
+    estimate is reported as ``quad_error``, but it does not decide
     convergence: on these cancellation-dominated bumps it is far too
     pessimistic, and it measures only the quadrature of one finite-epsilon
     integrand, not the epsilon bias that dominates the oracle's error.
@@ -386,14 +329,19 @@ def _windowed_transform(kernel, m, n, a, omega0, window, settings):
 
     ustar = _light_cone_time(a, kernel.chord)
     peaks = sorted({0.0, ustar, -ustar})
-    widths = np.maximum(40.0 * eps, 1e-5)
-    groups = [_panel_edges(window, peaks, width) for width in widths]
+    meshes = [_graded_edges(window, peaks, e) for e in eps]
+    group = np.repeat(np.arange(len(eps)), [len(e) - 1 for e in meshes])
 
     def integrand(u, group):
         return w_of(u, eps[group][:, None]) * np.exp(1j * omega0 * u)
 
-    totals, errs, warn = _adaptive_gk21(integrand, groups, settings)
+    val, err = _gk21(integrand, np.concatenate([e[:-1] for e in meshes]),
+                     np.concatenate([e[1:] for e in meshes]), group)
+    totals = (np.bincount(group, val.real, len(eps))
+              + 1j * np.bincount(group, val.imag, len(eps)))
+    errs = np.bincount(group, err, len(eps))
 
+    widths = np.maximum(40.0 * eps, 1e-5)
     inner = [p + 0.3 * eps for p in peaks if -window < p < window]
     edge = np.full_like(eps, window)
     w_abs = np.abs(w_of(np.stack(inner + [edge, -edge], axis=1),
@@ -402,7 +350,7 @@ def _windowed_transform(kernel, m, n, a, omega0, window, settings):
 
     decay_len = 1.0 / a if a > 0 else window / 3.0
     tail = (w_abs[:, -2] + w_abs[:, -1]) * decay_len
-    return totals, errs, roundoff, tail, warn
+    return totals, errs, roundoff, tail
 
 
 def fourier_oracle(kernel_kind, m, n, pair, config, omega0,
@@ -414,8 +362,7 @@ def fourier_oracle(kernel_kind, m, n, pair, config, omega0,
     extrapolates the sequence to epsilon -> 0 (Richardson, quadratic in
     epsilon).  Returns an :class:`OracleResult`; ``converged`` is False when
     the extrapolation disagrees beyond its own error estimate or the window
-    tail is too large, and ``capped`` is True when a panel reached the
-    subdivision limit above its tolerance (which decides nothing).
+    tail is too large.
     """
     settings = settings or QuadratureSettings()
     if kernel_kind not in _KINDS:
@@ -425,8 +372,8 @@ def fourier_oracle(kernel_kind, m, n, pair, config, omega0,
 
     kernel = CorrelationKernel(kind=kernel_kind, y=y1, y_prime=y2, dz=dz,
                                epsilon=np.array(settings.epsilons, float))
-    values, quad_errs, roundoffs, tails, warn = _windowed_transform(
-        kernel, m, n, config.a, omega0, window, settings)
+    values, quad_errs, roundoffs, tails = _windowed_transform(
+        kernel, m, n, config.a, omega0, window)
     quad_err = max(quad_errs)
     roundoff = max(roundoffs)
     tail = max(tails)
@@ -437,7 +384,7 @@ def fourier_oracle(kernel_kind, m, n, pair, config, omega0,
     # (plus cancellation roundoff) and by the window tail, not by QUADPACK's
     # pessimistic per-panel estimates
     err = extrap_err + roundoff
-    message = warn
+    message = ""
     converged = True
     if err > settings.rel_tol * scale:
         converged = False
@@ -449,7 +396,7 @@ def fourier_oracle(kernel_kind, m, n, pair, config, omega0,
                         imag=float(extrap.imag), tail=float(tail),
                         window=float(window), epsilons=tuple(settings.epsilons),
                         converged=converged, quad_error=float(quad_err),
-                        message=message, capped=bool(warn))
+                        message=message)
 
 
 def _richardson(epsilons, values):

@@ -366,6 +366,15 @@ def test_unwritable_sweep_output_fails_before_any_point(tmp_path, capsys,
 def test_sweep_unknown_preset_exits_1(capsys):
     rc = run_cli("sweep", "--preset", "fig99")
     assert rc == 1
+    assert capsys.readouterr().err == ("configuration error: unknown preset "
+                                       "'fig99'; see 'presets'\n")
+
+
+def test_sweep_without_preset_or_spec_is_a_config_error(capsys):
+    rc = run_cli("sweep")
+    assert rc == 1
+    assert capsys.readouterr().err == ("configuration error: either --preset "
+                                       "or --spec is required\n")
 
 
 def test_sweep_spec_rejects_unknown_keys(tmp_path, capsys):
@@ -404,14 +413,15 @@ def test_validate_small_sample(capsys):
     assert "overall max relative error" in out
     worst = float(out.split("overall max relative error:")[1].split()[0])
     assert worst <= 0.01
-    assert "capped components: 0" in out
 
 
-def test_coeffs_oracle_prints_the_capped_component_count(capsys):
+def test_coeffs_oracle_prints_the_max_relative_error(capsys):
     rc = run_cli("coeffs", "--a", "0.5", "--omega-l", "1", "--y-over-l",
                  "0.1", "--oracle")
+    out = capsys.readouterr().out
     assert rc == 0
-    assert "capped components: 0" in capsys.readouterr().out
+    worst = float(out.split("oracle max relative error:")[1].split()[0])
+    assert worst <= 0.01
 
 
 # ---------------------------------------------------------------------
@@ -753,6 +763,29 @@ def test_line_break_in_a_metadata_value_stays_on_its_line(tmp_path):
     assert all(line.startswith(b"# ") for line in lines[:header])
     meta, _, _ = _read_csv(out)
     assert json.loads(meta["output_path"]) == str(out)
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_every_splitlines_break_in_a_metadata_value_stays_on_its_line(
+        brk, tmp_path):
+    # a reader that splits on str.splitlines() ends a line at each of these
+    out = tmp_path / f"a{brk}b.csv"
+    rc = run_cli("evolve", "--horizon", "1", "--sample-step", "0.5",
+                 "--output", str(out))
+    assert rc == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    header = lines.index("gamma0_tau,pG,pE,pA,pS,re_rhoAS,im_rhoAS,"
+                         "re_rhoGE,im_rhoGE,concurrence")
+    assert all(line.startswith("# ") for line in lines[:header])
+    assert f"# output_path = {json.dumps(str(out))}" in lines[:header]
+
+
+def test_empty_metadata_value_stays_bare(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+    assert run_cli("evolve", "--horizon", "1", "--sample-step", "0.5") == 0
+    lines = (tmp_path / "trajectory.csv").read_text().split("\n")
+    assert "# output_path = " in lines
 
 
 def test_main_leaks_nothing_between_calls(tmp_path):

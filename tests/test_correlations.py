@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from mirroratoms.correlations import (
     FREE, BOUNDARY, CorrelationKernel, OracleConvergenceError,
-    QuadratureSettings, TrajectoryParams, _adaptive_gk21, _light_cone_time,
-    default_window, electric_correlation, fourier_oracle, pair_geometry,
+    QuadratureSettings, TrajectoryParams, _graded_edges, _gk21,
+    _light_cone_time, _windowed_transform, default_window,
+    electric_correlation, fourier_oracle, pair_geometry,
 )
 from mirroratoms.coefficients import PhysicalConfig, spectral_prefactor
 
@@ -512,8 +513,7 @@ def test_quadrature_settings_validate():
         QuadratureSettings(epsilons=(4e-3, math.nan, 1e-3))
     with pytest.raises(ValueError, match="epsilons must be finite"):
         QuadratureSettings(epsilons=(math.inf, 2e-3, 1e-3))
-    for name in ("window", "quad_rel", "quad_abs", "limit", "rel_tol",
-                 "abs_floor", "tail_tol"):
+    for name in ("window", "rel_tol", "abs_floor", "tail_tol"):
         for value in (0.0, -3.0, math.nan, math.inf):
             with pytest.raises(ValueError,
                                match=f"^{name} must be positive and finite"):
@@ -522,7 +522,7 @@ def test_quadrature_settings_validate():
 
 
 # ---------------------------------------------------------------------
-# adaptive G10/K21 integrator
+# G10/K21 on the graded mesh
 # ---------------------------------------------------------------------
 
 def _lorentzian_and_antiderivative(eps=1e-3, u0=0.1, omega=1.3):
@@ -541,49 +541,32 @@ def _lorentzian_and_antiderivative(eps=1e-3, u0=0.1, omega=1.3):
 
 
 def test_integrator_reproduces_a_closed_form_peak_integral():
+    # the integrand's poles sit at u0 +- i eps, like the oracle's; one
+    # fixed pass over the mesh graded toward u0 = 0.1 integrates it to
+    # round-off
     f, big_f = _lorentzian_and_antiderivative()
-    edges = [-3.0, -0.5, 0.7, 2.0]  # the peak at u = 0.1 sits in a panel
-    settings = QuadratureSettings()
-    [value], [error], warn = _adaptive_gk21(lambda u, group: f(u), [edges],
-                                            settings)
-    exact = big_f(edges[-1]) - big_f(edges[0])
-    assert warn == ""
-    assert abs(value - exact) <= error
-    assert error <= 3 * max(settings.quad_abs, settings.quad_rel * abs(exact))
+    edges = _graded_edges(3.0, [0.1], 1e-3)
+    val, err = _gk21(lambda u, group: f(u), edges[:-1], edges[1:],
+                     np.zeros(len(edges) - 1, int))
+    value, error = val.sum(), err.sum()
+    exact = big_f(3.0) - big_f(-3.0)
+    assert abs(value - exact) <= 8 * DBL_EPS * abs(exact)
+    assert error <= 1e-12 * abs(exact)
 
 
 def test_grouped_integrator_equals_one_pass_per_group():
-    # a panel's refinement reads only its own subintervals, so refining
-    # groups together leaves each group's integral and error bit for bit
-    widths = np.array([1e-3, 4e-3])
-    groups = [[-3.0, 0.0, 0.2, 2.0], [-3.0, 0.1, 2.0]]
-
-    def f(u, group):
-        eps = widths[group][:, None]
-        return eps / ((u - 0.1) ** 2 + eps**2) * np.exp(1.3j * u)
-
-    settings = QuadratureSettings()
-    values, errors, _ = _adaptive_gk21(f, groups, settings)
-    for g, edges in enumerate(groups):
-        [value], [error], _ = _adaptive_gk21(
-            lambda u, group: f(u, group + g), [edges], settings)
-        assert value == values[g] and error == errors[g]
-
-
-def test_integrator_reports_the_subdivision_limit():
-    f, _ = _lorentzian_and_antiderivative()
-    calls = []
-
-    def counted(u, group):
-        calls.append(u)
-        return f(u)
-
-    [value], [error], warn = _adaptive_gk21(counted, [[-3.0, 0.0, 2.0]],
-                                            QuadratureSettings(limit=3))
-    assert warn == "The maximum number of subdivisions (3) has been achieved."
-    # one initial call plus at most two rounds of bisection per panel
-    assert len(calls) <= 3
-    assert np.isfinite(value) and error > 0
+    # each epsilon's panels are summed on their own, so integrating the
+    # meshes of the whole sequence in one call leaves each epsilon's
+    # integral, error, round-off floor and tail bit for bit
+    eps = np.array([4e-3, 2e-3, 1e-3])
+    kernel = CorrelationKernel(BOUNDARY, 1.3, 0.9, 0.4, epsilon=eps)
+    a = 0.7
+    grouped = _windowed_transform(kernel, 2, 1, a, 1.0, default_window(a))
+    for g in range(len(eps)):
+        single = _windowed_transform(
+            CorrelationKernel(BOUNDARY, 1.3, 0.9, 0.4, epsilon=eps[g:g + 1]),
+            2, 1, a, 1.0, default_window(a))
+        assert [x[0] for x in single] == [x[g] for x in grouped]
 
 
 def test_default_window_scales_with_acceleration():
