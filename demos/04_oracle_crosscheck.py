@@ -2,9 +2,11 @@
 
 The production rates come from analytic tensors.  An independent path
 evaluates the regularized field correlation along the orbit and Fourier
-transforms it numerically with an epsilon-sequence extrapolation.  This
-script prints the two side by side for one configuration (takes well
-under a second; the full randomized battery is `mirroratoms validate`).
+transforms it numerically: one trapezoid sum along a line below the real
+axis, where the correlation is analytic, gives the epsilon -> 0 limit.
+This script prints the two side by side for one configuration (takes
+well under a second; the full randomized battery is
+`mirroratoms validate`).
 """
 
 from mirroratoms import PhysicalConfig, fourier_oracle, spectral_prefactor

@@ -92,8 +92,14 @@ class PhysicalConfig:
     def from_ratios(cls, a_over_omega, omega_L, y_over_L, alignment,
                     d1=(1.0, 0.0, 0.0), d2=(1.0, 0.0, 0.0), gamma0=1.0):
         """Build a config from the figure-axis ratios a/omega, omega*L, y/L."""
-        L = float(omega_L)
-        return cls(a=float(a_over_omega), L=L, y=float(y_over_L) * L,
+        L, y_over_L = float(omega_L), float(y_over_L)
+        y = y_over_L * L
+        if (0 < y_over_L < math.inf and 0 < L < math.inf
+                and not 0 < y < math.inf):
+            raise ValueError(
+                f"boundary distance y = (y/L) * L = {y_over_L!r} * {L!r} "
+                + ("underflows to 0" if y == 0 else "overflows"))
+        return cls(a=float(a_over_omega), L=L, y=y,
                    alignment=alignment, d1=np.asarray(d1, dtype=float),
                    d2=np.asarray(d2, dtype=float), gamma0=float(gamma0))
 

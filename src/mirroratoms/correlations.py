@@ -20,12 +20,12 @@ over arrays of proper times and of regulators; a scalar proper time goes
 through the same code.
 
 :func:`fourier_oracle` turns these correlations into spectral values by
-direct quadrature with an epsilon-sequence extrapolation.  Each epsilon
-of the sequence gets one fixed mesh, graded geometrically toward the
-light-cone peaks, and every panel of every mesh is integrated by a
-Gauss-Kronrod G10/K21 rule (QUADPACK's ``qk21`` nodes and error estimate)
-in one array call; the regulator may be an array that broadcasts with the
-proper times.  The oracle exists purely to validate the closed forms in
+direct quadrature, taking the limit epsilon -> 0 exactly: W(Delta) is
+analytic in the strip 0 < -Im Delta < 2 pi/a, so the transform along the
+real axis equals e^{omega c} times the transform along Im Delta = -c for
+any c in the strip.  On that line the integrand is smooth, and one
+trapezoid sum on a uniform grid converges geometrically.  The oracle
+exists purely to validate the closed forms in
 :mod:`mirroratoms.coefficients` and shares no code with them; nothing in
 the production path calls it.
 """
@@ -33,7 +33,7 @@ the production path calls it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,7 +124,9 @@ def electric_correlation(kernel, m, n, tau, tau_prime, a):
         raise ValueError("axis indices must be in {1, 2, 3}")
     TrajectoryParams(a)
     u = tau - tau_prime
-    if a == 0.0:
+    # where 2/a overflows (a below about 1.1e-308), a Delta/2 is far below
+    # 1e-300 and the orbit is the inertial line to double precision
+    if a == 0.0 or 2.0 / a == math.inf:
         d, cosh_boost = 0.0, 1.0
         chord_time = u - 1j * kernel.epsilon
     else:
@@ -174,23 +176,19 @@ def pair_geometry(config, pair):
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Window, tolerance and epsilon-extrapolation protocol of the oracle."""
+    """Window and convergence tolerances of the oracle.
 
-    epsilons: tuple = (4e-3, 2e-3, 1e-3)
+    window overrides :func:`default_window`; the contour depth and the
+    trapezoid step follow from the acceleration and the frequency and are
+    not settings.
+    """
+
     window: float | None = None
     rel_tol: float = 5e-3
     abs_floor: float = 1e-7
     tail_tol: float = 1e-4
 
     def __post_init__(self):
-        if len(self.epsilons) < 2:
-            raise ValueError("need at least two epsilons to extrapolate")
-        if not all(math.isfinite(e) for e in self.epsilons):
-            raise ValueError("epsilons must be finite")
-        if any(e <= 0 for e in self.epsilons):
-            raise ValueError("epsilons must be positive")
-        if list(self.epsilons) != sorted(self.epsilons, reverse=True):
-            raise ValueError("epsilons must be strictly decreasing")
         named = ["rel_tol", "abs_floor", "tail_tol"] + (
             [] if self.window is None else ["window"])
         for name in named:
@@ -200,7 +198,7 @@ class QuadratureSettings:
 
 
 class OracleConvergenceError(RuntimeError):
-    """Raised when the epsilon extrapolation or window truncation fails."""
+    """Raised when the trapezoid sum or the window truncation fails."""
 
 
 @dataclass(frozen=True)
@@ -210,9 +208,8 @@ class OracleResult:
     imag: float
     tail: float
     window: float
-    epsilons: tuple
+    depth: float
     converged: bool
-    quad_error: float = 0.0
     message: str = ""
 
     def require(self):
@@ -223,196 +220,98 @@ class OracleResult:
 
 
 def default_window(a):
-    """Integration half-window: 40/a for accelerated orbits, 40 inertial."""
-    return 40.0 / a if a > 0 else 40.0
+    """Integration half-window: 40/a, but at most 400 (the inertial line).
 
-
-def _light_cone_time(a, chord):
-    """Delta tau at which the orbit crosses the light cone of the chord."""
-    if chord == 0.0:
-        return 0.0
-    if a == 0.0:
-        return chord
-    return 2.0 / a * math.asinh(0.5 * a * chord)
-
-
-def _graded_edges(window, peaks, eps):
-    """Panel edges of [-window, window], graded geometrically to each peak.
-
-    Each peak p adds the edges p and p +- eps 2^k (k = 0, 1, ...) that lie
-    strictly inside the window.  A panel beside a peak is then about as
-    wide as its distance from the pole eps off the real axis, so the K21
-    rule converges at the same rate on every panel however close it is.
+    Beyond a u ~ 1 the correlation decays like e^{-2 a |u|}, so 40/a
+    leaves nothing; below a = 0.1 it decays like u^-4 out to u ~ 1/a, and
+    the window stops at 400, where that tail is below 1e-8 of the value.
     """
-    span = window + max(abs(p) for p in peaks)
-    steps = eps * 2.0 ** np.arange(math.ceil(math.log2(span / eps)) + 1)
-    inner = np.concatenate([p + np.concatenate([[0.0], steps, -steps])
-                            for p in peaks])
-    inner = inner[(-window < inner) & (inner < window)]
-    return np.unique(np.concatenate([[-window, window], inner]))
+    return 40.0 / max(a, 0.1)
 
 
-# QUADPACK qk21 on [0, 1]: Kronrod abscissae (the 10-point Gauss ones at
-# odd index), 21-point Kronrod weights and 10-point Gauss weights (zero at
-# the Kronrod-only abscissae); mirrored below onto the 21 nodes of [-1, 1]
-_XGK = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0])
-_WGK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208745552442, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821])
-_WG = np.array([
-    0.0, 0.066671344308688137593568809893332,
-    0.0, 0.149451349150580593145776339657697,
-    0.0, 0.219086362515982043995534934228163,
-    0.0, 0.269266719309996355091226921569469,
-    0.0, 0.295524224714752870173892994651338,
-    0.0])
-_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
-_KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
-_GAUSS = np.concatenate([_WG, _WG[-2::-1]])
+# largest |omega| d, d being the contour's distance from the edge of the
+# strip where the transform is not suppressed: the sum on the contour is
+# the value times e^{-|omega| d}, so its round-off relative to the value
+# grows by up to e^{1.5}
+_MAX_PHASE = 1.5
 
 
-def _gk21(f, lo, hi, group):
-    """K21 integral of f over each [lo, hi] and QUADPACK's error estimate.
+def _contour(a, omega0):
+    """Depth c of the line Im Delta = -c and the trapezoid step h on it.
 
-    f is called once, on a (len(lo), 21) array of nodes and the group of
-    each row.  The estimate is
-    resasc * min(1, (200 |K - G| / resasc)^1.5), resasc being the K21
-    integral of |f - mean f| (QUADPACK ``qk21``).
+    W(Delta) is singular only where the orbit meets a light cone, at
+    a Delta / 2 = +-asinh(a chord / 2) + i pi n, so it is analytic in the
+    strip 0 < -Im Delta < 2 pi / a: the orbit's thermal periodicity in
+    imaginary proper time (any depth at a = 0).  The line keeps the
+    distance d = min(pi / (2a), 1.5 / max(|omega0|, 1)) from the nearer
+    edge of the strip: from the real axis for omega0 >= 0, from the edge
+    at -2 pi / a, where the transform is Planck suppressed, for
+    omega0 < 0.  The integrand is analytic within d of the line, so the
+    trapezoid rule with h = d / 8 converges like e^{-2 pi d / h} =
+    e^{-16 pi} (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
     """
-    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fx = f(centre[:, None] + half[:, None] * _NODES, group)
-    kronrod = fx @ _KRONROD
-    diff = np.abs(kronrod - fx @ _GAUSS)
-    resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _KRONROD
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
-    err = np.where(resasc > 0.0, scaled, diff)
-    return kronrod * half, err * half
+    strip = 2.0 * math.pi / a if a > 0 else math.inf
+    d = min(_MAX_PHASE / max(abs(omega0), 1.0), 0.25 * strip)
+    c = strip - d if omega0 < 0 and strip < math.inf else d
+    return c, d / 8.0
 
 
-def _windowed_transform(kernel, m, n, a, omega0, window):
-    """integral over [-T, T] of exp(i w u) W(u) du plus error estimates.
+def _windowed_transform(kernel, m, n, a, omega0, window, step):
+    """The epsilon -> 0 limit of the integral over [-T, T] of
+    exp(i w u) W(u - i epsilon) du, from one trapezoid sum.
 
-    kernel.epsilon is the epsilon sequence, a 1-D array.  The integrand is
-    huge (but smooth at scale epsilon) where the orbit crosses the light
-    cone of the chord, and near each crossing it behaves like
-    (u - u* - i epsilon)^-3.  So each epsilon gets one mesh graded
-    geometrically toward the crossings (:func:`_graded_edges`), on which a
-    G10/K21 rule per panel integrates that pole to full accuracy in one
-    fixed pass; the panels of every epsilon are evaluated in one integrand
-    call.  Returns (values, quad_errors, roundoff_floors, tails), one entry
-    per epsilon; the roundoff floor is the cancellation noise of the peak
-    panels, which is the realistic accuracy limit there.  The summed K21
-    estimate is reported as ``quad_error``, but it does not decide
-    convergence: on these cancellation-dominated bumps it is far too
-    pessimistic, and it measures only the quadrature of one finite-epsilon
-    integrand, not the epsilon bias that dominates the oracle's error.
-    The self-consistency of the epsilon sequence in :func:`fourier_oracle`
-    measures that bias, and with the roundoff floor it decides.
+    The kernel's epsilon c puts the line of integration at Im Delta = -c,
+    inside the strip where W is analytic (:func:`_contour`).  Moving the
+    line there multiplies the transform by e^{-w c} and changes nothing
+    else, so the limit is e^{w c} h sum_k exp(i w u_k) W(u_k - i c) over
+    uniform nodes u_k of [-T, T], at most ``step`` apart.  Returns
+    (value, error, tail): the error is the value's difference from the sum
+    over every other node, which bounds the error of the full sum by far;
+    the tail is the size of the integrand at the window's edges times its
+    decay length.  One integrand call.
     """
-    eps = kernel.epsilon
-
-    def w_of(u, rows):
-        # rows: the (len(u), 1) column of each row's epsilon
-        return electric_correlation(replace(kernel, epsilon=rows), m, n, u,
-                                    0.0, a)
-
-    ustar = _light_cone_time(a, kernel.chord)
-    peaks = sorted({0.0, ustar, -ustar})
-    meshes = [_graded_edges(window, peaks, e) for e in eps]
-    group = np.repeat(np.arange(len(eps)), [len(e) - 1 for e in meshes])
-
-    def integrand(u, group):
-        return w_of(u, eps[group][:, None]) * np.exp(1j * omega0 * u)
-
-    val, err = _gk21(integrand, np.concatenate([e[:-1] for e in meshes]),
-                     np.concatenate([e[1:] for e in meshes]), group)
-    totals = (np.bincount(group, val.real, len(eps))
-              + 1j * np.bincount(group, val.imag, len(eps)))
-    errs = np.bincount(group, err, len(eps))
-
-    widths = np.maximum(40.0 * eps, 1e-5)
-    inner = [p + 0.3 * eps for p in peaks if -window < p < window]
-    edge = np.full_like(eps, window)
-    w_abs = np.abs(w_of(np.stack(inner + [edge, -edge], axis=1),
-                        eps[:, None]))
-    roundoff = 1e-15 * np.sum(w_abs[:, :-2] * widths[:, None], axis=1)
-
-    decay_len = 1.0 / a if a > 0 else window / 3.0
-    tail = (w_abs[:, -2] + w_abs[:, -1]) * decay_len
-    return totals, errs, roundoff, tail
+    half = 2 * math.ceil(window / (2.0 * step))
+    h = window / half
+    u = np.arange(-half, half + 1) * h
+    f = electric_correlation(kernel, m, n, u, 0.0, a)
+    f *= np.exp(1j * omega0 * u)
+    lift = math.exp(omega0 * kernel.epsilon)
+    even, odd = np.sum(f[::2]), np.sum(f[1::2])
+    decay_len = min(1.0 / a, window / 3.0) if a > 0 else window / 3.0
+    tail = (abs(f[0]) + abs(f[-1])) * decay_len
+    return lift * h * (even + odd), lift * h * abs(odd - even), lift * tail
 
 
 def fourier_oracle(kernel_kind, m, n, pair, config, omega0,
                    settings=None):
     """Spectral value of one correlation component by direct quadrature.
 
-    Computes integral d(dtau) exp(i omega0 dtau) <E_m E_n> for the requested
-    kernel part and atom pair, for each epsilon in the settings, and
-    extrapolates the sequence to epsilon -> 0 (Richardson, quadratic in
-    epsilon).  Returns an :class:`OracleResult`; ``converged`` is False when
-    the extrapolation disagrees beyond its own error estimate or the window
-    tail is too large.
+    Computes the epsilon -> 0 limit of
+    integral d(dtau) exp(i omega0 dtau) <E_m E_n> for the requested kernel
+    part and atom pair as one trapezoid sum on a shifted contour
+    (:func:`_windowed_transform`).  Returns an :class:`OracleResult`;
+    ``converged`` is False when the sum differs from the one over every
+    other node, or the window tail is too large, beyond the settings'
+    tolerances.
     """
     settings = settings or QuadratureSettings()
     if kernel_kind not in _KINDS:
         raise ValueError(f"kernel kind must be one of {_KINDS}")
     y1, y2, dz = pair_geometry(config, pair)
     window = settings.window or default_window(config.a)
-
+    depth, step = _contour(config.a, omega0)
     kernel = CorrelationKernel(kind=kernel_kind, y=y1, y_prime=y2, dz=dz,
-                               epsilon=np.array(settings.epsilons, float))
-    values, quad_errs, roundoffs, tails = _windowed_transform(
-        kernel, m, n, config.a, omega0, window)
-    quad_err = max(quad_errs)
-    roundoff = max(roundoffs)
-    tail = max(tails)
-
-    extrap, extrap_err = _richardson(settings.epsilons, values)
-    scale = max(abs(extrap), settings.abs_floor)
-    # convergence is judged by the self-consistency of the epsilon sequence
-    # (plus cancellation roundoff) and by the window tail, not by QUADPACK's
-    # pessimistic per-panel estimates
-    err = extrap_err + roundoff
+                               epsilon=depth)
+    value, error, tail = _windowed_transform(kernel, m, n, config.a, omega0,
+                                             window, step)
+    # written so that a nan anywhere fails them
+    scale = max(abs(value), settings.abs_floor)
     message = ""
-    converged = True
-    if err > settings.rel_tol * scale:
-        converged = False
-        message = "epsilon extrapolation did not converge"
-    if tail > settings.tail_tol * scale:
-        converged = False
+    if not error <= settings.rel_tol * scale:
+        message = "trapezoid sum did not converge"
+    if not tail <= settings.tail_tol * scale:
         message = "window truncation tail too large"
-    return OracleResult(value=float(extrap.real), error=float(err),
-                        imag=float(extrap.imag), tail=float(tail),
-                        window=float(window), epsilons=tuple(settings.epsilons),
-                        converged=converged, quad_error=float(quad_err),
-                        message=message)
-
-
-def _richardson(epsilons, values):
-    """Neville extrapolation of values(epsilon) to epsilon = 0."""
-    eps = [float(e) for e in epsilons]
-    tab = [complex(v) for v in values]
-    n = len(tab)
-    prev_last = tab[-1]
-    for level in range(1, n):
-        new = []
-        for i in range(n - level):
-            e_lo, e_hi = eps[i + level], eps[i]
-            num = e_hi * tab[i + 1] - e_lo * tab[i]
-            new.append(num / (e_hi - e_lo))
-        tab = new
-        last_seq = tab[-1]
-        err = abs(last_seq - prev_last)
-        prev_last = last_seq
-    return tab[0], err
+    return OracleResult(value=float(value.real), error=float(error),
+                        imag=float(value.imag), tail=float(tail),
+                        window=float(window), depth=depth,
+                        converged=not message, message=message)

@@ -355,18 +355,25 @@ def _validate_rows(times, vectors, rho_ge):
         _propagated_state(vectors[i], rho_ge[i], times[i])
 
 
-def propagate(gen, s0, times):
-    """Propagate an initial X state to each requested time.
-
-    Times must be non-negative and ascending.  The result is exact up to
-    linear-algebra round-off; there is no step-size anywhere.  A row that
-    is not a state raises :class:`PropagationError`.
-    """
+def sample_times(times):
+    """The times as a float array; ValueError unless they are a non-empty
+    1-D sequence, non-negative and ascending."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-D sequence")
     if times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("times must be non-negative and ascending")
+    return times
+
+
+def propagate(gen, s0, times):
+    """Propagate an initial X state to each requested time.
+
+    Times must be non-negative and ascending (:func:`sample_times`).  The
+    result is exact up to linear-algebra round-off; there is no step-size
+    anywhere.  A row that is not a state raises :class:`PropagationError`.
+    """
+    times = sample_times(times)
     m = gen.block_pop
     if np.shape(m) != (6, 6):
         raise ValueError("generator population block must be 6x6")

@@ -67,6 +67,25 @@ class SweepSpec:
             raise ValueError(f"unknown outputs {sorted(bad)}")
         self.initial()  # ValueError if it names no state
 
+    def check_grid(self):
+        """Raise ValueError unless every grid value names a valid point:
+        a configuration, or on the time axis ascending non-negative times.
+
+        run_sweep records a point that fails in its row; this check lets a
+        caller refuse such a grid before running any point.
+        """
+        if self.axis == "time":
+            dy.sample_times(self.values)
+            return
+        # a grid point's configuration is valid on an interval of the axis,
+        # so the extreme values stand for all of them
+        for value in (min(self.values), max(self.values)):
+            try:
+                self.config_at(value)
+            except ValueError as exc:
+                raise ValueError(f"{self.axis} value {value!r}: {exc}") \
+                    from exc
+
     def config_at(self, value):
         """Configuration of the grid point at the given axis value."""
         base = self.base

@@ -424,6 +424,47 @@ def test_coeffs_oracle_prints_the_max_relative_error(capsys):
     assert worst <= 0.01
 
 
+@pytest.mark.parametrize("argv", [
+    ["--a", "1e5"],
+    ["--a", "0.5", "--omega-l", "1e-3", "--y-over-l", "0.5"],
+    ["--a", "1e-310"],
+], ids=["a-1e5", "omega-l-1e-3", "a-subnormal"])
+def test_coeffs_oracle_converges_at_extreme_points(argv, capsys):
+    # at a = 1e5 the window of 40/a is 4e-4, at omega L = 1e-3 two boundary
+    # components cancel to a part in 1e3 of their parts, and at a = 1e-310,
+    # where 2/a overflows, the orbit is the inertial line
+    rc = run_cli("coeffs", *argv, "--oracle")
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    worst = float(captured.out.split("oracle max relative error:")[1]
+                  .split()[0])
+    assert worst <= 0.01
+
+
+def test_inertial_coeffs_oracle_reads_the_algebraic_tail(capsys):
+    # at a = 0 the correlation decays only like u^-4, so the window's tail
+    # sets the error; the window of 400 leaves it far below 1e-6
+    rc = run_cli("coeffs", "--a", "0", "--oracle")
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    worst = float(captured.out.split("oracle max relative error:")[1]
+                  .split()[0])
+    assert worst <= 8.9e-7
+
+
+@pytest.mark.parametrize("argv", [["coeffs", "--oracle"],
+                                  ["validate", "--samples", "2"]])
+def test_an_oracle_failure_names_its_components(argv, capsys, monkeypatch):
+    # a window of 1 cuts every component's tail off
+    monkeypatch.setattr(cli.fc, "default_window", lambda a: 1.0)
+    rc = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("oracle validation FAILED")
+    assert "free (1, 1) [11]: window truncation tail too large" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------
 # invalid input ends in "configuration error", exit 1, never a traceback
 # ---------------------------------------------------------------------
@@ -648,6 +689,34 @@ def test_invalid_sweep_spec_is_a_config_error(spec, message, tmp_path,
     err = capsys.readouterr().err
     assert rc == 1
     assert "configuration error" in err and message in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"axis": "time", "values": [-1, 2]},
+     "times must be non-negative and ascending"),
+    ({"axis": "time", "values": [3, 1]},
+     "times must be non-negative and ascending"),
+    ({"axis": "separation", "values": [0]},
+     "separation value 0.0: separation L must be positive"),
+], ids=["negative-time", "descending-time", "zero-separation"])
+def test_a_grid_no_point_can_take_is_a_config_error(spec, message, tmp_path,
+                                                    capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    rc = run_cli("sweep", "--spec", str(spec_file), "--output", str(out))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"configuration error: invalid sweep spec: {message}\n"
+    assert not out.exists()
+
+
+def test_an_underflowing_boundary_distance_is_named(capsys):
+    rc = run_cli("coeffs", "--omega-l", "1e-300", "--y-over-l", "1e-300")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("configuration error: boundary distance y = (y/L) * L = "
+                   "1e-300 * 1e-300 underflows to 0\n")
 
 
 # ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Field correlation functions: symmetries, boundary conditions, the lock
 between the hand-derived kernel derivatives and numerical differentiation,
-and the stationary form against the lab-frame reference."""
+the stationary form against the lab-frame reference, and the oracle's
+trapezoid sum on its shifted contour."""
 
 import cmath
 import math
@@ -13,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirroratoms import correlations as fc
 from mirroratoms.correlations import (
     FREE, BOUNDARY, CorrelationKernel, OracleConvergenceError,
-    QuadratureSettings, TrajectoryParams, _graded_edges, _gk21,
-    _light_cone_time, _windowed_transform, default_window,
-    electric_correlation, fourier_oracle, pair_geometry,
+    QuadratureSettings, TrajectoryParams, _contour, _windowed_transform,
+    default_window, electric_correlation, fourier_oracle, pair_geometry,
 )
 from mirroratoms.coefficients import PhysicalConfig, spectral_prefactor
 
@@ -210,9 +211,9 @@ def test_correlation_broadcasts_over_proper_time(rng, kind, a):
 @pytest.mark.parametrize("a", [0.0, 0.7])
 @pytest.mark.parametrize("kind", [FREE, BOUNDARY])
 def test_array_epsilon_equals_scalar_epsilon_calls(rng, kind, a):
-    # the oracle evaluates every epsilon of its sequence in one call: each
-    # row of an (rows, 1) epsilon column gives exactly the scalar-epsilon
-    # values of that row
+    # an array of regulators broadcasts with the proper times: each row of
+    # an (rows, 1) epsilon column gives exactly the scalar-epsilon values of
+    # that row
     eps = np.array([4e-3, 2e-3, 1e-3, 2e-3])[:, None]
     taus = rng.uniform(-3.0, 3.0, size=(4, 16))
     k = _kernel(kind=kind, y=0.9, yp=1.2, dz=0.8, eps=eps)
@@ -392,6 +393,15 @@ def test_conductor_boundary_condition_near_the_mirror():
 DBL_EPS = sys.float_info.epsilon
 
 
+def _light_cone_time(a, chord):
+    """Delta tau at which the orbit crosses the light cone of the chord."""
+    if chord == 0.0:
+        return 0.0
+    if a == 0.0:
+        return chord
+    return 2.0 / a * math.asinh(0.5 * a * chord)
+
+
 def _lab_coordinate_size(a, chord):
     """Size of the lab coordinates where the orbit crosses the light cone
     of the chord: cosh(a u*)/a = (1 + (a chord)^2/2)/a on the hyperbola,
@@ -503,16 +513,6 @@ def test_oracle_flags_window_truncation():
 
 
 def test_quadrature_settings_validate():
-    with pytest.raises(ValueError):
-        QuadratureSettings(epsilons=(1e-3,))
-    with pytest.raises(ValueError):
-        QuadratureSettings(epsilons=(1e-3, 2e-3))
-    with pytest.raises(ValueError):
-        QuadratureSettings(epsilons=(2e-3, -1e-3))
-    with pytest.raises(ValueError, match="epsilons must be finite"):
-        QuadratureSettings(epsilons=(4e-3, math.nan, 1e-3))
-    with pytest.raises(ValueError, match="epsilons must be finite"):
-        QuadratureSettings(epsilons=(math.inf, 2e-3, 1e-3))
     for name in ("window", "rel_tol", "abs_floor", "tail_tol"):
         for value in (0.0, -3.0, math.nan, math.inf):
             with pytest.raises(ValueError,
@@ -522,56 +522,74 @@ def test_quadrature_settings_validate():
 
 
 # ---------------------------------------------------------------------
-# G10/K21 on the graded mesh
+# the trapezoid sum on the shifted contour
 # ---------------------------------------------------------------------
 
-def _lorentzian_and_antiderivative(eps=1e-3, u0=0.1, omega=1.3):
-    """exp(i w u) [eps/((u-u0)^2 + eps^2) + i w atan((u-u0)/eps)], a
-    complex integrand with a peak of width eps, and its antiderivative
-    exp(i w u) atan((u-u0)/eps)."""
-    def f(u):
-        peak = eps / ((u - u0) ** 2 + eps**2)
-        return np.exp(1j * omega * u) * (peak + 1j * omega
-                                         * np.arctan((u - u0) / eps))
-
-    def antiderivative(u):
-        return np.exp(1j * omega * u) * np.arctan((u - u0) / eps)
-
-    return f, antiderivative
+def _thermal_kernel(kernel, m, n, tau, tau_prime, a):
+    """1/sinh^2(a Delta/2): double poles at a Delta = 2 pi i n, like W."""
+    return 1.0 / np.sinh(0.5 * a * ((tau - tau_prime)
+                                    - 1j * kernel.epsilon)) ** 2
 
 
-def test_integrator_reproduces_a_closed_form_peak_integral():
-    # the integrand's poles sit at u0 +- i eps, like the oracle's; one
-    # fixed pass over the mesh graded toward u0 = 0.1 integrates it to
-    # round-off
-    f, big_f = _lorentzian_and_antiderivative()
-    edges = _graded_edges(3.0, [0.1], 1e-3)
-    val, err = _gk21(lambda u, group: f(u), edges[:-1], edges[1:],
-                     np.zeros(len(edges) - 1, int))
-    value, error = val.sum(), err.sum()
-    exact = big_f(3.0) - big_f(-3.0)
-    assert abs(value - exact) <= 8 * DBL_EPS * abs(exact)
-    assert error <= 1e-12 * abs(exact)
+def _thermal_transform(omega, a):
+    """Its transform, -8 pi w / (a^2 (1 - e^{-2 pi w/a})), from the
+    residues at a Delta = 2 pi i n, for either sign of w."""
+    return -8.0 * math.pi * omega / (a * a * -math.expm1(
+        -2.0 * math.pi * omega / a))
 
 
-def test_grouped_integrator_equals_one_pass_per_group():
-    # each epsilon's panels are summed on their own, so integrating the
-    # meshes of the whole sequence in one call leaves each epsilon's
-    # integral, error, round-off floor and tail bit for bit
-    eps = np.array([4e-3, 2e-3, 1e-3])
-    kernel = CorrelationKernel(BOUNDARY, 1.3, 0.9, 0.4, epsilon=eps)
+@pytest.mark.parametrize("omega", [1.0, -1.0])
+@pytest.mark.parametrize("a", [0.5, 1.5])
+def test_trapezoid_sum_converges_geometrically_to_a_closed_form(
+        monkeypatch, a, omega):
+    # the integrand is analytic within d = 8 step of the line, so the
+    # error goes like e^{-2 pi d/h} and each halving of h squares it:
+    # about 3e-5, 3e-10 and round-off at h = d/2, d/4 and d/8.  The error
+    # estimate, the difference from every other node, bounds the error
+    monkeypatch.setattr(fc, "electric_correlation", _thermal_kernel)
+    depth, step = _contour(a, omega)
+    kernel = CorrelationKernel(FREE, 1.0, 1.0, epsilon=depth)
+    exact = _thermal_transform(omega, a)
+    errors = []
+    for h in (4.0 * step, 2.0 * step, step):
+        value, error, tail = _windowed_transform(
+            kernel, 1, 1, a, omega, default_window(a), h)
+        errors.append(abs(value - exact) / abs(exact))
+        assert abs(value - exact) <= error + 4 * DBL_EPS * abs(exact)
+        assert tail <= 1e-16 * abs(exact)
+    assert 1e-6 < errors[0] < 1e-4
+    assert errors[1] <= 1e-9
+    assert errors[2] <= 8 * DBL_EPS
+
+
+@pytest.mark.parametrize("omega", [1.0, -1.0])
+def test_the_limit_does_not_depend_on_the_contour_depth(omega):
+    # e^{w c} times the transform along Im Delta = -c is the same for every
+    # c in the strip 0 < c < 2 pi/a.  The sum's round-off is magnified by
+    # e^{|w| r}, r the distance from the edge the transform is not
+    # suppressed at: the real axis for w > 0, -2 pi/a for w < 0
     a = 0.7
-    grouped = _windowed_transform(kernel, 2, 1, a, 1.0, default_window(a))
-    for g in range(len(eps)):
-        single = _windowed_transform(
-            CorrelationKernel(BOUNDARY, 1.3, 0.9, 0.4, epsilon=eps[g:g + 1]),
-            2, 1, a, 1.0, default_window(a))
-        assert [x[0] for x in single] == [x[g] for x in grouped]
+    strip = 2.0 * math.pi / a
+    depths = (0.5, 1.5, 0.5 * strip, strip - 1.5, strip - 0.5)
+    values = []
+    for c in depths:
+        kernel = CorrelationKernel(BOUNDARY, 1.3, 0.9, 0.4, epsilon=c)
+        value, _, _ = _windowed_transform(kernel, 2, 1, a, omega,
+                                          default_window(a),
+                                          min(c, strip - c) / 8.0)
+        values.append(value)
+    reference = values[1] if omega > 0 else values[3]
+    for c, value in zip(depths, values):
+        reach = c if omega > 0 else strip - c
+        bound = 1e-13 * math.exp(reach)
+        assert abs(value - reference) <= bound * abs(reference), c
 
 
 def test_default_window_scales_with_acceleration():
     assert default_window(0.5) == 80.0
-    assert default_window(0.0) == 40.0
+    assert default_window(0.1) == 400.0
+    assert default_window(1e-3) == 400.0
+    assert default_window(0.0) == 400.0
 
 
 def test_pair_geometry_conventions():

@@ -1,10 +1,11 @@
 """Quadrature-oracle agreement with the closed-form spectral functions.
 
-These run the graded-mesh quadrature with epsilon extrapolation, about
-0.03 s per configuration.  The full 20-configuration randomized battery
-lives in the acceptance module; here a smaller seeded sample, the
-detailed-balance and rate-assembly equivalences and a lock against values
-frozen from the earlier scipy.integrate.quad integrator are exercised.
+These run the trapezoid sum on the shifted contour, a few milliseconds
+per configuration.  The full 20-configuration randomized battery lives in
+the acceptance module; here a smaller seeded sample, the detailed-balance
+and rate-assembly equivalences, the Planck-suppressed side component by
+component and a lock against values frozen from the earlier
+scipy.integrate.quad integrator are exercised.
 """
 
 import numpy as np
@@ -51,6 +52,28 @@ def test_negative_frequency_detailed_balance():
     assert plus.converged and minus.converged
     ratio = minus.value / plus.value
     assert abs(ratio - np.exp(-2 * np.pi / 1.5)) <= 0.01 * ratio
+
+
+@pytest.mark.parametrize("alignment", ["parallel", "vertical"])
+@pytest.mark.parametrize("a", [0.3, 0.7, 1.5])
+def test_negative_frequency_components_match_the_closed_forms(a, alignment):
+    # a quadrature check of B = A tanh(pi/a): at w = -1 every component is
+    # the closed-form tensor times spectral_prefactor(-1, a), which carries
+    # the Planck factor e^{-2 pi/a} (8.5e-11 in all at a = 0.3).  A component whose
+    # closed form vanishes is held to the same bound on its tensor's scale
+    cfg = co.PhysicalConfig.from_ratios(a, 1.0, 0.5, alignment)
+    pref = co.spectral_prefactor(-1.0, a)
+    for part, sign in (("free", 1.0), ("boundary", -1.0)):
+        for pair, tens in co.spectral_tensors(cfg, part).items():
+            closed = sign * pref * tens
+            scale = np.max(np.abs(closed))
+            for m in range(1, 4):
+                for n in range(1, 4):
+                    res = fc.fourier_oracle(part, m, n, pair, cfg, -1.0)
+                    assert res.converged, (part, pair, m, n, res.message)
+                    want = closed[m - 1, n - 1]
+                    bound = 1e-9 * (abs(want) if want else scale)
+                    assert abs(res.value - want) <= bound, (part, pair, m, n)
 
 
 def _contracted_spectral(cfg, pair, omega0):
@@ -205,12 +228,12 @@ def test_oracle_matches_frozen_quad_values(alignment):
 
 
 @pytest.mark.parametrize("alignment", sorted(_QUAD_CONFIGS))
-def test_oracle_integrates_the_epsilon_sequence_in_one_pass(monkeypatch,
-                                                            alignment):
-    # the panels of every epsilon's mesh are evaluated together, so a
-    # component costs one integrand call for the mesh and one for the
-    # round-off floor and tail.  The calls are counted through the module
-    # attribute, so an integrator that bypasses it counts none
+def test_oracle_evaluates_one_integrand_call_per_component(monkeypatch,
+                                                           alignment):
+    # the trapezoid sum, its error estimate and the window tail all come
+    # from the one grid on the shifted contour.  The calls are counted
+    # through the module attribute, so an integrator that bypasses it
+    # counts none
     calls = []
     corr = fc.electric_correlation
 
@@ -224,5 +247,5 @@ def test_oracle_integrates_the_epsilon_sequence_in_one_pass(monkeypatch,
         _, part, pair, m, n = key
         calls.clear()
         fc.fourier_oracle(part, m, n, pair, cfg, 1.0)
-        assert len(calls) == 2, (key, len(calls))
+        assert len(calls) == 1, (key, len(calls))
 

@@ -92,6 +92,29 @@ def test_point_failures_are_recorded_not_raised():
     assert "positive" in res.rows[1]["error"]
 
 
+@pytest.mark.parametrize("axis, values, message", [
+    ("separation", (1.0, -2.0), "separation value -2.0: separation L must"),
+    ("boundary_distance", (0.1, 0.0, 0.7),
+     "boundary_distance value 0.0: boundary distance y must"),
+    ("acceleration", (0.5, -0.1), "acceleration value -0.1: acceleration"),
+    ("time", (-1.0, 2.0), "times must be non-negative and ascending"),
+    ("time", (0.0, 3.0, 1.0), "times must be non-negative and ascending"),
+])
+def test_check_grid_refuses_a_value_no_point_can_take(axis, values,
+                                                      message):
+    # the grid's extreme values stand for all of them; a time grid must be
+    # one that propagate accepts
+    with pytest.raises(ValueError, match=f"^{message}"):
+        small_spec(axis=axis, values=values).check_grid()
+    small_spec(axis=axis, values=(0.5, 1.0)).check_grid()
+
+
+def test_every_preset_grid_passes_its_check():
+    for preset in sw.figure_presets().values():
+        for spec in preset.specs:
+            spec.check_grid()
+
+
 def test_frozen_point_is_flagged():
     base = co.PhysicalConfig.from_ratios(0.5, 1.0, 1e-4, "parallel",
                                          d1=X, d2=(0.0, 0.0, 1.0))
