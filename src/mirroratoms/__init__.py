@@ -41,6 +41,7 @@ from .entanglement import (
     concurrence_curve,
     concurrence_oracle,
     concurrence_x,
+    max_concurrence,
     scan_trajectory,
 )
 from .sweeps import FigurePreset, SweepSpec, figure_presets, run_sweep

@@ -16,8 +16,8 @@ proper time 0, where its tetrad is the identity, and the first at Delta;
 the regulator epsilon puts the light-cone poles on the correct side of
 the real axis.  The tetrad contractions are done in closed form, so no
 two terms of size e^{a|tau - tau'|} cancel.  The correlation broadcasts
-over arrays of proper times and of regulators; a scalar proper time goes
-through the same code.
+over arrays of proper times; a scalar proper time goes through the same
+code.
 
 :func:`fourier_oracle` turns these correlations into spectral values by
 direct quadrature, taking the limit epsilon -> 0 exactly: W(Delta) is
@@ -64,8 +64,7 @@ class CorrelationKernel:
     kind      "free" or "boundary" (image) part of the photon kernel
     y, y_prime   heights of the two field points above the mirror
     dz        z offset z_1 - z_2 (constant along the orbit)
-    epsilon   positive regulator, the imaginary part of -Delta; an array
-              of regulators broadcasts with the proper times
+    epsilon   positive regulator, the imaginary part of -Delta
     """
 
     kind: str
@@ -80,10 +79,9 @@ class CorrelationKernel:
         for name in ("y", "y_prime", "dz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        epsilon = np.asarray(self.epsilon)
-        if not np.isfinite(epsilon).all():
+        if not math.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite")
-        if (epsilon <= 0).any():
+        if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
     @property
@@ -99,8 +97,7 @@ def electric_correlation(kernel, m, n, tau, tau_prime, a):
     m, n are frame axis indices in {1, 2, 3} = (x, y, z).  The value is the
     finite-epsilon regularized Wightman function at
     Delta = (tau - tau') - i epsilon; it is complex.  tau and tau' are real
-    and may be arrays; the value broadcasts over them and the kernel's
-    epsilon.
+    and may be arrays; the value broadcasts over them.
 
     With point 2 at proper time 0 and point 1 at Delta, let
     d = sinh(a Delta/2), T = 2 d/a (T = Delta at a = 0) and

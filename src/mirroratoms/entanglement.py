@@ -4,7 +4,8 @@ For X-form states the concurrence reduces to max{0, K1, K2} with two
 explicit radicals; the general Wootters spin-flip construction is kept as
 an independent oracle.  Death/birth/revival times are found by bracketing
 sign changes of the smooth quantity max{K1, K2} on a dense sample grid and
-refining by bisection on exactly propagated states.
+refining by bisection on exactly propagated states; the maximum of C is
+polished by golden-section search, with or without the crossings.
 """
 
 from __future__ import annotations
@@ -183,6 +184,46 @@ def _golden_max(f, lo, hi, tol):
     return x, f(x)
 
 
+def _kvals(traj):
+    """max{K1, K2} of every sample; ValueError for fewer than two."""
+    if len(traj.times) < 2:
+        raise ValueError("need at least two samples")
+    k1, k2 = _k_arrays(traj)
+    return _first_max(k1, k2)
+
+
+def _refined_max(traj, kvals, refine_tol):
+    """(max_c, max_c_time) from the samples' max{K1, K2}, polished by
+    golden-section search between the best sample's neighbours."""
+    times = traj.times
+    cvals = np.maximum(kvals, 0.0)
+    i_best = int(np.argmax(cvals))
+    lo = times[max(i_best - 1, 0)]
+    hi = times[min(i_best + 1, len(times) - 1)]
+    max_c = float(cvals[i_best])
+    max_c_time = float(times[i_best])
+    if hi > lo and max_c > 0.0:
+        t_ref, c_ref = _golden_max(
+            lambda t: concurrence_x(traj.state_at(t)), lo, hi, refine_tol)
+        if c_ref >= max_c:
+            max_c = float(c_ref)
+            max_c_time = float(t_ref)
+    return max_c, max_c_time
+
+
+def max_concurrence(traj, refine_tol=REFINE_TOL):
+    """Global maximum of C over the trajectory: (max_c, max_c_time).
+
+    The best sample is polished by golden-section search on exactly
+    propagated states to ``refine_tol``; no zero crossing is refined.
+    Where C is flat to round-off around its maximum, ``max_c_time`` is
+    fixed only to about 1e-4 (the plateau width), and its exact value
+    depends on the last bits of every sample.  At the inertial (a = 0)
+    xx points max C is itself round-off: 0 or about 1e-16.
+    """
+    return _refined_max(traj, _kvals(traj), refine_tol)
+
+
 def analyze_events(traj, refine_tol=REFINE_TOL):
     """Extract death/birth/revival events and the global maximum of C.
 
@@ -190,21 +231,12 @@ def analyze_events(traj, refine_tol=REFINE_TOL):
     be sampled densely enough that max{K1, K2} changes sign at most once
     per sample interval (the default sweep step of 1e-2 Gamma_0 tau
     satisfies this for all configurations here).  Every crossing is refined
-    by bisection on exact propagation; the maximum is polished by
-    golden-section search around the best sample.
-
-    Where C is flat to round-off around its maximum, ``max_c_time`` is
-    fixed only to about 1e-4 (the plateau width), and its exact value
-    depends on the last bits of every sample.  At the inertial (a = 0)
-    xx points max C is itself round-off: 0 or about 1e-16.
+    by bisection on exact propagation.  ``max_c`` and ``max_c_time`` are
+    those of :func:`max_concurrence`, found from the same samples.
     """
+    kvals = _kvals(traj)
     times = traj.times
-    if len(times) < 2:
-        raise ValueError("need at least two samples")
     horizon = float(times[-1])
-    k1, k2 = _k_arrays(traj)
-    kvals = _first_max(k1, k2)
-    cvals = np.maximum(kvals, 0.0)
     f = _smooth_indicator(traj)
 
     deaths = []
@@ -226,23 +258,11 @@ def analyze_events(traj, refine_tol=REFINE_TOL):
             end = later_deaths[0] if later_deaths else horizon
             revivals.append((t_birth, end))
 
-    i_best = int(np.argmax(cvals))
-    lo = times[max(i_best - 1, 0)]
-    hi = times[min(i_best + 1, len(times) - 1)]
-    max_c = float(cvals[i_best])
-    max_c_time = float(times[i_best])
-    if hi > lo and max_c > 0.0:
-        t_ref, c_ref = _golden_max(
-            lambda t: concurrence_x(traj.state_at(t)), lo, hi, refine_tol)
-        if c_ref >= max_c:
-            max_c = float(c_ref)
-            max_c_time = float(t_ref)
-
+    max_c, max_c_time = _refined_max(traj, kvals, refine_tol)
     return EntanglementEvents(
         death_times=tuple(deaths), birth_times=tuple(births),
-        revival_intervals=tuple(revivals), max_c=float(max_c),
-        max_c_time=float(max_c_time), truncated=truncated,
-        horizon=horizon)
+        revival_intervals=tuple(revivals), max_c=max_c,
+        max_c_time=max_c_time, truncated=truncated, horizon=horizon)
 
 
 def scan_size(horizon, step):

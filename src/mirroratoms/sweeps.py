@@ -3,7 +3,9 @@
 A sweep varies one physical axis (acceleration, separation, boundary
 distance, or just time) over a grid; every grid point independently runs
 assemble -> generator -> exact propagation -> concurrence analysis, in
-input order.  A point that fails records its error in its row.
+input order.  A point that fails records its error in its row.  A point
+whose outputs are max C alone refines only the maximum, not the zero
+crossings it would not report.
 
 The presets reproduce the published curve families: concurrence vs time
 for several boundary distances or accelerations, and maximal-concurrence
@@ -153,20 +155,23 @@ def _evaluate_point(spec, value):
             if "curve" in spec.outputs or spec.axis == "time":
                 curve[prefix + "times"] = traj.times
                 curve[prefix + "concurrence"] = en.concurrence_curve(traj)
-            if "events" in spec.outputs or "maxc" in spec.outputs:
+            if "events" in spec.outputs:
                 ev = en.analyze_events(traj)
                 if "maxc" in spec.outputs:
                     row[prefix + "max_c"] = ev.max_c
                     row[prefix + "max_c_time"] = ev.max_c_time
-                if "events" in spec.outputs:
-                    row[prefix + "n_deaths"] = len(ev.death_times)
-                    row[prefix + "n_births"] = len(ev.birth_times)
-                    row[prefix + "n_revivals"] = len(ev.revival_intervals)
-                    row[prefix + "first_death"] = (
-                        ev.death_times[0] if ev.death_times else float("nan"))
-                    row[prefix + "first_birth"] = (
-                        ev.birth_times[0] if ev.birth_times else float("nan"))
-                    row[prefix + "truncated"] = ev.truncated
+                row[prefix + "n_deaths"] = len(ev.death_times)
+                row[prefix + "n_births"] = len(ev.birth_times)
+                row[prefix + "n_revivals"] = len(ev.revival_intervals)
+                row[prefix + "first_death"] = (
+                    ev.death_times[0] if ev.death_times else float("nan"))
+                row[prefix + "first_birth"] = (
+                    ev.birth_times[0] if ev.birth_times else float("nan"))
+                row[prefix + "truncated"] = ev.truncated
+            elif "maxc" in spec.outputs:
+                max_c, max_c_time = en.max_concurrence(traj)
+                row[prefix + "max_c"] = max_c
+                row[prefix + "max_c_time"] = max_c_time
     except (dy.DynamicsFrozenError, ValueError, RuntimeError) as exc:
         row["error"] = str(exc)
     return row, curve

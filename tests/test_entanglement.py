@@ -311,6 +311,8 @@ def test_analyze_events_needs_two_samples():
     traj = dy.propagate(gen, dy.XState.symmetric(), [1.0])
     with pytest.raises(ValueError, match="two samples"):
         en.analyze_events(traj)
+    with pytest.raises(ValueError, match="two samples"):
+        en.max_concurrence(traj)
 
 
 def test_scan_size_bounds_the_grid():

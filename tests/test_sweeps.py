@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -235,6 +236,67 @@ def test_round_off_maxima_are_bit_stable(point):
     row = sw.run_sweep(replace(spec, values=(value,))).rows[0]
     assert row["error"] == ""
     assert {k: row[k] for k in _PINNED_MAXC[point]} == _PINNED_MAXC[point]
+
+
+# ---------------------------------------------------------------------
+# points that output max C alone
+# ---------------------------------------------------------------------
+
+def _preset_point(preset, label, value, **fields):
+    spec = next(s for s in sw.figure_presets()[preset].specs
+                if s.label == label)
+    return replace(spec, values=(value,), **fields)
+
+
+def _state_at_calls(monkeypatch, spec):
+    """The row of a one-point sweep and its state_at calls per trajectory."""
+    calls = Counter()
+    state_at = dy.Trajectory.state_at
+
+    def counted(traj, tau):
+        calls[id(traj)] += 1
+        return state_at(traj, tau)
+
+    monkeypatch.setattr(dy.Trajectory, "state_at", counted)
+    (row,) = sw.run_sweep(spec).rows
+    assert row["error"] == ""
+    return row, sorted(calls.values())
+
+
+def test_max_c_point_refines_no_crossing(monkeypatch):
+    # fig16 vertical_xy at a = 1/2: one birth with the mirror, a death and
+    # a birth in free space.  Golden-section search over two sample steps
+    # to 1e-6 takes 24 evaluations; bisecting a crossing takes 14 more
+    spec = _preset_point("fig16", "vertical_xy", 0.5)
+    row, calls = _state_at_calls(monkeypatch, spec)
+    _, with_events = _state_at_calls(
+        monkeypatch, replace(spec, outputs=("maxc", "events")))
+    assert len(calls) == 2 and max(calls) <= 25
+    assert sum(calls) < sum(with_events)
+    assert "n_births" not in row
+
+
+@pytest.mark.parametrize("point", [
+    ("fig16", "parallel_xy", 0.05),    # C flat to round-off at its maximum
+    ("fig20", "parallel_a0", 0.15),    # a = 0: max C is round-off
+    ("fig19", "vertical_a0", 0.05),    # refined on the expm tail
+])
+def test_max_c_alone_equals_max_c_with_events(point):
+    spec = _preset_point(*point)
+    alone = sw.run_sweep(spec).rows[0]
+    with_events = sw.run_sweep(
+        replace(spec, outputs=("maxc", "events"))).rows[0]
+    keys = [p + k for p in ("", "free_") for k in ("max_c", "max_c_time")
+            if p + k in with_events]
+    assert alone["error"] == with_events["error"] == ""
+    assert {k: alone[k].hex() for k in keys} == {
+        k: with_events[k].hex() for k in keys}
+
+
+def test_one_sample_max_c_point_needs_two_samples():
+    spec = small_spec(axis="time", values=(1.0,), outputs=("maxc",))
+    (row,) = sw.run_sweep(spec).rows
+    assert row["error"] == "need at least two samples"
 
 
 def test_refined_max_c_is_exact_at_its_time():
