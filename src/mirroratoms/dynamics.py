@@ -12,8 +12,11 @@ expm(M t) v0, and the rows between step from the one before with
 expm(M h) of their grid step h.  ``propagate`` checks the generator once
 and builds the one :class:`Trajectory`, which holds ``t_expm``, the eig
 modes and the rows.  ``Trajectory.state_at`` follows the same rule, so its
-value never depends on earlier calls: a grid time gives its row, and an
-off-grid time past ``t_expm`` gives expm(M tau) v0.
+value never depends on earlier calls: from ``t_expm`` on a grid time gives
+its row bit for bit, and an off-grid time gives expm(M tau) v0.  Before
+``t_expm`` the rows are one (N, 6) x (6, 6) product and ``state_at`` one
+matrix-vector product per call; the two sum in another order and agree
+within cond(v) ulps of the eigenvector basis v.
 
 A trajectory is array-backed: an (N, 6) array of coordinates and an (N,)
 complex array of rho_GE, computed and validated with whole-array numpy.
@@ -239,7 +242,7 @@ class Trajectory:
     vectors  (N, 6) coordinates (pG, pE, pA, pS, Re rho_AS, Im rho_AS)
     rho_ge   (N,) complex G-E coherence
     t_expm   first time of the expm route: rows before it come from eig,
-             the rest from ``_anchored_rows``
+             as one (N, 6) x (6, 6) product, the rest from ``_anchored_rows``
     modes    (w, v, v^-1 v0), the eigenvalues and eigenvectors of the block
              and the initial coordinates in that basis; None without eig
 
@@ -270,7 +273,9 @@ class Trajectory:
 
         The grid's rule: eig before ``t_expm`` unless that value drifts by
         itself, the row of a grid time from ``t_expm`` on, and expm(M tau) v0
-        at any other time.
+        at any other time.  The eig value is one matrix-vector product,
+        whatever the grid, so it agrees with a grid row before ``t_expm``
+        within cond(v) ulps, not bit for bit.
         """
         if not 0.0 <= tau < math.inf:
             raise ValueError(
@@ -339,18 +344,30 @@ def _validate_rows(times, vectors, rho_ge):
 
     The trace and population tests are the scalar ones; the closed-form
     minimum eigenvalue is screened with a margin that covers the ulp-level
-    gap between numpy's and ``math``'s hypot.  Every flagged row is rebuilt
-    as an :class:`XState`, whose own checks decide and raise.
+    gap between a plain square root and ``math``'s hypot.  Three whole-array
+    reductions (worst trace drift, least population, least block eigenvalue)
+    pass a trajectory whose every row passes; when one of them fails, NaN
+    included, the rows are screened one by one and every flagged row is
+    rebuilt as an :class:`XState`, whose own checks decide and raise.
     """
     p_g, p_e, p_a, p_s, re_as, im_as = vectors.T
     trace = p_g + p_e + p_a + p_s
-    outer = 0.5 * (p_g + p_e) - np.hypot(0.5 * (p_g - p_e), np.abs(rho_ge))
-    inner = 0.5 * (p_a + p_s) - np.sqrt((0.5 * (p_s - p_a)) ** 2
-                                        + re_as ** 2 + im_as ** 2)
+    half_ge = 0.5 * (p_g - p_e)
+    half_as = 0.5 * (p_s - p_a)
+    outer = 0.5 * (p_g + p_e) - np.sqrt(half_ge * half_ge
+                                        + rho_ge.real * rho_ge.real
+                                        + rho_ge.imag * rho_ge.imag)
+    inner = 0.5 * (p_a + p_s) - np.sqrt(half_as * half_as + re_as * re_as
+                                        + im_as * im_as)
+    eig_floor = -_POS_TOL + _EIG_SCREEN_MARGIN
+    if (np.max(np.abs(trace - 1.0)) <= _TRACE_TOL
+            and vectors[:, :4].min() >= -_POS_TOL
+            and outer.min() >= eig_floor and inner.min() >= eig_floor):
+        return
     ok = ((np.abs(trace - 1.0) <= _TRACE_TOL)
           & (p_g >= -_POS_TOL) & (p_e >= -_POS_TOL)
           & (p_a >= -_POS_TOL) & (p_s >= -_POS_TOL)
-          & (np.minimum(outer, inner) >= -_POS_TOL + _EIG_SCREEN_MARGIN))
+          & (np.minimum(outer, inner) >= eig_floor))
     for i in np.flatnonzero(~ok):
         _propagated_state(vectors[i], rho_ge[i], times[i])
 
@@ -388,10 +405,10 @@ def propagate(gen, s0, times):
         cond = np.inf
     if np.isfinite(cond) and cond <= _COND_LIMIT:
         modes = (w, v, np.linalg.inv(v) @ v0)
-        x = np.exp(times[:, None] * w) * modes[2]
-        # one matrix-vector product per sample, as in state_at; a single
-        # (N, 6) x (6, 6) product sums in another order
-        rows[:] = np.matmul(v, x[:, :, None])[:, :, 0].real
+        # one (N, 6) x (6, 6) product for every sample; state_at's
+        # matrix-vector product sums in another order, so the two agree
+        # within cond(v) ulps, not bit for bit
+        rows[:] = ((np.exp(times[:, None] * w) * modes[2]) @ v.T).real
         # left to right, as a sum over axis 1 adds the columns
         drift = np.abs(rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
                        - (s0.pG + s0.pE + s0.pA + s0.pS))

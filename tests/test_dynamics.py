@@ -289,33 +289,80 @@ def test_expm_fallback_agrees_with_eig(monkeypatch):
     assert np.max(np.abs(fb.vectors[0] - ref)) <= 1e-12
 
 
-def _drift_generator(a_over_omega, alignment):
-    # omega L = 0.15, y/L = 0.5, x dipoles: nearly defective collective
-    # modes make the spectral route leak trace; vertical at a = 0 from the
-    # first step on, parallel at a = 1/2 only after 276 scan steps
-    cfg = co.PhysicalConfig.from_ratios(a_over_omega, 0.15, 0.5, alignment,
+def _drift_generator(a_over_omega, omega_l, alignment):
+    # y/L = 0.5, x dipoles: nearly defective collective modes make the
+    # spectral route leak trace; vertical at a = 0, omega L = 0.15 from the
+    # first step on, parallel at a = 0.3, omega L = 0.2 only after 89 scan
+    # steps
+    cfg = co.PhysicalConfig.from_ratios(a_over_omega, omega_l, 0.5, alignment,
                                         d1=(1, 0, 0), d2=(1, 0, 0))
     return dy.build_generator(co.assemble(cfg))
+
+
+_DRIFT_AT_ONCE = _drift_generator(0.0, 0.15, "vertical")
+_DRIFT_MID_SCAN = _drift_generator(0.3, 0.2, "parallel")
+
+
+def _tail_start(gen, traj):
+    """Index of the first expm row; a mid-scan switch must leave at least
+    two eig rows and two full anchored blocks, so that an arithmetic change
+    that moves it fails here instead of dropping the case."""
+    start = int(np.searchsorted(traj.times, traj.t_expm))
+    if gen is _DRIFT_MID_SCAN:
+        assert 2 <= start <= len(traj.times) - 129, start
+    return start
+
+
+def _shadow_errors(gen, s0, times, *row_sets):
+    """max_k |row[k] - (expm(M t) v0)[k]| of each row of each set at the
+    given times, the exponential taken in 40-digit arithmetic."""
+    import mpmath as mp  # only the shadow checks need 40-digit arithmetic
+
+    with mp.workdps(40):
+        m = mp.matrix(gen.block_pop.tolist())
+        v0 = mp.matrix(s0.vector().tolist())
+        exact = [mp.expm(m * t) * v0 for t in times]
+        return np.array([[float(max(abs(row[k] - e[k]) for k in range(6)))
+                          for row, e in zip(rows, exact)]
+                         for rows in row_sets])
 
 
 @pytest.mark.parametrize("gen, s0, method", [
     (dy.build_generator(coeffs(a3=0.12)),
      dy.XState(0.25, 0.25, 0.25, 0.25, rho_as=0.1 + 0.05j, rho_ge=0.1 - 0.2j),
      "eig"),
-    (_drift_generator(0.0, "vertical"), dy.XState.excited(), "expm"),
-    (_drift_generator(0.5, "parallel"), dy.XState.excited(), "expm"),
+    (_DRIFT_AT_ONCE, dy.XState.excited(), "expm"),
+    (_DRIFT_MID_SCAN, dy.XState.excited(), "expm"),
 ], ids=["well_conditioned", "drift_at_once", "drift_mid_scan"])
 def test_propagate_rows_equal_sequential_evaluation(gen, s0, method):
     times = np.linspace(0.0, 40.0, 4001)
     traj = dy.propagate(gen, s0, times)
-
-    # latest time first: a drifting late time must not change earlier ones
-    one_by_one = np.array([traj.state_at(tau).vector()
-                           for tau in times[::-1]])[::-1]
-    assert np.array_equal(traj.vectors, one_by_one)
     assert traj.method == method
     ge = [s0.rho_ge * np.exp(gen.rate_ge * tau) for tau in times]
     assert np.array_equal(traj.rho_ge, ge)
+
+    # latest time first: a drifting late time must not change earlier ones
+    backward = np.array([traj.state_at(tau).vector()
+                         for tau in times[::-1]])[::-1]
+    forward = np.array([traj.state_at(tau).vector() for tau in times])
+    assert np.array_equal(backward, forward)
+
+    # from t_expm on, state_at reads the rows themselves
+    start = _tail_start(gen, traj)
+    assert np.array_equal(traj.vectors[start:], forward[start:])
+
+    # before it, the rows' one (N, 6) x (6, 6) product and state_at's
+    # matrix-vector product both lie within cond(v) ulps of the truth
+    cond = np.linalg.cond(np.linalg.eig(gen.block_pop)[1])
+    bound = cond * 2.0 ** -52
+    if method == "eig":
+        bound = min(bound, 1e-15)
+    picks = sorted({*np.geomspace(1, len(times) - 1, 12).astype(int),
+                    max(start - 1, 0), min(start, len(times) - 1)})
+    assert len(picks) >= 10
+    errors = _shadow_errors(gen, s0, times[picks], traj.vectors[picks],
+                            forward[picks])
+    assert errors.max() <= bound, (errors, bound)
 
 
 def _vertical_y_drift_generator():
@@ -324,32 +371,25 @@ def _vertical_y_drift_generator():
 
 
 @pytest.mark.parametrize("gen", [
-    _drift_generator(0.0, "vertical"),
-    _drift_generator(0.5, "parallel"),
+    _DRIFT_AT_ONCE,
+    _DRIFT_MID_SCAN,
     _vertical_y_drift_generator(),
 ], ids=["drift_at_once", "drift_mid_scan", "vertical_y"])
 def test_expm_tail_rows_are_exact(gen):
-    import mpmath as mp  # only the tail checks need 40-digit arithmetic
-
     s0 = dy.XState.excited()
     times = np.linspace(0.0, 40.0, 4001)
     traj = dy.propagate(gen, s0, times)
-    start = int(np.searchsorted(times, traj.t_expm))
+    start = _tail_start(gen, traj)
     # anchors, the rows one and 63 steps past them, and the last row
     picks = sorted({*(start + np.array([0, 1, 63, 64, 127, 128])),
                     2047, 3967, len(times) - 1})
     assert len(picks) >= 8 and all(i >= start for i in picks)
-    with mp.workdps(40):
-        m = mp.matrix(gen.block_pop.tolist())
-        v0 = mp.matrix(s0.vector().tolist())
-        for i in picks:
-            exact = mp.expm(m * times[i]) * v0
-            err = max(abs(traj.vectors[i, k] - exact[k]) for k in range(6))
-            assert err <= 1e-14, (i, float(err))
+    errors = _shadow_errors(gen, s0, times[picks], traj.vectors[picks])
+    assert errors.max() <= 1e-14, errors
 
 
 def test_expm_tail_on_a_non_uniform_grid():
-    gen = _drift_generator(0.0, "vertical")
+    gen = _DRIFT_AT_ONCE
     s0 = dy.XState.excited()
     times = np.sort(np.random.default_rng(3).uniform(0.0, 40.0, 300))
     times[150] = times[149]
@@ -371,7 +411,7 @@ def test_expm_tail_costs_a_few_exponentials(monkeypatch):
 
     monkeypatch.setattr(dy, "expm", counting_expm)
     times = np.linspace(0.0, 40.0, 4001)
-    traj = dy.propagate(_drift_generator(0.0, "vertical"),
+    traj = dy.propagate(_DRIFT_AT_ONCE,
                         dy.XState.excited(), times)
     assert traj.t_expm == times[1]
     assert sum(matrices) <= 100
@@ -394,6 +434,56 @@ def test_propagate_rejects_unphysical_generators(flow, message):
     # a ValueError subclass, so sweeps record it in the row's error
     with pytest.raises(dy.PropagationError, match=message):
         dy.propagate(gen, s0, np.linspace(0.0, 10.0, 11))
+
+
+def _bad_row(row, fault):
+    """``row`` with one fault that XState names."""
+    row = row.copy()
+    if fault in _POPULATIONS:
+        k = _POPULATIONS.index(fault)
+        # keep the trace: move the population to -2e-10 through its neighbour
+        row[(k + 1) % 4] += row[k] + 2e-10
+        row[k] = -2e-10
+    elif fault == "trace":
+        row[0] += 1e-11
+    elif fault == "eigenvalue":
+        row[4] = 0.5 * (row[2] + row[3]) + 1e-9
+    else:
+        row[5] = np.nan
+    return row
+
+
+@pytest.mark.parametrize("fault, message", [
+    *((name, f"{name} is negative") for name in _POPULATIONS),
+    ("trace", "sum to 1"),
+    ("eigenvalue", "not positive"),
+    ("nan", "finite"),
+])
+def test_row_screen_falls_back_to_the_failing_row(fault, message):
+    times = np.linspace(0.0, 40.0, 4001)
+    traj = dy.propagate(dy.build_generator(coeffs(a3=0.12)),
+                        dy.XState(0.25, 0.25, 0.25, 0.25, rho_as=0.1 + 0.05j),
+                        times)
+    i = 2000
+    rows = traj.vectors.copy()
+    rows[i] = _bad_row(rows[i], fault)
+    # the message the per-row path gives for that row alone
+    with pytest.raises(dy.PropagationError) as one:
+        dy._propagated_state(rows[i], traj.rho_ge[i], times[i])
+    with pytest.raises(dy.PropagationError) as whole:
+        dy._validate_rows(times, rows, traj.rho_ge)
+    assert str(whole.value) == str(one.value)
+    assert message in str(whole.value)
+    assert str(whole.value).endswith(f" at gamma0_tau = {float(times[i])!r}")
+
+
+def test_row_screen_rebuilds_no_state_of_a_valid_trajectory(monkeypatch):
+    rebuilt = []
+    monkeypatch.setattr(dy, "_propagated_state",
+                        lambda *args: rebuilt.append(args))
+    traj = dy.propagate(dy.build_generator(coeffs(a3=0.12)),
+                        dy.XState.excited(), np.linspace(0.0, 40.0, 4001))
+    assert len(traj.vectors) == 4001 and not rebuilt
 
 
 @pytest.mark.parametrize("coherence", ["rho_as", "rho_ge"])

@@ -76,6 +76,20 @@ def test_negative_frequency_components_match_the_closed_forms(a, alignment):
                     assert abs(res.value - want) <= bound, (part, pair, m, n)
 
 
+@pytest.mark.parametrize("omega0", [1.0, -1.0])
+def test_report_fails_an_oracle_that_returns_zero(monkeypatch, omega0):
+    # at w = -1 every closed form carries e^{-2 pi/a} (8.5e-11 in all at
+    # a = 0.3), so the report's floor must scale with the report itself
+    zero = fc.OracleResult(value=0.0, error=0.0, imag=0.0, tail=0.0,
+                           window=1.0, depth=1.0, converged=True)
+    monkeypatch.setattr(fc, "fourier_oracle", lambda *args: zero)
+    cfg = co.PhysicalConfig.from_ratios(0.3, 1.0, 0.5, "parallel")
+    status, report = _oracle_report(cfg, omega0=omega0)
+    assert status == 2
+    assert report["max_rel_error"] >= 1.0
+    assert report["failures"]
+
+
 def _contracted_spectral(cfg, pair, omega0):
     """Dipole-contracted spectral value from the oracle alone."""
     d = {1: cfg.d1, 2: cfg.d2}
