@@ -8,10 +8,6 @@ from .coefficients import (
     PhysicalConfig,
     RateError,
     assemble,
-    f_cross,
-    f_single,
-    h_cross_parallel,
-    h_self,
     near_boundary_expansion,
     spectral_prefactor,
     spectral_tensor,
@@ -21,25 +17,21 @@ from .correlations import (
     CorrelationKernel,
     OracleResult,
     QuadratureSettings,
-    TrajectoryParams,
     electric_correlation,
     fourier_oracle,
 )
 from .dynamics import (
-    DynamicsFrozenError,
     Generator,
     PropagationError,
     Trajectory,
     XState,
     build_generator,
     propagate,
-    steady_state,
 )
 from .entanglement import (
     EntanglementEvents,
     analyze_events,
     concurrence_curve,
-    concurrence_oracle,
     concurrence_x,
     max_concurrence,
     scan_trajectory,

@@ -14,9 +14,10 @@ prove exact goes through ``%.17g`` itself.  A metadata value that holds a
 line break is written as JSON, so every line above the header starts with
 ``#``.
 
-Exit status: 0 success, 1 configuration/validation error, 2 numerical
-failure (oracle non-convergence, a propagated row that is not a state, or
-frozen-dynamics signals where a value was required).
+Exit status: 0 success, 1 configuration/validation error (a malformed
+argument included), 2 numerical failure (closed-form rates that overflow
+or are not finite, a propagated row that is not a state, or an oracle
+component that fails its check).
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ _RATIO_DEFAULTS = inspect.signature(co.PhysicalConfig.from_ratios).parameters
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors,
+    not argparse's exit 2, which here means a numerical failure."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @dataclass(frozen=True)
@@ -700,7 +709,7 @@ def _spec_from_dict(raw):
         raise ConfigError(f"invalid sweep spec: {exc}") from exc
 
 
-def _oracle_report(cfg, omega0=1.0, settings=None):
+def _oracle_report(cfg, omega0=1.0):
     """Compare closed-form spectral tensors against the quadrature oracle.
 
     Each component's error is relative to its closed form, floored at 1e-5
@@ -708,7 +717,6 @@ def _oracle_report(cfg, omega0=1.0, settings=None):
     component is judged on the report's own scale (at omega < 0 every
     value carries the Planck factor exp(-2 pi |omega| / a)).
     """
-    settings = settings or fc.QuadratureSettings()
     pref = co.spectral_prefactor(omega0, cfg.a)
     closed_forms = {}
     for part, sign in (("free", 1.0), ("boundary", -1.0)):
@@ -724,7 +732,7 @@ def _oracle_report(cfg, omega0=1.0, settings=None):
     worst_tag = ""
     failures = []
     for (part, pair, m, n), closed in closed_forms.items():
-        res = fc.fourier_oracle(part, m, n, pair, cfg, omega0, settings)
+        res = fc.fourier_oracle(part, m, n, pair, cfg, omega0)
         rel = abs(res.value - closed) / max(abs(closed), floor)
         tag = f"{part} {pair} [{m}{n}]"
         if not res.converged:
@@ -790,7 +798,7 @@ def cmd_presets(args):
 def build_parser():
     """The argument parser, built once per process: parsing leaves it
     unchanged, and every call of ``main`` gets a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mirroratoms",
         description="Entanglement dynamics of two accelerated atoms near "
                     "a reflecting boundary")
@@ -833,15 +841,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (co.RateError, dy.DynamicsFrozenError, dy.PropagationError,
-            fc.OracleConvergenceError) as exc:
+    except (co.RateError, dy.PropagationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

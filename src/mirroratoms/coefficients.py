@@ -18,9 +18,9 @@ y in the vertical alignment.
 
 The layer computes in Python floats from start to end.  Each tensor
 builder returns a flat row-major 9-tuple, :func:`assemble` subtracts and
-contracts those tuples in a fixed order, and only the public tensor
-functions wrap them into (3, 3) arrays.  For axis-aligned dipoles the
-contraction picks out one tensor entry exactly.
+contracts those tuples in a fixed order, and only :func:`spectral_tensors`
+and :func:`spectral_tensor` wrap them into (3, 3) arrays.  For
+axis-aligned dipoles the contraction picks out one tensor entry exactly.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ def _f_parts(a, s):
 
 
 # Each tensor builder returns its 3x3 tensor as a flat row-major 9-tuple of
-# floats; the public wrappers turn one into an array with _matrix.
+# floats; spectral_tensors turns one into an array with _matrix.
 
 def _f_single(a):
     v = 1.0 + a * a
@@ -230,6 +230,8 @@ def _f_cross(a, L):
 
 
 def _h_self(a, y):
+    # an atom and its own image at chord 2y: the free cross tensor on
+    # permuted axes, with the normal-normal component flipped
     f11, f22, f33, f13 = _f_parts(a, 2.0 * y)
     return (f11, f13, 0.0, f13, -f33, 0.0, 0.0, 0.0, f22)
 
@@ -282,49 +284,6 @@ _swap_yz = operator.itemgetter(0, 2, 1, 6, 8, 7, 3, 5, 4)
 
 def _matrix(t):
     return np.array(t).reshape(3, 3)
-
-
-def f_single(a):
-    """Single-atom free-space spectral tensor: (1 + a^2) times the identity."""
-    if a < 0:
-        raise ValueError("acceleration must be non-negative")
-    return CorrelationTensor(_matrix(_f_single(a)))
-
-
-def f_cross(a, L):
-    """Free-space two-atom spectral tensor for separation L along z.
-
-    Nonzero components: diagonal plus an antisymmetric xz pair generated by
-    the acceleration.
-    """
-    if L <= 0:
-        raise ValueError("separation L must be positive")
-    return CorrelationTensor(_matrix(_f_cross(a, L)))
-
-
-def h_cross_parallel(a, y, L):
-    """Boundary (image) two-atom tensor, atoms parallel to the mirror.
-
-    Both atoms sit at height y, separated by L along z; the image pair sits
-    at -y, at chord distance R = sqrt(L^2 + 4 y^2).
-    """
-    if y <= 0:
-        raise ValueError("boundary distance y must be positive")
-    if L <= 0:
-        raise ValueError("separation L must be positive")
-    return CorrelationTensor(_matrix(_h_cross(a, y, L)))
-
-
-def h_self(a, y):
-    """Boundary (image) tensor of a single atom at height y.
-
-    The atom correlates with its own image at chord distance 2y; the
-    reflection maps the free-space cross tensor at separation 2y onto
-    permuted axes and flips the normal-normal component.
-    """
-    if y <= 0:
-        raise ValueError("boundary distance y must be positive")
-    return CorrelationTensor(_matrix(_h_self(a, y)))
 
 
 def _tensor_table(config, part):
@@ -408,16 +367,6 @@ def _pair_table(config, include_boundary):
     return t[(1, 1)], t.get((2, 2), t[(1, 1)]), t[(1, 2)]
 
 
-def pair_tensors(config, include_boundary=True):
-    """Spectral tensors (T_self1, T_self2, T_cross) entering the rates.
-
-    Each is the free-space part minus the boundary part; with
-    ``include_boundary=False`` the boundary part is dropped (the
-    free-space companion used for dashed-line comparisons).
-    """
-    return tuple(_matrix(t) for t in _pair_table(config, include_boundary))
-
-
 def _contract(u, t, v):
     """u . T . v for a flat row-major T, summed in a fixed order.
 
@@ -456,7 +405,8 @@ def assemble(config, include_boundary=True):
         a1 = scale * _contract(d1, t1, d1)
         a2 = scale * _contract(d2, t2, d2)
         a3 = scale * _contract(d1, tc, d2)
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
+        # a chord that overflows to inf ends in math.cos(inf), a ValueError
         raise _rate_error(config, "overflow") from exc
     except ZeroDivisionError as exc:
         raise _rate_error(config, "divide by zero") from exc

@@ -45,19 +45,6 @@ _PI_SQ = math.pi**2
 
 
 @dataclass(frozen=True)
-class TrajectoryParams:
-    """Uniformly accelerated orbit along x; a = 0 is the inertial line."""
-
-    a: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.a):
-            raise ValueError("acceleration must be finite")
-        if self.a < 0:
-            raise ValueError("acceleration must be non-negative")
-
-
-@dataclass(frozen=True)
 class CorrelationKernel:
     """Geometry and regulator of one two-point evaluation.
 
@@ -119,7 +106,10 @@ def electric_correlation(kernel, m, n, tau, tau_prime, a):
     """
     if m not in (1, 2, 3) or n not in (1, 2, 3):
         raise ValueError("axis indices must be in {1, 2, 3}")
-    TrajectoryParams(a)
+    if not math.isfinite(a):
+        raise ValueError("acceleration must be finite")
+    if a < 0:
+        raise ValueError("acceleration must be non-negative")
     u = tau - tau_prime
     # where 2/a overflows (a below about 1.1e-308), a Delta/2 is far below
     # 1e-300 and the orbit is the inertial line to double precision
@@ -194,10 +184,6 @@ class QuadratureSettings:
                 raise ValueError(f"{name} must be positive and finite")
 
 
-class OracleConvergenceError(RuntimeError):
-    """Raised when the trapezoid sum or the window truncation fails."""
-
-
 @dataclass(frozen=True)
 class OracleResult:
     value: float
@@ -208,12 +194,6 @@ class OracleResult:
     depth: float
     converged: bool
     message: str = ""
-
-    def require(self):
-        """Return the value, raising when the transform did not converge."""
-        if not self.converged:
-            raise OracleConvergenceError(self.message or "oracle failed")
-        return self.value
 
 
 def default_window(a):
@@ -231,6 +211,8 @@ def default_window(a):
 # the value times e^{-|omega| d}, so its round-off relative to the value
 # grows by up to e^{1.5}
 _MAX_PHASE = 1.5
+# e^{-x} underflows to 0.0 beyond x = 745.2
+_EXP_UNDERFLOW = 746.0
 
 
 def _contour(a, omega0):
@@ -246,10 +228,20 @@ def _contour(a, omega0):
     omega0 < 0.  The integrand is analytic within d of the line, so the
     trapezoid rule with h = d / 8 converges like e^{-2 pi d / h} =
     e^{-16 pi} (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
+
+    Where the strip has no lower edge (a = 0, or 2 pi / a overflows), the
+    transform at omega0 < 0 is exactly 0: the line descends to the depth
+    746 / |omega0|, where the factor e^{omega0 c} of the sum underflows to
+    0.0.
     """
     strip = 2.0 * math.pi / a if a > 0 else math.inf
     d = min(_MAX_PHASE / max(abs(omega0), 1.0), 0.25 * strip)
-    c = strip - d if omega0 < 0 and strip < math.inf else d
+    if omega0 >= 0:
+        c = d
+    elif strip < math.inf:
+        c = strip - d
+    else:
+        c = _EXP_UNDERFLOW / -omega0
     return c, d / 8.0
 
 

@@ -41,10 +41,6 @@ _EIG_SCREEN_MARGIN = 1e-14
 _BLOCK = 64
 
 
-class DynamicsFrozenError(RuntimeError):
-    """All rates vanish (or the kernel is degenerate): dynamics frozen."""
-
-
 class PropagationError(ValueError):
     """A propagated state fails the :class:`XState` trace or positivity
     checks: the rates or the arithmetic broke complete positivity."""
@@ -426,26 +422,3 @@ def propagate(gen, s0, times):
     return Trajectory(times=times, vectors=rows, rho_ge=rho_ge, generator=gen,
                       initial_state=s0, t_expm=t_expm, modes=modes)
 
-
-def steady_state(gen, resid_tol=1e-10):
-    """Kernel vector of the population block, normalized to unit trace.
-
-    Raises :class:`DynamicsFrozenError` when the kernel is degenerate
-    (dimension > 1), which happens when all rates vanish.
-    """
-    m = gen.block_pop
-    u, s, vt = np.linalg.svd(m)
-    scale = s[0] if s[0] > 0 else 1.0
-    null_dim = int(np.sum(s <= 1e-12 * scale))
-    if scale <= 1e-14 or null_dim != 1:
-        raise DynamicsFrozenError(
-            f"dynamics frozen: kernel dimension {null_dim if scale > 1e-14 else 6}")
-    v = vt[-1]
-    tr = v[:4].sum()
-    if abs(tr) < 1e-10:
-        raise DynamicsFrozenError("dynamics frozen: traceless kernel vector")
-    v = v / tr
-    resid = np.linalg.norm(m @ v)
-    if resid > resid_tol:
-        raise RuntimeError(f"steady-state residual {resid} above tolerance")
-    return XState.from_vector(v)

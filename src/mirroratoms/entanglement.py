@@ -1,8 +1,8 @@
 """Concurrence of X states and entanglement event extraction.
 
 For X-form states the concurrence reduces to max{0, K1, K2} with two
-explicit radicals; the general Wootters spin-flip construction is kept as
-an independent oracle.  Death/birth/revival times are found by bracketing
+explicit radicals, the X-state form of Wootters' spin-flip concurrence
+(PRL 80, 2245 (1998)).  Death/birth/revival times are found by bracketing
 sign changes of the smooth quantity max{K1, K2} on a dense sample grid and
 refining by bisection on exactly propagated states; the maximum of C is
 polished by golden-section search, with or without the crossings.
@@ -24,14 +24,6 @@ REFINE_TOL = 1e-6
 # a scan grid of more samples is a configuration error, not an allocation:
 # 2,500 times a figure grid, whose (N, 6) rows alone take 0.48 GB
 MAX_SAMPLES = 10**7
-
-_SIGMA_Y_PAIR = np.array([
-    [0, 0, 0, -1],
-    [0, 0, 1, 0],
-    [0, 1, 0, 0],
-    [-1, 0, 0, 0],
-], dtype=complex)
-
 
 def _k_values(s):
     """The two competing branches K1, K2 of the X-state concurrence."""
@@ -91,29 +83,6 @@ def concurrence_x(s):
     return max(0.0, k1, k2)
 
 
-def concurrence_oracle(rho, atol=1e-10):
-    """Wootters concurrence of a general two-qubit density matrix.
-
-    Square roots of the eigenvalues of rho * (sigma_y x sigma_y) rho^*
-    (sigma_y x sigma_y), sorted descending: max{0, l1 - l2 - l3 - l4}.
-    Used as an independent check of :func:`concurrence_x`.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("density matrix must be 4x4")
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
-        raise ValueError("density matrix is not hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol:
-        raise ValueError("density matrix trace must be 1")
-    if np.linalg.eigvalsh(rho).min() < -atol:
-        raise ValueError("density matrix is not positive semidefinite")
-    flipped = _SIGMA_Y_PAIR @ rho.conj() @ _SIGMA_Y_PAIR
-    lam = np.linalg.eigvals(rho @ flipped)
-    lam = np.sqrt(np.clip(lam.real, 0.0, None))
-    lam[::-1].sort()
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
 def concurrence_curve(traj):
     """Concurrence samples along a trajectory."""
     k1, k2 = _k_arrays(traj)
@@ -140,10 +109,6 @@ class EntanglementEvents:
     max_c_time: float
     truncated: bool
     horizon: float
-
-    @property
-    def has_revival(self):
-        return len(self.revival_intervals) > 0
 
 
 def _smooth_indicator(traj):

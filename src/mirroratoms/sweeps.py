@@ -172,7 +172,7 @@ def _evaluate_point(spec, value):
                 max_c, max_c_time = en.max_concurrence(traj)
                 row[prefix + "max_c"] = max_c
                 row[prefix + "max_c_time"] = max_c_time
-    except (dy.DynamicsFrozenError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         row["error"] = str(exc)
     return row, curve
 

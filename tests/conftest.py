@@ -50,3 +50,35 @@ def random_x_state(rng):
     ge = ge_max * rng.uniform(0, 0.95) * np.exp(2j * np.pi * rng.uniform())
     as_ = as_max * rng.uniform(0, 0.95) * np.exp(2j * np.pi * rng.uniform())
     return XState(p_g, p_e, p_a, p_s, rho_as=as_, rho_ge=ge)
+
+
+_SIGMA_Y_PAIR = np.array([
+    [0, 0, 0, -1],
+    [0, 0, 1, 0],
+    [0, 1, 0, 0],
+    [-1, 0, 0, 0],
+], dtype=complex)
+
+
+def concurrence_oracle(rho, atol=1e-10):
+    """Wootters concurrence of a general two-qubit density matrix.
+
+    Square roots of the eigenvalues of rho * (sigma_y x sigma_y) rho^*
+    (sigma_y x sigma_y), sorted descending: max{0, l1 - l2 - l3 - l4}
+    (Wootters, PRL 80, 2245 (1998)).  The independent reference for
+    :func:`mirroratoms.entanglement.concurrence_x`.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError("density matrix must be 4x4")
+    if np.max(np.abs(rho - rho.conj().T)) > atol:
+        raise ValueError("density matrix is not hermitian")
+    if abs(np.trace(rho).real - 1.0) > atol:
+        raise ValueError("density matrix trace must be 1")
+    if np.linalg.eigvalsh(rho).min() < -atol:
+        raise ValueError("density matrix is not positive semidefinite")
+    flipped = _SIGMA_Y_PAIR @ rho.conj() @ _SIGMA_Y_PAIR
+    lam = np.linalg.eigvals(rho @ flipped)
+    lam = np.sqrt(np.clip(lam.real, 0.0, None))
+    lam[::-1].sort()
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))

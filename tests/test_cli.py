@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mirroratoms import cli
@@ -179,7 +179,13 @@ def test_propagation_failure_is_a_numerical_failure(command, tmp_path,
      "are not finite at a/omega = 1e+200, omega*L = 1.0, y/L = 0.5 (vert"),
     (["evolve", "--a", "1e200"],
      "overflow at a/omega = 1e+200, omega*L = 1.0, y/L = 0.5 (parallel"),
-], ids=["a-1e80", "wl-1e300", "wl-1e-300", "a-1e200-vertical", "evolve"])
+    # 2y overflows to inf, and the image chord's phase with it
+    (["coeffs", "--a", "0", "--y-over-l", "1e308"],
+     "overflow at a/omega = 0.0, omega*L = 1.0, y/L = 1e+308 (parallel"),
+    (["coeffs", "--y-over-l", "1e308", "--alignment", "vertical"],
+     "overflow at a/omega = 0.5, omega*L = 1.0, y/L = 1e+308 (vertical"),
+], ids=["a-1e80", "wl-1e300", "wl-1e-300", "a-1e200-vertical", "evolve",
+        "chord-inertial", "chord-vertical"])
 def test_overflowing_closed_forms_are_a_numerical_failure(argv, message,
                                                           tmp_path, capsys):
     rc = run_cli(*argv, "--output", str(tmp_path / "out.csv"))
@@ -709,6 +715,60 @@ def test_a_grid_no_point_can_take_is_a_config_error(spec, message, tmp_path,
     assert rc == 1
     assert err == f"configuration error: invalid sweep spec: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["coeffs", "--a", "abc"], "argument --a: invalid float value: 'abc'"),
+    (["coeffs", "--alignment", "diagonal"],
+     "argument --alignment: invalid choice: 'diagonal' "
+     "(choose from 'parallel', 'vertical')"),
+    (["validate", "--samples", "x"],
+     "argument --samples: invalid int value: 'x'"),
+    ([], "the following arguments are required: command"),
+], ids=["float", "choice", "int", "no-command"])
+def test_argument_errors_are_config_errors(argv, message, capsys):
+    # argparse's own exit 2 would read as a numerical failure
+    rc = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"configuration error: {message}\n"
+    assert captured.out == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("coeffs", "--help")
+    assert exc.value.code == 0
+    assert "--y-over-l" in capsys.readouterr().out
+
+
+# zero, the subnormal and overflow edges, the non-finite values and a
+# string that is no number, for every float flag of coeffs and events
+_EDGE_ARGS = ["0", "5e-324", "-5e-324", "1e308", "-1e308", "nan", "inf",
+              "-inf", "abc"]
+_FLOAT_FLAGS = ["--a", "--omega-l", "--y-over-l", "--gamma0",
+                "--sample-step"]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from([("coeffs",), ("events", "--horizon", "2")]),
+       flags=st.dictionaries(st.sampled_from(_FLOAT_FLAGS),
+                             st.sampled_from(_EDGE_ARGS), max_size=3))
+@example(command=("coeffs",), flags={"--y-over-l": "1e308"})
+@example(command=("coeffs",), flags={"--a": "abc"})
+def test_every_exit_code_names_its_cause(command, flags, tmp_path, capsys):
+    # an uncaught exception fails the call itself; "--flag=value" lets a
+    # negative value reach the program instead of reading as a flag
+    out = tmp_path / "out.csv"
+    out.unlink(missing_ok=True)
+    rc = run_cli(*command, *(f"{k}={v}" for k, v in flags.items()),
+                 "--output", str(out))
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    assert (rc == 1) == err.startswith("configuration error")
+    assert (rc == 2) == err.startswith("numerical failure")
 
 
 def test_an_underflowing_boundary_distance_is_named(capsys):

@@ -26,6 +26,15 @@ def cfg(a=0.5, wl=1.0, yl=0.5, alignment="parallel", d1=X, d2=X):
     return co.PhysicalConfig.from_ratios(a, wl, yl, alignment, d1=d1, d2=d2)
 
 
+def tensor(part, pair, a, L=1.0, y=1.0):
+    """One tensor of ``spectral_tensors`` for a parallel pair at height y:
+    free (1, 1) is (1 + a^2) times the identity, free (1, 2) the cross
+    tensor at chord L, boundary (1, 1) the self image at chord 2y and
+    boundary (1, 2) the cross image at chord sqrt(L^2 + 4 y^2)."""
+    c = co.PhysicalConfig(a=a, L=L, y=y, alignment="parallel")
+    return co.spectral_tensors(c, part)[pair]
+
+
 # ---------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------
@@ -54,14 +63,14 @@ def test_config_ratio_roundtrip():
 # ---------------------------------------------------------------------
 
 def test_f_single_inertial_is_identity():
-    assert_allclose(co.f_single(0.0).entries, np.eye(3), atol=0)
+    assert_allclose(tensor("free", (1, 1), 0.0), np.eye(3), atol=0)
 
 
 @pytest.mark.parametrize("a,scale", [(1.0, 2.0), (0.5, 1.25)])
 def test_f_single_acceleration_scaling(a, scale):
     # frozen fourier_oracle values: G_22 = pref * (1 + a^2)
     frozen = {1.0: 0.2126036365808801, 0.5: 0.1326295675674943}
-    assert_allclose(co.f_single(a).entries, scale * np.eye(3), rtol=1e-14)
+    assert_allclose(tensor("free", (1, 1), a), scale * np.eye(3), rtol=1e-14)
     oracle_scale = frozen[a] / co.spectral_prefactor(1.0, a)
     assert abs(oracle_scale - scale) <= 0.01 * scale
 
@@ -71,21 +80,21 @@ def test_f_single_acceleration_scaling(a, scale):
 # ---------------------------------------------------------------------
 
 def test_f_cross_xz_mixing_needs_acceleration():
-    assert co.f_cross(0.0, 1.3).entries[0, 2] == 0.0
+    assert tensor("free", (1, 2), 0.0, L=1.3)[0, 2] == 0.0
 
 
 def test_f_cross_coincidence_limit():
     # diagonal components converge quadratically; the xz component is odd
     # in the separation and only vanishes linearly
-    got = co.f_cross(0.7, 1e-3).entries
-    want = co.f_single(0.7).entries
+    got = tensor("free", (1, 2), 0.7, L=1e-3)
+    want = tensor("free", (1, 1), 0.7)
     assert_allclose(np.diag(got), np.diag(want), atol=1e-4)
     assert abs(got[0, 2]) <= 2e-3
-    assert abs(co.f_cross(0.7, 1e-5).entries[0, 2]) <= 2e-5
+    assert abs(tensor("free", (1, 2), 0.7, L=1e-5)[0, 2]) <= 2e-5
 
 
 def test_f_cross_antisymmetric_mixing():
-    e = co.f_cross(0.9, 0.8).entries
+    e = tensor("free", (1, 2), 0.9, L=0.8)
     assert e[2, 0] == -e[0, 2]
     assert e[0, 1] == e[1, 0] == e[1, 2] == e[2, 1] == 0.0
 
@@ -144,7 +153,7 @@ def test_series_joins_the_closed_form_continuously():
 def test_f_cross_inertial_matches_dipole_dipole_forms():
     # classic free-space collective rates: transverse and longitudinal
     wl = 1.3
-    e = co.f_cross(0.0, wl).entries
+    e = tensor("free", (1, 2), 0.0, L=wl)
     x = wl
     transverse = 1.5 * (np.sin(x) / x + np.cos(x) / x**2 - np.sin(x) / x**3)
     longitudinal = 3.0 * (np.sin(x) / x**3 - np.cos(x) / x**2)
@@ -159,7 +168,7 @@ _FROZEN_F_CROSS = {(1, 1): 0.0877815970787882, (2, 2): 0.10007540235444748,
 
 def test_f_cross_matches_frozen_oracle():
     pref = co.spectral_prefactor(1.0, 0.5)
-    e = co.f_cross(0.5, 1.0).entries
+    e = tensor("free", (1, 2), 0.5, L=1.0)
     for (m, n), val in _FROZEN_F_CROSS.items():
         assert abs(pref * e[m - 1, n - 1] - val) <= 0.01 * abs(val)
 
@@ -169,29 +178,30 @@ def test_f_cross_matches_frozen_oracle():
 # ---------------------------------------------------------------------
 
 def test_h_cross_far_mirror_vanishes():
-    e = co.h_cross_parallel(0.5, 1e3, 1.0).entries
+    e = tensor("boundary", (1, 2), 0.5, L=1.0, y=1e3)
     assert np.max(np.abs(e)) <= 1e-6 * (1 + 0.25)
 
 
 def test_h_cross_inertial_branch_is_continuous():
     # components even in the acceleration agree to 1e-6 at a = 1e-4; the
     # xy and xz components carry an explicit factor a and vanish linearly
-    lim = co.h_cross_parallel(1e-4, 0.5, 1.0).entries
-    exact = co.h_cross_parallel(0.0, 0.5, 1.0).entries
+    lim = tensor("boundary", (1, 2), 1e-4, L=1.0, y=0.5)
+    exact = tensor("boundary", (1, 2), 0.0, L=1.0, y=0.5)
     even = [(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)]
     for idx in even:
         assert abs(lim[idx] - exact[idx]) <= 1e-6
     assert exact[0, 1] == 0.0
     assert abs(lim[0, 1]) <= 1e-3
-    twice = co.h_cross_parallel(2e-4, 0.5, 1.0).entries
+    twice = tensor("boundary", (1, 2), 2e-4, L=1.0, y=0.5)
     assert abs(twice[0, 1] - 2.0 * lim[0, 1]) <= 1e-2 * abs(lim[0, 1])
 
 
 def test_h_cross_rejects_bad_geometry():
-    with pytest.raises(ValueError):
-        co.h_cross_parallel(0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        co.h_cross_parallel(0.5, 1.0, -1.0)
+    with pytest.raises(ValueError,
+                       match="^boundary distance y must be positive$"):
+        co.PhysicalConfig(a=0.5, L=1.0, y=0.0, alignment="parallel")
+    with pytest.raises(ValueError, match="^separation L must be positive$"):
+        co.PhysicalConfig(a=0.5, L=-1.0, y=1.0, alignment="parallel")
 
 
 # frozen fourier_oracle values of the boundary-kernel transform
@@ -208,20 +218,20 @@ _FROZEN_H_CROSS = {
 
 def test_h_cross_matches_frozen_oracle():
     pref = co.spectral_prefactor(1.0, 0.5)
-    e = co.h_cross_parallel(0.5, 0.7, 1.0).entries
+    e = tensor("boundary", (1, 2), 0.5, L=1.0, y=0.7)
     for (m, n), val in _FROZEN_H_CROSS.items():
         assert abs(-pref * e[m - 1, n - 1] - val) <= 0.01 * abs(val)
 
 
 def test_h_cross_coincidence_limit_is_h_self():
-    got = co.h_cross_parallel(0.6, 0.9, 1e-9).entries
-    assert_allclose(got, co.h_self(0.6, 0.9).entries, atol=1e-8)
+    got = tensor("boundary", (1, 2), 0.6, L=1e-9, y=0.9)
+    assert_allclose(got, tensor("boundary", (1, 1), 0.6, y=0.9), atol=1e-8)
 
 
 def test_h_cross_mirror_coincidence_reconstructs_f():
     # at the mirror the tangential parts match f and the normal part flips
-    f = co.f_cross(0.7, 1.3).entries
-    h0 = co.h_cross_parallel(0.7, 1e-9, 1.3).entries
+    f = tensor("free", (1, 2), 0.7, L=1.3)
+    h0 = tensor("boundary", (1, 2), 0.7, L=1.3, y=1e-9)
     for idx in [(0, 0), (2, 2), (0, 2), (2, 0)]:
         assert abs(f[idx] - h0[idx]) <= 1e-8
     assert abs(f[1, 1] + h0[1, 1]) <= 1e-8
@@ -230,10 +240,10 @@ def test_h_cross_mirror_coincidence_reconstructs_f():
 
 
 def test_h_self_limits():
-    far = co.h_self(0.5, 1e3).entries
+    far = tensor("boundary", (1, 1), 0.5, y=1e3)
     assert np.max(np.abs(far)) <= 1e-6
-    near = co.h_self(0.5, 1e-6).entries
-    fs = co.f_single(0.5).entries
+    near = tensor("boundary", (1, 1), 0.5, y=1e-6)
+    fs = tensor("free", (1, 1), 0.5)
     assert abs(near[0, 0] - fs[0, 0]) <= 1e-6
     assert abs(near[2, 2] - fs[2, 2]) <= 1e-6
     # normal component doubles the free one as the atom touches the mirror
@@ -253,7 +263,8 @@ def test_vertical_bounded_parts_vanish_far_away():
 def test_vertical_nearer_atom_protection():
     # tangential self rates of the nearer atom die at the mirror while the
     # farther atom keeps a finite rate
-    t1, t2, _ = co.pair_tensors(cfg(yl=1e-6, alignment="vertical"))
+    t1, t2, _ = (np.reshape(t, (3, 3)) for t in
+                 co._pair_table(cfg(yl=1e-6, alignment="vertical"), True))
     assert abs(t1[0, 0]) <= 1e-5
     assert abs(t1[2, 2]) <= 1e-5
     assert t2[0, 0] > 0.1
@@ -261,7 +272,8 @@ def test_vertical_nearer_atom_protection():
 
 def test_vertical_cross_image_distance():
     sc = co.spectral_tensor(cfg(alignment="vertical"), (1, 2), "boundary")
-    assert_allclose(sc.entries, co.h_self(0.5, 1.0).entries, rtol=1e-14)
+    assert_allclose(sc.entries, tensor("boundary", (1, 1), 0.5, y=1.0),
+                    rtol=1e-14)
 
 
 _FROZEN_S_CROSS = {(1, 1): -0.017058805822999765, (2, 2): 0.04233190997476522,
@@ -278,7 +290,7 @@ def test_vertical_s_cross_matches_frozen_oracle():
 def test_vertical_g_cross_permutes_axes():
     c = cfg(a=0.8, wl=1.1, alignment="vertical")
     g = co.spectral_tensor(c, (1, 2), "free").entries
-    f = co.f_cross(0.8, 1.1).entries
+    f = tensor("free", (1, 2), 0.8, L=1.1)
     assert g[0, 0] == f[0, 0]
     assert g[1, 1] == f[2, 2]
     assert g[2, 2] == f[1, 1]
@@ -358,8 +370,10 @@ def test_exchange_symmetry_vertical():
     c = cfg(a=0.5, wl=1.0, yl=0.5, alignment="vertical")
     s1 = co.spectral_tensor(c, (1, 1), "boundary")
     s2 = co.spectral_tensor(c, (2, 2), "boundary")
-    assert_allclose(s1.entries, co.h_self(c.a, c.y).entries, rtol=0)
-    assert_allclose(s2.entries, co.h_self(c.a, c.y + c.L).entries, rtol=0)
+    assert_allclose(s1.entries, tensor("boundary", (1, 1), c.a, y=c.y),
+                    rtol=0)
+    assert_allclose(s2.entries,
+                    tensor("boundary", (1, 1), c.a, y=c.y + c.L), rtol=0)
 
 
 def test_continuity_at_the_inertial_branch_point():
@@ -511,12 +525,13 @@ def test_assembly_is_a_round_off_close_contraction(alignment, a, log_wl,
                                                    log_yl, d1, d2,
                                                    include_boundary):
     # each rate is within 4 eps of scale * sum |d_i| |T_ij| |d_j| of the
-    # exact rational contraction of the pair_tensors entries, plus half a
+    # exact rational contraction of the _pair_table entries, plus half a
     # subnormal spacing for each of its 13 roundings (scale <= 1 here)
     c = co.PhysicalConfig.from_ratios(a, 10.0**log_wl, 10.0**log_yl,
                                       alignment, d1=d1, d2=d2)
     cs = co.assemble(c, include_boundary=include_boundary)
-    t1, t2, tc = co.pair_tensors(c, include_boundary=include_boundary)
+    t1, t2, tc = (np.reshape(t, (3, 3))
+                  for t in co._pair_table(c, include_boundary))
     scale = 0.25 * c.gamma0 * co.coth_pi_over_a(a)
     for got, u, t, v in ((cs.A1, c.d1, t1, c.d1), (cs.A2, c.d2, t2, c.d2),
                          (cs.A3, c.d1, tc, c.d2)):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mirroratoms import coefficients as co
 from mirroratoms import dynamics as dy
 from mirroratoms import entanglement as en
-from conftest import random_x_state
+from conftest import concurrence_oracle, random_x_state
 
 X = (1.0, 0.0, 0.0)
 Y = (0.0, 1.0, 0.0)
@@ -37,28 +37,28 @@ def test_equal_bell_mixture_is_separable():
 
 
 def test_maximally_mixed_is_separable():
-    assert en.concurrence_oracle(np.eye(4) / 4.0) == 0.0
+    assert concurrence_oracle(np.eye(4) / 4.0) == 0.0
 
 
 def test_bell_state_oracle_value():
     rho = dy.XState.symmetric().density_matrix()
-    assert abs(en.concurrence_oracle(rho) - 1.0) <= 1e-12
+    assert abs(concurrence_oracle(rho) - 1.0) <= 1e-12
 
 
 def test_oracle_rejects_invalid_matrices():
     with pytest.raises(ValueError):
-        en.concurrence_oracle(np.eye(4))  # trace 4
+        concurrence_oracle(np.eye(4))  # trace 4
     with pytest.raises(ValueError):
-        en.concurrence_oracle(np.diag([1.5, -0.5, 0.0, 0.0]))
+        concurrence_oracle(np.diag([1.5, -0.5, 0.0, 0.0]))
     with pytest.raises(ValueError):
-        en.concurrence_oracle(np.ones((3, 3)) / 3)
+        concurrence_oracle(np.ones((3, 3)) / 3)
 
 
 def test_x_formula_equals_wootters_oracle(rng):
     for _ in range(1000):
         s = random_x_state(rng)
         direct = en.concurrence_x(s)
-        general = en.concurrence_oracle(s.density_matrix())
+        general = concurrence_oracle(s.density_matrix())
         assert abs(direct - general) <= 1e-12
 
 
@@ -73,7 +73,7 @@ def test_x_formula_equals_oracle_hypothesis(p, frac_as, frac_ge,
     rho_ge = frac_ge * np.sqrt(p[0] * p[1]) * np.exp(1j * phase_ge)
     s = dy.XState(p[0], p[1], p[2], p[3], rho_as=rho_as, rho_ge=rho_ge)
     assert abs(en.concurrence_x(s)
-               - en.concurrence_oracle(s.density_matrix())) <= 1e-12
+               - concurrence_oracle(s.density_matrix())) <= 1e-12
 
 
 def test_concurrence_in_unit_interval(rng):
@@ -261,11 +261,11 @@ def test_vertical_revival_and_parallel_monotone_decay():
                                         d1=X, d2=X)
     ev, _ = _events_for(cfg)
     assert len(ev.death_times) >= 1
-    assert ev.has_revival
+    assert ev.revival_intervals
     assert ev.revival_intervals[0][0] > ev.death_times[0]
 
     ev_p, traj_p = _events_for(cfg.with_(alignment="parallel"))
-    assert not ev_p.has_revival
+    assert not ev_p.revival_intervals
     curve = en.concurrence_curve(traj_p)
     assert np.all(np.diff(curve) <= 1e-12)
 
@@ -274,7 +274,7 @@ def test_free_space_decay_is_monotone():
     cfg = co.PhysicalConfig.from_ratios(0.5, 1.0, 0.5, "parallel",
                                         d1=X, d2=X)
     ev, traj = _events_for(cfg, include_boundary=False)
-    assert not ev.has_revival
+    assert not ev.revival_intervals
     curve = en.concurrence_curve(traj)
     assert np.all(np.diff(curve) <= 1e-12)
 

@@ -43,6 +43,22 @@ def test_inertial_configuration_matches():
     assert report["max_rel_error"] <= 0.01
 
 
+@pytest.mark.parametrize("alignment", ["parallel", "vertical"])
+def test_inertial_negative_frequency_components_vanish(alignment):
+    # an inertial atom is not excited: W is analytic in the whole lower
+    # half-plane, so every component at w < 0 is exactly 0
+    cfg = co.PhysicalConfig.from_ratios(0.0, 1.0, 0.6, alignment)
+    status, report = _oracle_report(cfg, omega0=-1.0)
+    assert status == 0, report
+    assert report["max_rel_error"] == 0.0
+    # the zero is the contour's limit, not the underflow's: on a line at
+    # depth 1.5 the lifted sum already vanishes to round-off
+    kernel = fc.CorrelationKernel("free", 0.6, 0.6, 1.0, epsilon=1.5)
+    value, _, _ = fc._windowed_transform(kernel, 1, 1, 0.0, -1.0,
+                                         fc.default_window(0.0), 1.5 / 8)
+    assert abs(value) <= 1e-11
+
+
 def test_negative_frequency_detailed_balance():
     # at a = 1.5 the negative-frequency response is large enough for the
     # quadrature to resolve: G(-w) = exp(-2 pi w / a) G(+w)

@@ -54,10 +54,10 @@ def test_decay_speeds_up_near_mirror_for_normal_dipoles():
 def test_revival_window_for_acceleration_normal_pair():
     # one dipole along the acceleration, the other along the mirror normal:
     # inertial atoms never revive, moderate acceleration does, large kills it
-    assert not events(0.0, 1.0, 0.5, "parallel", X, Y, "S").has_revival
-    assert not events(0.1, 1.0, 0.5, "parallel", X, Y, "S").has_revival
-    assert events(0.5, 1.0, 0.5, "parallel", X, Y, "S").has_revival
-    assert not events(2.0, 1.0, 0.5, "parallel", X, Y, "S").has_revival
+    assert not events(0.0, 1.0, 0.5, "parallel", X, Y, "S").revival_intervals
+    assert not events(0.1, 1.0, 0.5, "parallel", X, Y, "S").revival_intervals
+    assert events(0.5, 1.0, 0.5, "parallel", X, Y, "S").revival_intervals
+    assert not events(2.0, 1.0, 0.5, "parallel", X, Y, "S").revival_intervals
 
 
 def test_acceleration_normal_pair_is_assignment_symmetric():
@@ -72,17 +72,19 @@ def test_acceleration_normal_pair_is_assignment_symmetric():
 def test_acceleration_separation_pair_never_revives():
     for yl in (0.3, 0.5, 1.0):
         for a in (0.1, 0.5, 1.0, 1.5):
-            assert not events(a, 1.0, yl, "parallel", X, Z, "S").has_revival
+            ev = events(a, 1.0, yl, "parallel", X, Z, "S")
+            assert not ev.revival_intervals
 
 
 def test_separation_normal_pair_has_a_revival_window():
-    assert events(0.6, 1.0, 0.5, "parallel", Z, Y, "S").has_revival
-    assert not events(0.1, 1.0, 0.5, "parallel", Z, Y, "S").has_revival
+    assert events(0.6, 1.0, 0.5, "parallel", Z, Y, "S").revival_intervals
+    assert not events(0.1, 1.0, 0.5, "parallel", Z, Y, "S").revival_intervals
 
 
 def test_inertial_cross_polarized_atoms_never_revive():
     for alignment in ("parallel", "vertical"):
-        assert not events(0.0, 1.0, 0.5, alignment, X, Y, "S").has_revival
+        ev = events(0.0, 1.0, 0.5, alignment, X, Y, "S")
+        assert not ev.revival_intervals
 
 
 # ---------------------------------------------------------------------
