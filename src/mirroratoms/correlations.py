@@ -213,6 +213,9 @@ def default_window(a):
 _MAX_PHASE = 1.5
 # e^{-x} underflows to 0.0 beyond x = 745.2
 _EXP_UNDERFLOW = 746.0
+# deepest line of a strip without a lower edge: there the kernel's s^3 is
+# about -c^6 = -1e300, still finite
+_MAX_DEPTH = 1e50
 
 
 def _contour(a, omega0):
@@ -232,7 +235,9 @@ def _contour(a, omega0):
     Where the strip has no lower edge (a = 0, or 2 pi / a overflows), the
     transform at omega0 < 0 is exactly 0: the line descends to the depth
     746 / |omega0|, where the factor e^{omega0 c} of the sum underflows to
-    0.0.
+    0.0.  Below |omega0| = 7.46e-48 that depth would overflow the kernel,
+    so the line stops at ``_MAX_DEPTH``; the sum there is the window's
+    truncation residue, below 1e-198.
     """
     strip = 2.0 * math.pi / a if a > 0 else math.inf
     d = min(_MAX_PHASE / max(abs(omega0), 1.0), 0.25 * strip)
@@ -241,7 +246,7 @@ def _contour(a, omega0):
     elif strip < math.inf:
         c = strip - d
     else:
-        c = _EXP_UNDERFLOW / -omega0
+        c = min(_EXP_UNDERFLOW / -omega0, _MAX_DEPTH)
     return c, d / 8.0
 
 

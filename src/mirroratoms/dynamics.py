@@ -14,12 +14,13 @@ and builds the one :class:`Trajectory`, which holds ``t_expm``, the eig
 modes and the rows.  ``Trajectory.state_at`` follows the same rule, so its
 value never depends on earlier calls: from ``t_expm`` on a grid time gives
 its row bit for bit, and an off-grid time gives expm(M tau) v0.  Before
-``t_expm`` the rows are one (N, 6) x (6, 6) product and ``state_at`` one
+``t_expm`` the rows are one (6, 6) x (6, N) product and ``state_at`` one
 matrix-vector product per call; the two sum in another order and agree
 within cond(v) ulps of the eigenvector basis v.
 
-A trajectory is array-backed: an (N, 6) array of coordinates and an (N,)
-complex array of rho_GE, computed and validated with whole-array numpy.
+A trajectory is array-backed: six contiguous (N,) series of coordinates,
+read as rows through their (N, 6) transpose, and an (N,) complex array of
+rho_GE, computed and validated with whole-array numpy.
 """
 
 from __future__ import annotations
@@ -235,10 +236,12 @@ def build_generator(coeffs):
 class Trajectory:
     """Exactly propagated states at the requested times.
 
-    vectors  (N, 6) coordinates (pG, pE, pA, pS, Re rho_AS, Im rho_AS)
+    vectors  (N, 6) coordinates (pG, pE, pA, pS, Re rho_AS, Im rho_AS),
+             the transpose of a C-contiguous (6, N) array, so that
+             ``vectors.T`` holds each coordinate as one contiguous series
     rho_ge   (N,) complex G-E coherence
     t_expm   first time of the expm route: rows before it come from eig,
-             as one (N, 6) x (6, 6) product, the rest from ``_anchored_rows``
+             as one (6, 6) x (6, N) product, the rest from ``_anchored_rows``
     modes    (w, v, v^-1 v0), the eigenvalues and eigenvectors of the block
              and the initial coordinates in that basis; None without eig
 
@@ -392,7 +395,8 @@ def propagate(gen, s0, times):
         raise ValueError("generator population block must be 6x6")
 
     v0 = s0.vector()
-    rows = np.empty((len(times), 6))
+    # one contiguous series per coordinate; the rows are its transpose
+    series = np.empty((6, len(times)))
     t_expm, modes = -math.inf, None
     w, v = np.linalg.eig(m)
     try:
@@ -401,21 +405,24 @@ def propagate(gen, s0, times):
         cond = np.inf
     if np.isfinite(cond) and cond <= _COND_LIMIT:
         modes = (w, v, np.linalg.inv(v) @ v0)
-        # one (N, 6) x (6, 6) product for every sample; state_at's
-        # matrix-vector product sums in another order, so the two agree
-        # within cond(v) ulps, not bit for bit
-        rows[:] = ((np.exp(times[:, None] * w) * modes[2]) @ v.T).real
-        # left to right, as a sum over axis 1 adds the columns
-        drift = np.abs(rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
+        # one (6, 6) x (6, N) product for every sample, taken without a
+        # copy when the modes are real; state_at's matrix-vector product
+        # sums in another order, so the two agree within cond(v) ulps, not
+        # bit for bit
+        series = np.ascontiguousarray(
+            (v @ (np.exp(w[:, None] * times) * modes[2][:, None])).real)
+        # left to right, as state_at adds the populations
+        drift = np.abs(series[0] + series[1] + series[2] + series[3]
                        - (s0.pG + s0.pE + s0.pA + s0.pS))
         leaks = times[(times != 0.0) & ~(drift <= _TRACE_GUARD)]
         t_expm = leaks[0] if len(leaks) else math.inf
-    # times ascend, so the tail is the suffix from t_expm on; an empty tail
-    # still costs about 60 us in _anchored_rows
+    # times ascend, so the tail is the suffix from t_expm on and the zero
+    # times a prefix; an empty tail still costs about 60 us in _anchored_rows
     tail = int(np.searchsorted(times, t_expm))
     if tail < len(times):
-        rows[tail:] = _anchored_rows(m, v0, times[tail:])
-    rows[times == 0.0] = v0
+        series[:, tail:] = _anchored_rows(m, v0, times[tail:]).T
+    series[:, :int(np.searchsorted(times, 0.0, side="right"))] = v0[:, None]
+    rows = series.T
 
     rho_ge = s0.rho_ge * np.exp(gen.rate_ge * times)
     _validate_rows(times, rows, rho_ge)

@@ -743,7 +743,8 @@ def test_help_still_exits_0(capsys):
 
 
 # zero, the subnormal and overflow edges, the non-finite values and a
-# string that is no number, for every float flag of coeffs and events
+# string that is no number, for every float flag of coeffs, events and
+# evolve
 _EDGE_ARGS = ["0", "5e-324", "-5e-324", "1e308", "-1e308", "nan", "inf",
               "-inf", "abc"]
 _FLOAT_FLAGS = ["--a", "--omega-l", "--y-over-l", "--gamma0",
@@ -752,7 +753,8 @@ _FLOAT_FLAGS = ["--a", "--omega-l", "--y-over-l", "--gamma0",
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(command=st.sampled_from([("coeffs",), ("events", "--horizon", "2")]),
+@given(command=st.sampled_from([("coeffs",), ("events", "--horizon", "2"),
+                                 ("evolve", "--horizon", "2")]),
        flags=st.dictionaries(st.sampled_from(_FLOAT_FLAGS),
                              st.sampled_from(_EDGE_ARGS), max_size=3))
 @example(command=("coeffs",), flags={"--y-over-l": "1e308"})
@@ -769,6 +771,8 @@ def test_every_exit_code_names_its_cause(command, flags, tmp_path, capsys):
     assert "Traceback" not in err
     assert (rc == 1) == err.startswith("configuration error")
     assert (rc == 2) == err.startswith("numerical failure")
+    # a configuration error is refused before any output is written
+    assert rc != 1 or not out.exists()
 
 
 def test_an_underflowing_boundary_distance_is_named(capsys):

@@ -339,6 +339,9 @@ def test_propagate_rows_equal_sequential_evaluation(gen, s0, method):
     times = np.linspace(0.0, 40.0, 4001)
     traj = dy.propagate(gen, s0, times)
     assert traj.method == method
+    # the rows are the transpose of six contiguous coordinate series
+    assert traj.vectors.shape == (len(times), 6)
+    assert traj.vectors.T.flags.c_contiguous
     ge = [s0.rho_ge * np.exp(gen.rate_ge * tau) for tau in times]
     assert np.array_equal(traj.rho_ge, ge)
 
@@ -352,7 +355,7 @@ def test_propagate_rows_equal_sequential_evaluation(gen, s0, method):
     start = _tail_start(gen, traj)
     assert np.array_equal(traj.vectors[start:], forward[start:])
 
-    # before it, the rows' one (N, 6) x (6, 6) product and state_at's
+    # before it, the rows' one (6, 6) x (6, N) product and state_at's
     # matrix-vector product both lie within cond(v) ulps of the truth
     cond = np.linalg.cond(np.linalg.eig(gen.block_pop)[1])
     bound = cond * 2.0 ** -52
@@ -364,6 +367,25 @@ def test_propagate_rows_equal_sequential_evaluation(gen, s0, method):
     errors = _shadow_errors(gen, s0, times[picks], traj.vectors[picks],
                             forward[picks])
     assert errors.max() <= bound, (errors, bound)
+
+
+@pytest.mark.parametrize("state", ["E", "S"])
+def test_ill_conditioned_eig_rows_are_within_cond_ulps(state):
+    # the free-space generator of fig16/parallel_xy at a/omega = 1.85,
+    # whose eigenvector basis has cond(v) = 7.3: its eig rows are as exact
+    # as that basis allows, though not within the well-conditioned 1e-15
+    cfg = co.PhysicalConfig.from_ratios(1.85, 0.5, 0.01, "parallel",
+                                        d1=(1, 0, 0), d2=Y)
+    gen = dy.build_generator(co.assemble(cfg, include_boundary=False))
+    s0 = dy.XState.preset(state)
+    times = np.linspace(0.0, 40.0, 4001)
+    traj = dy.propagate(gen, s0, times)
+    assert traj.method == "eig"
+    cond = np.linalg.cond(np.linalg.eig(gen.block_pop)[1])
+    assert 5.0 < cond < 10.0, cond
+    picks = sorted({*np.geomspace(1, len(times) - 1, 12).astype(int)})
+    errors = _shadow_errors(gen, s0, times[picks], traj.vectors[picks])
+    assert errors.max() <= cond * 2.0 ** -52, (errors, cond)
 
 
 def _vertical_y_drift_generator():

@@ -8,6 +8,8 @@ component and a lock against values frozen from the earlier
 scipy.integrate.quad integrator are exercised.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,25 @@ def test_inertial_negative_frequency_components_vanish(alignment):
     value, _, _ = fc._windowed_transform(kernel, 1, 1, 0.0, -1.0,
                                          fc.default_window(0.0), 1.5 / 8)
     assert abs(value) <= 1e-11
+
+
+@pytest.mark.parametrize("omega0", [-1.0, -1e-3, -1e-30, -1e-50, -1e-100,
+                                    -1e-200])
+def test_inertial_negative_frequency_line_keeps_the_kernel_finite(omega0):
+    # the line descends to 746/|w|, where the sum's factor e^{w c}
+    # underflows to an exact 0; below |w| = 7.46e-48 that depth would
+    # overflow s^3 in the kernel, so the line stops at 1e50, where the sum
+    # is the window's truncation residue and still converges
+    cfg = co.PhysicalConfig.from_ratios(0.0, 1.0, 0.6, "parallel")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fc.fourier_oracle("free", 1, 1, (1, 1), cfg, omega0)
+    assert result.converged, result.message
+    assert result.depth == min(746.0 / -omega0, 1e50)
+    value = complex(result.value, result.imag)
+    if result.depth < 1e50:
+        assert value == 0.0
+    assert abs(value) <= 1e-190, result
 
 
 def test_negative_frequency_detailed_balance():
