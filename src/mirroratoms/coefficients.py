@@ -17,14 +17,18 @@ Axis convention: 1 = x (acceleration), 2 = y (boundary normal),
 y in the vertical alignment.
 
 The layer computes in Python floats from start to end.  Each tensor
-builder returns a flat row-major 9-tuple, :func:`assemble` subtracts and
-contracts those tuples in a fixed order, and only :func:`spectral_tensors`
-and :func:`spectral_tensor` wrap them into (3, 3) arrays.  For
-axis-aligned dipoles the contraction picks out one tensor entry exactly.
+builder returns a flat row-major 9-tuple, and one kernel part is the triple
+(T11, T22 or None, T12) of them.  :func:`assemble` subtracts and contracts
+those tuples in a fixed order, and only :func:`spectral_tensors` and
+:func:`spectral_tensor` wrap them into (3, 3) arrays.  For axis-aligned
+dipoles the contraction picks out one tensor entry exactly.
+:func:`_f_parts` keeps its last 8 results, so the free-space rates that
+follow a configuration's rates reuse its free cross tensor.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -163,6 +167,10 @@ def _phase(a, s):
     return k * math.asinh(0.5 * a * s)
 
 
+# assemble(config, False) right after assemble(config) finds the free cross
+# tensor here.  a = +0.0 and -0.0 share a key and give the same bits (a only
+# enters as a * a and a == 0.0); typed keys keep ints from a float's bits.
+@functools.lru_cache(maxsize=8, typed=True)
 def _f_parts(a, s):
     """Free-space cross tensor components (f11, f22, f33, f13) at chord s.
 
@@ -289,6 +297,7 @@ def _matrix(t):
 def _tensor_table(config, part):
     """The tensors of :func:`spectral_tensors` as flat row-major 9-tuples.
 
+    Returns (T11, T22, T12), with T22 None where both atoms share T11.
     This is the only place that dispatches on the alignment.
     """
     a, y, L = config.a, config.y, config.L
@@ -297,15 +306,13 @@ def _tensor_table(config, part):
         fs = _f_single(a)
         fc = _f_cross(a, L)
         if vertical:
-            return {(1, 1): fs, (2, 2): fs, (1, 2): _swap_yz(fc)}
-        return {(1, 1): fs, (1, 2): fc}
+            return fs, fs, _swap_yz(fc)
+        return fs, None, fc
     if part != "boundary":
         raise ValueError("part must be 'free' or 'boundary'")
     if vertical:
-        return {(1, 1): _h_self(a, y),
-                (2, 2): _h_self(a, y + L),
-                (1, 2): _h_self(a, y + 0.5 * L)}
-    return {(1, 1): _h_self(a, y), (1, 2): _h_cross(a, y, L)}
+        return _h_self(a, y), _h_self(a, y + L), _h_self(a, y + 0.5 * L)
+    return _h_self(a, y), None, _h_cross(a, y, L)
 
 
 def spectral_tensors(config, part):
@@ -320,8 +327,9 @@ def spectral_tensors(config, part):
     the transpose of (1, 2).  Each tensor is a fresh float64 array built
     from the same scalar closed forms that :func:`assemble` contracts.
     """
-    return {pair: _matrix(t)
-            for pair, t in _tensor_table(config, part).items()}
+    t11, t22, t12 = _tensor_table(config, part)
+    tensors = {(1, 1): t11, (2, 2): t22, (1, 2): t12}
+    return {pair: _matrix(t) for pair, t in tensors.items() if t is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +368,14 @@ def spectral_prefactor(omega0, a):
 
 def _pair_table(config, include_boundary):
     """(T_self1, T_self2, T_cross) as flat 9-tuples: free minus boundary."""
-    t = _tensor_table(config, "free")
+    t11, t22, t12 = _tensor_table(config, "free")
     if include_boundary:
-        b = _tensor_table(config, "boundary")
-        t = {pair: tuple(map(operator.sub, t[pair], b[pair])) for pair in t}
-    return t[(1, 1)], t.get((2, 2), t[(1, 1)]), t[(1, 2)]
+        b11, b22, b12 = _tensor_table(config, "boundary")
+        t11 = tuple(map(operator.sub, t11, b11))
+        t12 = tuple(map(operator.sub, t12, b12))
+        if t22 is not None:
+            t22 = tuple(map(operator.sub, t22, b22))
+    return t11, t22 or t11, t12
 
 
 def _contract(u, t, v):
@@ -398,10 +409,11 @@ def assemble(config, include_boundary=True):
     power or end in a non-finite rate raises :class:`RateError`, which
     names the configuration.
     """
+    th = tanh_pi_over_a(config.a)
     try:
         t1, t2, tc = _pair_table(config, include_boundary)
         d1, d2 = config.d1.tolist(), config.d2.tolist()
-        scale = 0.25 * config.gamma0 * coth_pi_over_a(config.a)
+        scale = 0.25 * config.gamma0 * (1.0 / th)
         a1 = scale * _contract(d1, t1, d1)
         a2 = scale * _contract(d2, t2, d2)
         a3 = scale * _contract(d1, tc, d2)
@@ -412,7 +424,6 @@ def assemble(config, include_boundary=True):
         raise _rate_error(config, "divide by zero") from exc
     if not (math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3)):
         raise _rate_error(config, "are not finite")
-    th = tanh_pi_over_a(config.a)
     return CoefficientSet(a1, a2, a3, a1 * th, a2 * th, a3 * th)
 
 
@@ -493,7 +504,8 @@ def spectral_tensor(config, pair, part):
     alpha, beta = pair
     if alpha not in (1, 2) or beta not in (1, 2):
         raise ValueError("atom indices must be 1 or 2")
-    table = _tensor_table(config, part)
-    if (alpha, beta) == (2, 1):
-        return CorrelationTensor(_matrix(table[(1, 2)]).T)
-    return CorrelationTensor(_matrix(table.get((alpha, beta), table[(1, 1)])))
+    t11, t22, t12 = _tensor_table(config, part)
+    if alpha == beta:
+        return CorrelationTensor(_matrix(t11 if alpha == 1 else t22 or t11))
+    m = _matrix(t12)
+    return CorrelationTensor(m if alpha == 1 else m.T)

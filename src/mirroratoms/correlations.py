@@ -261,8 +261,13 @@ def _windowed_transform(kernel, m, n, a, omega0, window, step):
     uniform nodes u_k of [-T, T], at most ``step`` apart.  Returns
     (value, error, tail): the error is the value's difference from the sum
     over every other node, which bounds the error of the full sum by far;
-    the tail is the size of the integrand at the window's edges times its
-    decay length.  One integrand call.
+    the tail is the size of the integrand at the window's edges times the
+    shorter of the envelope's decay length and 2 / |w|.  Integrating by
+    parts, an envelope g whose modulus decays monotonically beyond T gives
+    |int_T^inf e^{iwu} g du| <= (|g(T)| + int_T^inf |g'| du) / |w|
+    = 2 |g(T)| / |w|, and likewise below -T.  At a = 0 the decay length
+    T / 3 of the u^-4 envelope alone overstates an oscillating tail by
+    |w| T / 6.  One integrand call.
     """
     half = 2 * math.ceil(window / (2.0 * step))
     h = window / half
@@ -271,7 +276,8 @@ def _windowed_transform(kernel, m, n, a, omega0, window, step):
     f *= np.exp(1j * omega0 * u)
     lift = math.exp(omega0 * kernel.epsilon)
     even, odd = np.sum(f[::2]), np.sum(f[1::2])
-    decay_len = min(1.0 / a, window / 3.0) if a > 0 else window / 3.0
+    decay_len = min(1.0 / a if a > 0 else math.inf, window / 3.0,
+                    2.0 / abs(omega0) if omega0 else math.inf)
     tail = (abs(f[0]) + abs(f[-1])) * decay_len
     return lift * h * (even + odd), lift * h * abs(odd - even), lift * tail
 

@@ -203,33 +203,29 @@ def build_generator(coeffs):
     if not all(map(math.isfinite, (a1, a2, a3, b1, b2, b3))):
         raise ValueError("coefficients must be finite")
 
+    # left-to-right prefixes and repeated entries, each computed once, so
+    # every entry keeps the operation order of its formula
+    pp, pm = a1 + b1 + a2 + b2, a1 - b1 + a2 - b2
+    a3x2, b3x2, s12, db = 2.0 * a3, 2.0 * b3, a1 + a2, -b1 + b2
+    pp_m, pp_p = pp - a3x2 - b3x2, pp + a3x2 + b3x2
+    pm_m, pm_p = pm - a3x2 + b3x2, pm + a3x2 - b3x2
+    rate_ge = -2.0 * s12
     m = np.array([
         # dpG
-        [-2.0 * (a1 - b1 + a2 - b2), 0.0,
-         a1 + b1 + a2 + b2 - 2.0 * a3 - 2.0 * b3,
-         a1 + b1 + a2 + b2 + 2.0 * a3 + 2.0 * b3,
-         2.0 * (a1 + b1 - a2 - b2), 0.0],
+        -2.0 * pm, 0.0, pp_m, pp_p, 2.0 * (a1 + b1 - a2 - b2), 0.0,
         # dpE
-        [0.0, -2.0 * (a1 + b1 + a2 + b2),
-         a1 - b1 + a2 - b2 - 2.0 * a3 + 2.0 * b3,
-         a1 - b1 + a2 - b2 + 2.0 * a3 - 2.0 * b3,
-         2.0 * (-a1 + b1 + a2 - b2), 0.0],
+        0.0, -2.0 * pp, pm_m, pm_p, 2.0 * (-a1 + b1 + a2 - b2), 0.0,
         # dpA
-        [a1 - b1 + a2 - b2 - 2.0 * a3 + 2.0 * b3,
-         a1 + b1 + a2 + b2 - 2.0 * a3 - 2.0 * b3,
-         -2.0 * (a1 + a2 - 2.0 * a3), 0.0, 2.0 * (-b1 + b2), 0.0],
+        pm_m, pp_m, -2.0 * (s12 - a3x2), 0.0, 2.0 * db, 0.0,
         # dpS
-        [a1 - b1 + a2 - b2 + 2.0 * a3 - 2.0 * b3,
-         a1 + b1 + a2 + b2 + 2.0 * a3 + 2.0 * b3,
-         0.0, -2.0 * (a1 + a2 + 2.0 * a3), 2.0 * (-b1 + b2), 0.0],
+        pm_p, pp_p, 0.0, -2.0 * (s12 + a3x2), 2.0 * db, 0.0,
         # d Re rho_AS
-        [a1 - b1 - a2 + b2, -a1 - b1 + a2 + b2, -b1 + b2, -b1 + b2,
-         -2.0 * (a1 + a2), 0.0],
+        a1 - b1 - a2 + b2, -a1 - b1 + a2 + b2, db, db, rate_ge, 0.0,
         # d Im rho_AS
-        [0.0, 0.0, 0.0, 0.0, 0.0, -2.0 * (a1 + a2)],
-    ])
+        0.0, 0.0, 0.0, 0.0, 0.0, rate_ge,
+    ]).reshape(6, 6)
 
-    return Generator(block_pop=m, rate_ge=-2.0 * (a1 + a2))
+    return Generator(block_pop=m, rate_ge=rate_ge)
 
 
 @dataclass

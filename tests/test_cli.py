@@ -434,11 +434,15 @@ def test_coeffs_oracle_prints_the_max_relative_error(capsys):
     ["--a", "1e5"],
     ["--a", "0.5", "--omega-l", "1e-3", "--y-over-l", "0.5"],
     ["--a", "1e-310"],
-], ids=["a-1e5", "omega-l-1e-3", "a-subnormal"])
+    ["--a", "0", "--omega-l", "2.577778", "--y-over-l", "0.5",
+     "--alignment", "vertical"],
+], ids=["a-1e5", "omega-l-1e-3", "a-subnormal", "fig18-vertical-a0"])
 def test_coeffs_oracle_converges_at_extreme_points(argv, capsys):
     # at a = 1e5 the window of 40/a is 4e-4, at omega L = 1e-3 two boundary
-    # components cancel to a part in 1e3 of their parts, and at a = 1e-310,
-    # where 2/a overflows, the orbit is the inertial line
+    # components cancel to a part in 1e3 of their parts, at a = 1e-310,
+    # where 2/a overflows, the orbit is the inertial line, and at the fig18
+    # and fig20 vertical_a0 point one boundary component, 4.27e-5, sits
+    # near a zero crossing, so its window tail is judged on a small value
     rc = run_cli("coeffs", *argv, "--oracle")
     captured = capsys.readouterr()
     assert rc == 0, captured.err

@@ -496,6 +496,29 @@ def test_axis_dipole_rates_and_generators_are_pinned(pin):
     assert gen.rate_ge.hex() == pin["rate_ge"]
 
 
+# hex spectral tensors of 18 configurations, frozen from the dict-keyed
+# tensor tables that preceded the (T11, T22, T12) triples: both
+# alignments, a in {0, 2/3, 1e5}, y/L in {0.01, 0.5, 1000}
+_TENSOR_PINS = json.loads(
+    (Path(__file__).parent / "tensor_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", _TENSOR_PINS, ids=lambda p: (
+    f"{p['alignment']}-a{p['a_over_omega']:.3g}-yl{p['y_over_L']}"))
+@pytest.mark.parametrize("part", ["free", "boundary"])
+def test_spectral_tensors_are_pinned(pin, part):
+    c = co.PhysicalConfig.from_ratios(
+        pin["a_over_omega"], pin["omega_L"], pin["y_over_L"],
+        pin["alignment"])
+    got = [[list(k), [v.hex() for v in m.ravel().tolist()]]
+           for k, m in co.spectral_tensors(c, part).items()]
+    assert got == pin[part]["tensors"]
+    for pair, want in pin[part]["spectral_tensor"]:
+        entries = co.spectral_tensor(c, tuple(pair), part).entries
+        assert entries.shape == (3, 3)
+        assert [v.hex() for v in entries.ravel().tolist()] == want, pair
+
+
 def _unit(v):
     v = np.asarray(v)
     return v / np.linalg.norm(v)

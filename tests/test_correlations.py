@@ -481,6 +481,25 @@ def test_oracle_flags_window_truncation():
     assert "tail" in res.message or "converge" in res.message
 
 
+def test_inertial_tail_bound_passes_a_vanishing_component_and_still_bounds():
+    # fig18/fig20 vertical_a0 at omega L = 2.577778: the boundary (2, 2)
+    # [22] component, 4.27e-5, passes through zero as omega L varies.  The
+    # u^-4 envelope's decay length T / 3 put its tail at 4.7e-9, beyond
+    # tail_tol times the value; the oscillation bounds it by 2 / |w|.  The
+    # bound must still cover the truncation a window 8x wider removes.
+    cfg = PhysicalConfig.from_ratios(0.0, 2.577778, 0.5, "vertical")
+    res = fourier_oracle(BOUNDARY, 2, 2, (2, 2), cfg, 1.0)
+    assert res.converged, res.message
+    assert res.value == pytest.approx(4.266e-5, rel=1e-3)
+    wide = QuadratureSettings(window=8.0 * res.window)
+    for kind, pair, m in ((BOUNDARY, (2, 2), 2), (BOUNDARY, (1, 2), 1),
+                          (FREE, (1, 2), 2), (FREE, (1, 1), 3)):
+        res = fourier_oracle(kind, m, m, pair, cfg, 1.0)
+        truncated = abs(res.value - fourier_oracle(kind, m, m, pair, cfg, 1.0,
+                                                   wide).value)
+        assert 0.0 < truncated <= res.tail, (kind, pair, m)
+
+
 def test_quadrature_settings_validate():
     for name in ("window", "rel_tol", "abs_floor", "tail_tol"):
         for value in (0.0, -3.0, math.nan, math.inf):

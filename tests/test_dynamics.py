@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -168,6 +170,51 @@ def test_doubly_excited_decay_rate_free_space():
     times = np.linspace(0.0, 3.0, 7)
     traj = dy.propagate(gen, dy.XState.excited(), times)
     assert_allclose(traj.vectors[:, 1], np.exp(-2.0 * times), rtol=1e-12)
+
+
+def _nested_generator(a1, a2, a3, b1, b2, b3):
+    """The generator's entries as nested rows of one formula each, in the
+    operation order every entry must keep."""
+    return [
+        [-2.0 * (a1 - b1 + a2 - b2), 0.0,
+         a1 + b1 + a2 + b2 - 2.0 * a3 - 2.0 * b3,
+         a1 + b1 + a2 + b2 + 2.0 * a3 + 2.0 * b3,
+         2.0 * (a1 + b1 - a2 - b2), 0.0],
+        [0.0, -2.0 * (a1 + b1 + a2 + b2),
+         a1 - b1 + a2 - b2 - 2.0 * a3 + 2.0 * b3,
+         a1 - b1 + a2 - b2 + 2.0 * a3 - 2.0 * b3,
+         2.0 * (-a1 + b1 + a2 - b2), 0.0],
+        [a1 - b1 + a2 - b2 - 2.0 * a3 + 2.0 * b3,
+         a1 + b1 + a2 + b2 - 2.0 * a3 - 2.0 * b3,
+         -2.0 * (a1 + a2 - 2.0 * a3), 0.0, 2.0 * (-b1 + b2), 0.0],
+        [a1 - b1 + a2 - b2 + 2.0 * a3 - 2.0 * b3,
+         a1 + b1 + a2 + b2 + 2.0 * a3 + 2.0 * b3,
+         0.0, -2.0 * (a1 + a2 + 2.0 * a3), 2.0 * (-b1 + b2), 0.0],
+        [a1 - b1 - a2 + b2, -a1 - b1 + a2 + b2, -b1 + b2, -b1 + b2,
+         -2.0 * (a1 + a2), 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, -2.0 * (a1 + a2)],
+    ]
+
+
+# signed zeros, subnormals and rates whose sums reach 1e301 stress the
+# sign of a zero and the order of each sum
+_RATE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-310,
+                     1e300, -1e300]),
+    st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[_RATE] * 6))
+def test_generator_entries_equal_their_formulas_bit_for_bit(rates):
+    a1, a2, a3, b1, b2, b3 = rates
+    gen = dy.build_generator(co.CoefficientSet(a1, a2, a3, b1, b2, b3))
+    want = _nested_generator(a1, a2, a3, b1, b2, b3)
+    assert gen.block_pop.shape == (6, 6)
+    assert gen.block_pop.dtype == np.float64
+    assert ([[v.hex() for v in row] for row in gen.block_pop.tolist()]
+            == [[v.hex() for v in row] for row in want])
+    assert gen.rate_ge.hex() == (-2.0 * (a1 + a2)).hex()
 
 
 def test_generator_rejects_nonfinite():
