@@ -9,9 +9,11 @@ its own output.
 
 Every float in a CSV is written as ``'%.17g' % v``.  Trajectory and curve
 bodies (:class:`FloatRows`) are formatted 512 rows at a time by a numpy
-kernel whose bytes equal that conversion, cell by cell; a cell it cannot
-prove exact goes through ``%.17g`` itself.  A metadata value that holds a
-line break is written as JSON, so every line above the header starts with
+kernel whose bytes equal that conversion, cell by cell.  Exact zeros (three
+of the eleven trajectory columns of an X state, and concurrence after
+sudden death) never enter its digit arithmetic, and a cell it cannot prove
+exact goes through ``%.17g`` itself.  A metadata value that holds a line
+break is written as JSON, so every line above the header starts with
 ``#``.
 
 Exit status: 0 success, 1 configuration/validation error (a malformed
@@ -185,18 +187,21 @@ _ROWS_PER_WRITE = 512
 # ---------------------------------------------------------------------
 # '%.17g' for a whole block of floats at once
 #
-# A cell in the fast range becomes the 17-digit integer d = round(|v| *
-# 10**(16 - k)), k = floor(log10 |v|), and is laid out from d's digits and
-# k.  The product is taken in double-double arithmetic: a table of powers
-# of ten split as ph + pl, and Dekker's exact two-product (Numer. Math. 18,
-# 224 (1971)).  Its error is below 1e-13 on a value near 1e17, so rounding
-# to the nearest integer is exact unless the fraction lies within
-# _TIE_GUARD of one half.  A cell the kernel cannot prove is formatted by
-# '%.17g' itself: non-finite, outside the fast range, that close to a
-# rounding tie, or with an integer part outside [1e16, 1e17) because
-# log10 put k one off.  Each cell gets fixed byte slots, and a slot the
-# cell does not use holds 0xFF, a byte UTF-8 text never contains.
-# Deleting the 0xFF bytes leaves '%.17g' of every cell.
+# An exact zero never enters the digit arithmetic: +0.0 is written "0" and
+# -0.0 "-0".  A nonzero cell in the fast range becomes the 17-digit integer
+# d = round(|v| * 10**(16 - k)), k = floor(log10 |v|), and is laid out from
+# d's digits and k.  The product is taken in double-double arithmetic: a
+# table of powers of ten split as ph + pl, and Dekker's exact two-product
+# (Numer. Math. 18, 224 (1971)).  Its error is below 1e-13 on a value near
+# 1e17, so rounding to the nearest integer is exact unless the fraction
+# lies within _TIE_GUARD of one half.  A cell the kernel cannot prove is
+# formatted by '%.17g' itself: non-finite, outside the fast range, that
+# close to a rounding tie, or with an integer part outside [1e16, 1e17)
+# because log10 put k one off.  Each nonzero cell gets a record of fixed
+# byte slots, and a slot the cell does not use holds 0xFF, a byte UTF-8
+# text never contains.  A line gathers one record per cell, its own or that
+# of its signed zero, and deleting the 0xFF bytes leaves '%.17g' of every
+# cell.
 # ---------------------------------------------------------------------
 
 # the range keeps every partial product of the two-product far from
@@ -208,11 +213,11 @@ _TIE_GUARD = 1e-6
 _PAD = 0xFF
 # a cell's slots: sign, "0.000" of 1e-4 <= |v| < 1, 18 digit slots that
 # hold the 17 digits and the decimal point, "e", exponent sign, 3 exponent
-# digits, then the cell's separator
+# digits, then the cell's separator, the newline of a line's last cell and
+# a pad slot: 32 slots, a size numpy's take copies fastest
 _SIGN, _LEAD0, _DIGITS, _EXP = 0, 1, 6, 24
-_SEP = 29
+_SEP, _WIDTH = 29, 32
 _DIGIT_SLOTS = np.arange(18, dtype=np.int8)[:, None]
-_DIGIT_COUNT = np.arange(1, 18, dtype=np.uint8)[:, None]
 
 
 @functools.cache
@@ -220,9 +225,12 @@ def _g17_tables():
     """Powers of ten 10**n, n in [_POW_LO, _POW_HI], as the double nearest
     to each and the double nearest to its remainder, both from exact
     integer arithmetic (int / int is correctly rounded), with the nearest
-    double also split in halves for the two-product; and the ASCII digits
-    of 0..9999 as four rows.  Built by the first CSV body, not on
-    import."""
+    double also split in halves for the two-product; the ASCII digits of
+    0..9999 as four rows; and, for each of the four digit groups that
+    follow d's first digit, the count of d's significant digits up to and
+    including the group's last nonzero digit (0 for a zero group, except
+    that the first digit alone counts 1).  Built by the first CSV body,
+    not on import."""
     ph, pl = [], []
     for n in range(_POW_LO, _POW_HI + 1):
         if n >= 0:
@@ -239,8 +247,12 @@ def _g17_tables():
     ph_hi = c - (c - ph)
     i = np.arange(10000)
     digits4 = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10])
+    trailing0 = sum(i % 10**t == 0 for t in (1, 2, 3))
+    group = np.arange(4)[:, None]
     tables = (ph, ph_hi, ph - ph_hi, pl,
-              digits4.astype(np.uint8) + ord("0"))
+              digits4.astype(np.uint8) + ord("0"),
+              np.where(i > 0, 5 + 4 * group - trailing0,
+                       group == 0).astype(np.uint8))
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -254,11 +266,15 @@ def _slot(cond, char):
 def _g17_block(values, lead=b""):
     """The CSV lines of a 2-D float block, cells as ``'%.17g' % v``,
     each line starting with the bytes ``lead``."""
-    ph, ph_hi, ph_lo, pl, digits4 = _g17_tables()
+    ph, ph_hi, ph_lo, pl, digits4, nsig4 = _g17_tables()
     rows, cols = values.shape
     n = rows * cols
     v = np.ascontiguousarray(values, dtype=np.float64).reshape(n)
-    a = np.abs(v)
+    # the m nonzero cells (NaN included) take the digit arithmetic below
+    nonzero = v != 0
+    w = v[nonzero]
+    m = len(w)
+    a = np.abs(w)
     x = np.fmin(np.fmax(a, _FAST_MIN), _FAST_MAX)
     k = np.floor(np.log10(x)).astype(np.intp)
     p = (16 - _POW_LO) - k
@@ -281,10 +297,9 @@ def _g17_block(values, lead=b""):
     carry = d == 10**17
     d -= carry * (9 * 10**16)
     k += carry
-    zero = a == 0
 
     # the digits of d, one row each, between two pad rows
-    digits = np.empty((19, n), np.uint8)
+    digits = np.empty((19, m), np.uint8)
     digits[0] = digits[18] = _PAD
     top = d // 10**8
     low8 = (d - top * 10**8).astype(np.int32)
@@ -292,63 +307,70 @@ def _g17_block(values, lead=b""):
     first = top // 10**8
     mid8 = top - first * 10**8
     g1, g3 = mid8 // 10**4, low8 // 10**4
+    groups = (g1, mid8 - g1 * 10**4, g3, low8 - g3 * 10**4)
     digits[1] = first + ord("0")
-    digits[2:6] = digits4.take(g1, axis=1)
-    digits[6:10] = digits4.take(mid8 - g1 * 10**4, axis=1)
-    digits[10:14] = digits4.take(g3, axis=1)
-    digits[14:18] = digits4.take(low8 - g3 * 10**4, axis=1)
-    nsig = np.max(_DIGIT_COUNT * (digits[1:18] != ord("0")), axis=0)
+    nsig = np.zeros(m, np.uint8)
+    for j, g in enumerate(groups):
+        digits[2 + 4 * j:6 + 4 * j] = digits4.take(g, axis=1)
+        np.maximum(nsig, nsig4[j].take(g), out=nsig)
 
     # %g: fixed notation for -4 <= k < 17, else d.ddde+XX
-    sci = ((k < -4) | (k > 16)) & ~zero
+    sci = (k < -4) | (k > 16)
     below_one = (k < 0) & (k >= -4)
     point = np.where(sci, 0, k)           # the digit the point follows
-    has_point = (nsig > point + 1) & ~(below_one | zero)
+    has_point = (nsig > point + 1) & ~below_one
     after = np.where(has_point, point + 1, 99).astype(np.int8)
     shown = np.where(below_one | sci, nsig, np.maximum(nsig, k + 1))
     shown += has_point
-    shown[zero] = 0
 
-    slots = np.empty((_SEP + 1, n), np.uint8)
-    slots[_SIGN] = _slot(np.signbit(v), ord("-"))
-    slots[_LEAD0] = _slot(below_one | zero, ord("0"))
-    slots[_LEAD0 + 1] = _slot(below_one, ord("."))
+    # a cell's slots are a record: one per nonzero cell, "0", "-0", then
+    # the lead in records of its own
+    q = -(-len(lead) // _WIDTH)
+    record = np.full((m + 2 + q, _WIDTH), _PAD, np.uint8)
+    slots = record.T
+    slots[_SIGN, :m] = _slot(np.signbit(w), ord("-"))
+    slots[_SIGN, m + 1] = ord("-")
+    slots[_LEAD0, :m] = _slot(below_one, ord("0"))
+    slots[_LEAD0, m:m + 2] = ord("0")
+    slots[_LEAD0 + 1, :m] = _slot(below_one, ord("."))
     for i in range(1, 4):
-        slots[_LEAD0 + 1 + i] = _slot(below_one & (k <= -1 - i), ord("0"))
+        slots[_LEAD0 + 1 + i, :m] = _slot(below_one & (k <= -1 - i), ord("0"))
     # digit slot s holds digit s before the point and digit s - 1 after it
-    body = slots[_DIGITS:_EXP]
-    before = (_DIGIT_SLOTS < after).view(np.uint8)
-    np.negative(before, out=before)
-    np.bitwise_xor(digits[1:19], digits[0:18], out=body)
-    body &= before
+    body = (_DIGIT_SLOTS < after).view(np.uint8)
+    np.negative(body, out=body)
+    body &= digits[1:19] ^ digits[0:18]
     body ^= digits[0:18]
     body |= (_DIGIT_SLOTS < shown.astype(np.int8)).view(np.uint8) - 1
+    slots[_DIGITS:_EXP, :m] = body
     cells = np.flatnonzero(has_point)
-    slots.reshape(-1)[(_DIGITS + after[cells].astype(np.intp)) * n
-                      + cells] = ord(".")
-    e = np.abs(k)
-    no_exp = _slot(sci, 0)
-    slots[_EXP] = no_exp | ord("e")
-    slots[_EXP + 1] = no_exp | np.where(k < 0, ord("-"), ord("+"))
-    slots[_EXP + 2] = _slot(sci & (e >= 100), 0) | e // 100 + ord("0")
-    slots[_EXP + 3] = no_exp | e // 10 % 10 + ord("0")
-    slots[_EXP + 4] = no_exp | e % 10 + ord("0")
-    slots[_SEP] = ord(",")
-    slots[_SEP].reshape(rows, cols)[:, -1] = ord("\r")
+    record[cells, _DIGITS + after[cells]] = ord(".")
+    cells = np.flatnonzero(sci)
+    e = np.abs(k[cells])
+    slots[_EXP, cells] = ord("e")
+    slots[_EXP + 1, cells] = np.where(k[cells] < 0, ord("-"), ord("+"))
+    slots[_EXP + 2, cells] = _slot(e >= 100, 0) | e // 100 + ord("0")
+    slots[_EXP + 3, cells] = e // 10 % 10 + ord("0")
+    slots[_EXP + 4, cells] = e % 10 + ord("0")
+    slots[_SEP, :m + 2] = ord(",")
 
-    slow = np.flatnonzero(~(exact | zero))
+    slow = np.flatnonzero(~exact)
     if len(slow):
         text = b"".join(("%.17g" % f).encode().ljust(_SEP, b"\xff")
-                        for f in v[slow].tolist())
-        slots[:_SEP, slow] = np.frombuffer(text, np.uint8).reshape(-1, _SEP).T
+                        for f in w[slow].tolist())
+        record[slow, :_SEP] = np.frombuffer(text, np.uint8).reshape(-1, _SEP)
+    record[m + 2:].reshape(-1)[:len(lead)] = np.frombuffer(lead, np.uint8)
 
-    width = len(lead) + cols * (_SEP + 1)
-    out = np.empty((rows, width + 1), np.uint8)
-    out[:, :len(lead)] = np.frombuffer(lead, np.uint8)
-    out[:, len(lead):width] = slots.T.reshape(rows, cols * (_SEP + 1))
-    out[:, width] = ord("\n")
-    return out.tobytes().translate(None, b"\xff").decode("utf-8",
-                                                         "surrogatepass")
+    # a line copies its lead's records, then each cell's own record or
+    # that of its signed zero
+    column = m + np.signbit(v)
+    column[nonzero] = np.arange(m)
+    index = np.empty((rows, q + cols), np.intp)
+    index[:, :q] = np.arange(m + 2, m + 2 + q)
+    index[:, q:] = column.reshape(rows, cols)
+    line = record.take(index, axis=0)
+    line[:, -1, _SEP:_SEP + 2] = (ord("\r"), ord("\n"))
+    return line.tobytes().translate(None, b"\xff").decode("utf-8",
+                                                          "surrogatepass")
 
 
 def _write_float_rows(fh, block):
