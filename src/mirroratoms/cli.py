@@ -17,9 +17,9 @@ break is written as JSON, so every line above the header starts with
 ``#``.
 
 Exit status: 0 success, 1 configuration/validation error (a malformed
-argument included), 2 numerical failure (closed-form rates that overflow
-or are not finite, a propagated row that is not a state, or an oracle
-component that fails its check).
+argument or a JSON field of the wrong type included), 2 numerical failure
+(rates that overflow or are not finite, a propagated row that is not a
+state, a failed sweep point, or an oracle component that fails its check).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import functools
 import inspect
 import io
 import json
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -86,13 +87,24 @@ class RunConfig:
     oracle_validation: bool = False
 
     def __post_init__(self):
+        # JSON true/false are Python ints and a JSON string passes float(),
+        # so a flag must be a bool and a number a real number
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            parts = {"float": [value], "tuple": value if isinstance(
+                value, (list, tuple)) else [None]}.get(f.type, [])
+            if f.type == "bool" and not isinstance(value, bool) or not all(
+                    isinstance(x, numbers.Real) and not isinstance(x, bool)
+                    for x in parts):
+                raise ConfigError(f"{f.name} must be " + {
+                    "bool": "true or false", "float": "a number",
+                    "tuple": "a list of numbers"}[f.type])
+        for key in ("d1", "d2"):
+            object.__setattr__(self, key, tuple(map(float, getattr(self, key))))
         if self.output_format not in ("csv", "json"):
             raise ConfigError("output_format must be 'csv' or 'json'")
-        try:
-            en.scan_size(self.horizon, self.sample_step)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        # delegate the physical-range and initial-state checks
+        # from_dict raises their ValueErrors as ConfigErrors
+        en.scan_size(self.horizon, self.sample_step)
         self.physical()
         try:
             self.initial()
@@ -108,9 +120,6 @@ class RunConfig:
                 f"unknown config key(s): {', '.join(sorted(unknown))}")
         clean = dict(data)
         try:
-            for key in ("d1", "d2"):
-                if key in clean:
-                    clean[key] = tuple(float(x) for x in clean[key])
             if "initial_state" in clean and not isinstance(
                     clean["initial_state"], str):
                 clean["initial_state"] = _parse_matrix(clean["initial_state"])
@@ -127,11 +136,8 @@ class RunConfig:
         return d
 
     def physical(self):
-        try:
-            return co.PhysicalConfig.from_ratios(
-                *(getattr(self, key) for key in _PHYSICAL_KEYS))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return co.PhysicalConfig.from_ratios(
+            *(getattr(self, key) for key in _PHYSICAL_KEYS))
 
     def initial(self):
         return dy.XState.resolve(self.initial_state)
@@ -484,21 +490,23 @@ def _load_config(args):
     data = {}
     if getattr(args, "config", None):
         data = _read_json_object(args.config, "config")
+    try:
+        dipoles = {key: [float(x) for x in getattr(args, key).split(",")]
+                   for key in ("d1", "d2") if getattr(args, key)}
+    except ValueError as exc:
+        raise ConfigError(f"invalid dipole flag: {exc}") from exc
     overrides = {
         "a_over_omega": args.a, "omega_L": args.omega_l,
         "y_over_L": args.y_over_l, "alignment": args.alignment,
         "gamma0": args.gamma0, "initial_state": args.initial_state,
         "horizon": args.horizon, "sample_step": args.sample_step,
         "output_path": args.output, "output_format": args.format,
+        **dipoles,
     }
     if getattr(args, "free_space_companion", False):
         overrides["include_free_space_companion"] = True
     if getattr(args, "oracle", False):
         overrides["oracle_validation"] = True
-    if args.d1:
-        overrides["d1"] = args.d1.split(",")
-    if args.d2:
-        overrides["d2"] = args.d2.split(",")
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
@@ -647,11 +655,8 @@ def cmd_sweep(args):
 
     all_rows = []
     curve_blocks = []
-    failures = 0
     for spec in specs:
         result = sw.run_sweep(spec)
-        for row in result.rows:
-            failures += bool(row["error"])
         all_rows.extend(result.rows)
         for idx, curve in result.curves.items():
             columns = [curve["times"], curve["concurrence"]]
@@ -682,7 +687,11 @@ def cmd_sweep(args):
         else:
             write_csv(curve_path, meta, cheader, curve_blocks)
         print(f"wrote {curve_path}")
-    return 2 if failures else 0
+    errors = [row["error"] for row in all_rows if row["error"]]
+    if errors:
+        print(f"numerical failure: {len(errors)} of {len(all_rows)} sweep "
+              f"points failed; the first: {errors[0]}", file=sys.stderr)
+    return 2 if errors else 0
 
 
 def _spec_record(spec):

@@ -5,18 +5,17 @@ coherence and the G-E coherence close on themselves.  The state is stored
 as 6 real coordinates (pG, pE, pA, pS, Re rho_AS, Im rho_AS) plus the
 complex rho_GE; hermiticity is built in, never checked after the fact.
 The generator is a constant 6x6 real matrix plus a scalar decay rate for
-rho_GE, so propagation is an eigendecomposition up to ``t_expm``, the
-first grid time where it drifts the trace, and anchored blocks of
-scaling-and-squaring exponentials from there on: every 64th row is
-expm(M t) v0, and the rows between step from the one before with
-expm(M h) of their grid step h.  ``propagate`` checks the generator once
-and builds the one :class:`Trajectory`, which holds ``t_expm``, the eig
-modes and the rows.  ``Trajectory.state_at`` follows the same rule, so its
-value never depends on earlier calls: from ``t_expm`` on a grid time gives
-its row bit for bit, and an off-grid time gives expm(M tau) v0.  Before
-``t_expm`` the rows are one (6, 6) x (6, N) product and ``state_at`` one
-matrix-vector product per call; the two sum in another order and agree
-within cond(v) ulps of the eigenvector basis v.
+rho_GE.  ``propagate`` fixes one route per trajectory.  The eig route, an
+eigendecomposition of the block, serves when its eigenvector basis v is
+well conditioned and holds the population sum within ``_TRACE_GUARD`` at
+every nonzero grid time; its rows are one (6, 6) x (6, N) product.  Nearly
+defective collective modes (small separations) leak trace on it, and then
+every row comes from anchored scaling-and-squaring exponentials: every
+64th row is expm(M t) v0, and each row between steps from the one before
+with expm(M h) of its grid step h.  ``Trajectory.state_at`` reads
+the route, so its value never depends on earlier calls: on the eig route
+one matrix-vector product, within cond(v) ulps of the rows; on the expm
+route a grid time's row bit for bit, and expm(M tau) v0 off the grid.
 
 A trajectory is array-backed: six contiguous (N,) series of coordinates,
 read as rows through their (N, 6) transpose, and an (N,) complex array of
@@ -34,17 +33,17 @@ from scipy.linalg import expm
 _TRACE_TOL = 1e-12
 _POS_TOL = 1e-10
 _COND_LIMIT = 1e12
-# population-sum drift that moves a row off the eig route
+# population-sum drift that moves a trajectory off the eig route
 _TRACE_GUARD = 1e-13
 # slack of the vectorised min-eigenvalue screen in _validate_rows
 _EIG_SCREEN_MARGIN = 1e-14
-# tail rows per expm anchor in _anchored_rows
+# rows per expm anchor in _anchored_rows
 _BLOCK = 64
 
 
 class PropagationError(ValueError):
-    """A propagated state fails the :class:`XState` trace or positivity
-    checks: the rates or the arithmetic broke complete positivity."""
+    """A generator entry is not finite, or a propagated state fails the
+    :class:`XState` checks: the rates or the arithmetic broke positivity."""
 
 
 @dataclass(frozen=True)
@@ -200,8 +199,6 @@ def build_generator(coeffs):
     """
     a1, a2, a3 = coeffs.A1, coeffs.A2, coeffs.A3
     b1, b2, b3 = coeffs.B1, coeffs.B2, coeffs.B3
-    if not all(map(math.isfinite, (a1, a2, a3, b1, b2, b3))):
-        raise ValueError("coefficients must be finite")
 
     # left-to-right prefixes and repeated entries, each computed once, so
     # every entry keeps the operation order of its formula
@@ -210,7 +207,7 @@ def build_generator(coeffs):
     pp_m, pp_p = pp - a3x2 - b3x2, pp + a3x2 + b3x2
     pm_m, pm_p = pm - a3x2 + b3x2, pm + a3x2 - b3x2
     rate_ge = -2.0 * s12
-    m = np.array([
+    entries = [
         # dpG
         -2.0 * pm, 0.0, pp_m, pp_p, 2.0 * (a1 + b1 - a2 - b2), 0.0,
         # dpE
@@ -223,9 +220,11 @@ def build_generator(coeffs):
         a1 - b1 - a2 + b2, -a1 - b1 + a2 + b2, db, db, rate_ge, 0.0,
         # d Im rho_AS
         0.0, 0.0, 0.0, 0.0, 0.0, rate_ge,
-    ]).reshape(6, 6)
-
-    return Generator(block_pop=m, rate_ge=rate_ge)
+    ]
+    # a NaN rate or an entry that overflows leaves the sum non-finite
+    if not math.isfinite(sum(entries)):
+        raise PropagationError("a generator entry overflows or is NaN")
+    return Generator(np.array(entries).reshape(6, 6), rate_ge)
 
 
 @dataclass
@@ -236,17 +235,9 @@ class Trajectory:
              the transpose of a C-contiguous (6, N) array, so that
              ``vectors.T`` holds each coordinate as one contiguous series
     rho_ge   (N,) complex G-E coherence
-    t_expm   first time of the expm route: rows before it come from eig,
-             as one (6, 6) x (6, N) product, the rest from ``_anchored_rows``
     modes    (w, v, v^-1 v0), the eigenvalues and eigenvectors of the block
-             and the initial coordinates in that basis; None without eig
-
-    The eigenvector basis of the 6x6 block can be poorly conditioned
-    (nearly defective collective modes at small separations), and then the
-    spectral route leaks trace at the 1e-10 level.  ``propagate`` sets
-    ``t_expm`` to the first grid time whose population sum drifts beyond
-    ``_TRACE_GUARD`` on that route (+inf if none; -inf if the condition
-    number rejects the route).
+             and the initial coordinates in that basis, on the eig route;
+             None on the expm route
     """
 
     times: np.ndarray
@@ -254,23 +245,21 @@ class Trajectory:
     rho_ge: np.ndarray
     generator: Generator
     initial_state: XState
-    t_expm: float
     modes: tuple | None = field(repr=False)
 
     @property
     def method(self):
-        """"expm" when any row left the eig route, else "eig"."""
-        return "eig" if self.t_expm == math.inf else "expm"
+        """The route of every row, "eig" or "expm"."""
+        return "eig" if self.modes is not None else "expm"
 
     def state_at(self, tau):
         """Exact state at an arbitrary time; ValueError if ``tau`` is
         negative or not finite.
 
-        The grid's rule: eig before ``t_expm`` unless that value drifts by
-        itself, the row of a grid time from ``t_expm`` on, and expm(M tau) v0
-        at any other time.  The eig value is one matrix-vector product,
-        whatever the grid, so it agrees with a grid row before ``t_expm``
-        within cond(v) ulps, not bit for bit.
+        On the eig route one matrix-vector product, which agrees with a
+        grid row within cond(v) ulps, not bit for bit; on the expm route the
+        row of a grid time; and expm(M tau) v0 otherwise, or where the eig
+        value drifts by itself.
         """
         if not 0.0 <= tau < math.inf:
             raise ValueError(
@@ -279,7 +268,7 @@ class Trajectory:
         ge = s0.rho_ge * np.exp(self.generator.rate_ge * tau)
         if tau == 0.0:
             return _propagated_state(s0.vector(), ge, tau)
-        if tau < self.t_expm:
+        if self.modes is not None:
             w, v, coeff = self.modes
             vec = (v @ (np.exp(w * tau) * coeff)).real
             p_g, p_e, p_a, p_s = vec.tolist()[:4]
@@ -287,10 +276,10 @@ class Trajectory:
             if (abs(p_g + p_e + p_a + p_s - (s0.pG + s0.pE + s0.pA + s0.pS))
                     <= _TRACE_GUARD):
                 return _propagated_state(vec, ge, tau)
-        times = self.times
-        i = int(np.searchsorted(times, tau))
-        if tau >= self.t_expm and i < len(times) and times[i] == tau:
-            return _propagated_state(self.vectors[i], ge, tau)
+        else:
+            i = int(np.searchsorted(self.times, tau))
+            if i < len(self.times) and self.times[i] == tau:
+                return _propagated_state(self.vectors[i], ge, tau)
         vec = expm(self.generator.block_pop * tau) @ s0.vector()
         return _propagated_state(vec, ge, tau)
 
@@ -391,37 +380,32 @@ def propagate(gen, s0, times):
         raise ValueError("generator population block must be 6x6")
 
     v0 = s0.vector()
-    # one contiguous series per coordinate; the rows are its transpose
-    series = np.empty((6, len(times)))
-    t_expm, modes = -math.inf, None
+    modes = None
     w, v = np.linalg.eig(m)
     try:
         cond = np.linalg.cond(v)
     except np.linalg.LinAlgError:
         cond = np.inf
     if np.isfinite(cond) and cond <= _COND_LIMIT:
-        modes = (w, v, np.linalg.inv(v) @ v0)
-        # one (6, 6) x (6, N) product for every sample, taken without a
-        # copy when the modes are real; state_at's matrix-vector product
-        # sums in another order, so the two agree within cond(v) ulps, not
-        # bit for bit
+        coeff = np.linalg.inv(v) @ v0
+        # one contiguous series per coordinate, the rows its transpose, from
+        # one (6, 6) x (6, N) product; state_at's matrix-vector product sums
+        # in another order, so the two agree within cond(v) ulps
         series = np.ascontiguousarray(
-            (v @ (np.exp(w[:, None] * times) * modes[2][:, None])).real)
+            (v @ (np.exp(w[:, None] * times) * coeff[:, None])).real)
         # left to right, as state_at adds the populations
         drift = np.abs(series[0] + series[1] + series[2] + series[3]
                        - (s0.pG + s0.pE + s0.pA + s0.pS))
-        leaks = times[(times != 0.0) & ~(drift <= _TRACE_GUARD)]
-        t_expm = leaks[0] if len(leaks) else math.inf
-    # times ascend, so the tail is the suffix from t_expm on and the zero
-    # times a prefix; an empty tail still costs about 60 us in _anchored_rows
-    tail = int(np.searchsorted(times, t_expm))
-    if tail < len(times):
-        series[:, tail:] = _anchored_rows(m, v0, times[tail:]).T
+        if np.all((drift <= _TRACE_GUARD) | (times == 0.0)):
+            modes = (w, v, coeff)
+    if modes is None:
+        series = np.ascontiguousarray(_anchored_rows(m, v0, times).T)
+    # times ascend, so the zero times are a prefix
     series[:, :int(np.searchsorted(times, 0.0, side="right"))] = v0[:, None]
     rows = series.T
 
     rho_ge = s0.rho_ge * np.exp(gen.rate_ge * times)
     _validate_rows(times, rows, rho_ge)
     return Trajectory(times=times, vectors=rows, rho_ge=rho_ge, generator=gen,
-                      initial_state=s0, t_expm=t_expm, modes=modes)
+                      initial_state=s0, modes=modes)
 

@@ -15,6 +15,7 @@ columns for the dashed-line comparisons.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,6 +57,12 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}")
+        # as in scan_size: JSON true/false are ints, strings pass float()
+        if not isinstance(self.include_free_space, bool):
+            raise ValueError("include_free_space must be true or false")
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in self.values):
+            raise ValueError("values must be numbers")
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValueError("values must be non-empty")

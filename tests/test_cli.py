@@ -1,10 +1,12 @@
 """CLI subcommands, strict config schema, and output-file stability."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +168,32 @@ def test_propagation_failure_is_a_numerical_failure(command, tmp_path,
     assert rc == 2
     assert err.startswith("numerical failure: ")
     assert "pA is negative beyond tolerance at gamma0_tau = " in err
+
+
+def test_a_failed_sweep_point_is_a_named_numerical_failure(tmp_path, capsys):
+    # the point of the test above and one that passes, as a sweep: the
+    # error goes in its row, and the exit status 2 says why on stderr
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({
+        "axis": "acceleration", "values": [0.5, 0.6], "initial_state": "E",
+        "outputs": ["maxc"], "base": {"omega_L": 1e-3, "y_over_L": 0.5}}))
+    out = tmp_path / "out"
+    rc = run_cli("sweep", "--spec", str(spec_file), "--output", str(out))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("numerical failure: 1 of 2 sweep points failed; "
+                          "the first: pA is negative beyond tolerance")
+    assert (out / "sweep_summary.csv").exists()
+
+
+def test_a_generator_entry_that_overflows_is_a_numerical_failure(capsys):
+    # finite rates near the largest double whose sums in the generator
+    # overflow to inf
+    rc = run_cli("events", "--gamma0", "1e308", "--y-over-l", "1e-4",
+                 "--d1", "0,1,0", "--d2", "0,1,0")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "numerical failure: a generator entry overflows or is NaN\n"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -548,6 +576,62 @@ def test_non_numeric_config_horizon_is_named(horizon, tmp_path, capsys):
     assert err.startswith("configuration error: horizon must be a number")
 
 
+# JSON strings and true/false are not read by truthiness or through float():
+# a flag must be true or false, and a number a number
+@pytest.mark.parametrize("command, data, message", [
+    ("coeffs", {"oracle_validation": "false"},
+     "oracle_validation must be true or false"),
+    ("evolve", {"include_free_space_companion": "no"},
+     "include_free_space_companion must be true or false"),
+    ("evolve", {"include_free_space_companion": 1},
+     "include_free_space_companion must be true or false"),
+    ("coeffs", {"a_over_omega": True}, "a_over_omega must be a number"),
+    ("coeffs", {"omega_L": "1.5"}, "omega_L must be a number"),
+    ("events", {"y_over_L": [0.5]}, "y_over_L must be a number"),
+    ("coeffs", {"gamma0": None}, "gamma0 must be a number"),
+    ("evolve", {"sample_step": False}, "sample_step must be a number"),
+    ("coeffs", {"d1": [True, 0, 0]}, "d1 must be a list of numbers"),
+    ("coeffs", {"d2": ["1", 0, 0]}, "d2 must be a list of numbers"),
+    ("coeffs", {"d1": "100"}, "d1 must be a list of numbers"),
+], ids=["oracle-string", "companion-string", "companion-int", "a-bool",
+        "omega-string", "y-list", "gamma0-null", "step-bool", "d1-bool",
+        "d2-string", "d1-string"])
+def test_config_field_of_the_wrong_json_type_is_named(command, data, message,
+                                                      tmp_path, capsys):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps(data))
+    out = tmp_path / "out.csv"
+    rc = run_cli(command, "--config", str(cfg_file), "--output", str(out))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"include_free_space": "no"}, "include_free_space must be true or false"),
+    ({"include_free_space": None}, "include_free_space must be true or false"),
+    ({"values": [True]}, "values must be numbers"),
+    ({"values": ["0.5"]}, "values must be numbers"),
+    ({"values": "0.5"}, "values must be numbers"),
+    ({"base": {"a_over_omega": False}}, "a_over_omega must be a number"),
+    ({"base": {"d2": [0, "1", 0]}}, "d2 must be a list of numbers"),
+], ids=["free-string", "free-null", "values-bool", "values-string",
+        "values-text", "base-bool", "base-d2-string"])
+def test_spec_field_of_the_wrong_json_type_is_named(fields, message, tmp_path,
+                                                    capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"axis": "acceleration", "values": [0.5],
+                                     **fields}))
+    out = tmp_path / "out"
+    rc = run_cli("sweep", "--spec", str(spec_file), "--output", str(out))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("configuration error: ")
+    assert message in captured.err
+    assert not out.exists()
+
+
 def test_unwritable_coeffs_output_fails_before_the_oracle(tmp_path, capsys,
                                                          monkeypatch):
     reports = []
@@ -775,6 +859,59 @@ def test_every_exit_code_names_its_cause(command, flags, tmp_path, capsys):
     assert "Traceback" not in err
     assert (rc == 1) == err.startswith("configuration error")
     assert (rc == 2) == err.startswith("numerical failure")
+    # a configuration error is refused before any output is written
+    assert rc != 1 or not out.exists()
+
+
+# every JSON type of the wrong kind (string, bool, list, object, null) and
+# the edge numbers, for the fields of a --config or --spec file
+_JSON_EDGES = ["abc", "", "1", True, False, [], [0.5], [1, 0, 0], {}, None,
+               0, -1, 0.5, 5e-324, 1e308, -1e308]
+# output_path is left to --output, so that no drawn path is written
+_FILE_KEYS = {
+    "config": [f.name for f in dataclasses.fields(cli.RunConfig)
+               if f.name != "output_path"],
+    "spec": [f.name for f in dataclasses.fields(cli.sw.SweepSpec)
+             if f.name != "base"],
+}
+_EDGE_FIELDS = st.dictionaries(
+    st.sampled_from(sorted({*_FILE_KEYS["config"], *_FILE_KEYS["spec"]})),
+    st.sampled_from(_JSON_EDGES), max_size=3)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["coeffs", "events", "evolve", "sweep"]),
+       fields=_EDGE_FIELDS,
+       base=st.dictionaries(st.sampled_from(cli._PHYSICAL_KEYS),
+                            st.sampled_from(_JSON_EDGES), max_size=2))
+@example(command="coeffs", fields={"oracle_validation": "false"}, base={})
+@example(command="sweep", fields={"include_free_space": "no"}, base={})
+@example(command="sweep", fields={"values": [True]}, base={})
+# the free-space rates of this point overflow in the generator, and the sweep
+# exits 2 with the point's error
+@example(command="sweep", fields={"include_free_space": True},
+         base={"gamma0": 1e308})
+def test_every_exit_code_of_a_file_names_its_cause(command, fields, base,
+                                                   tmp_path, capsys):
+    # the config file holds the physical keys itself, a spec in its base
+    kind = "spec" if command == "sweep" else "config"
+    fields = {k: v for k, v in fields.items() if k in _FILE_KEYS[kind]}
+    fields = ({"axis": "acceleration", "values": [0.5], **fields,
+               "base": base} if kind == "spec" else {**base, **fields})
+    # hypothesis reuses tmp_path across examples
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = work / f"{kind}.json"
+    path.write_text(json.dumps(fields))
+    # the output file of coeffs, events and evolve; the directory of sweep
+    out = work / "out"
+    rc = run_cli(command, f"--{kind}", str(path), "--output", str(out))
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    assert (rc == 1) == err.startswith("configuration error")
+    assert (rc == 2) == (err.startswith("numerical failure")
+                         or err.startswith("oracle validation FAILED"))
     # a configuration error is refused before any output is written
     assert rc != 1 or not out.exists()
 

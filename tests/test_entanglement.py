@@ -103,7 +103,7 @@ def _trajectory_of_rows(vectors):
     s0 = dy.XState.ground()
     return dy.Trajectory(times=times, vectors=vectors,
                          rho_ge=np.zeros(n, complex), generator=gen,
-                         initial_state=s0, t_expm=-math.inf, modes=None)
+                         initial_state=s0, modes=None)
 
 
 def test_negative_radicand_is_reported_along_a_trajectory():
