@@ -25,6 +25,7 @@ state, a failed sweep point, or an oracle component that fails its check).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -88,17 +89,18 @@ class RunConfig:
 
     def __post_init__(self):
         # JSON true/false are Python ints and a JSON string passes float(),
-        # so a flag must be a bool and a number a real number
+        # so a flag must be a bool, a number a real number and a path a str
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             parts = {"float": [value], "tuple": value if isinstance(
                 value, (list, tuple)) else [None]}.get(f.type, [])
-            if f.type == "bool" and not isinstance(value, bool) or not all(
+            kind = {"bool": bool, "str": str}.get(f.type, object)
+            if not isinstance(value, kind) or not all(
                     isinstance(x, numbers.Real) and not isinstance(x, bool)
                     for x in parts):
                 raise ConfigError(f"{f.name} must be " + {
-                    "bool": "true or false", "float": "a number",
-                    "tuple": "a list of numbers"}[f.type])
+                    "bool": "true or false", "str": "a string",
+                    "float": "a number", "tuple": "a list of numbers"}[f.type])
         for key in ("d1", "d2"):
             object.__setattr__(self, key, tuple(map(float, getattr(self, key))))
         if self.output_format not in ("csv", "json"):
@@ -394,11 +396,17 @@ def _write_float_rows(fh, block):
                             lead))
 
 
+@contextlib.contextmanager
 def _open_output(path, **kwargs):
-    """``open(path, "w")``; a path that cannot be opened is a ConfigError."""
+    """``open(path, "w")`` as a context; an OSError of the open, a write or
+    the close is a ConfigError, and removes the file if the run made it."""
+    existed = os.path.exists(path)
     try:
-        return open(path, "w", **kwargs)
+        with open(path, "w", **kwargs) as fh:
+            yield fh
     except OSError as exc:
+        if not existed:
+            Path(path).unlink(missing_ok=True)
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 

@@ -12,10 +12,9 @@ every nonzero grid time; its rows are one (6, 6) x (6, N) product.  Nearly
 defective collective modes (small separations) leak trace on it, and then
 every row comes from anchored scaling-and-squaring exponentials: every
 64th row is expm(M t) v0, and each row between steps from the one before
-with expm(M h) of its grid step h.  ``Trajectory.state_at`` reads
-the route, so its value never depends on earlier calls: on the eig route
-one matrix-vector product, within cond(v) ulps of the rows; on the expm
-route a grid time's row bit for bit, and expm(M tau) v0 off the grid.
+with expm(M h) of its grid step h.  ``Trajectory.state_at`` reads the
+route, so its value never depends on earlier calls: one matrix-vector
+product on the eig route, expm(M tau) v0 on the expm route, never a row.
 
 A trajectory is array-backed: six contiguous (N,) series of coordinates,
 read as rows through their (N, 6) transpose, and an (N,) complex array of
@@ -256,10 +255,9 @@ class Trajectory:
         """Exact state at an arbitrary time; ValueError if ``tau`` is
         negative or not finite.
 
-        On the eig route one matrix-vector product, which agrees with a
-        grid row within cond(v) ulps, not bit for bit; on the expm route the
-        row of a grid time; and expm(M tau) v0 otherwise, or where the eig
-        value drifts by itself.
+        One matrix-vector product on the eig route, expm(M tau) v0 on the
+        expm route or where the eig value drifts by itself; at a grid time
+        either lies within round-off of the row, not bit for bit.
         """
         if not 0.0 <= tau < math.inf:
             raise ValueError(
@@ -276,10 +274,6 @@ class Trajectory:
             if (abs(p_g + p_e + p_a + p_s - (s0.pG + s0.pE + s0.pA + s0.pS))
                     <= _TRACE_GUARD):
                 return _propagated_state(vec, ge, tau)
-        else:
-            i = int(np.searchsorted(self.times, tau))
-            if i < len(self.times) and self.times[i] == tau:
-                return _propagated_state(self.vectors[i], ge, tau)
         vec = expm(self.generator.block_pop * tau) @ s0.vector()
         return _propagated_state(vec, ge, tau)
 
@@ -367,6 +361,8 @@ def sample_times(times):
     return times
 
 
+# _validate_rows names each row that rates near the float limit overflow
+@np.errstate(over="ignore", invalid="ignore")
 def propagate(gen, s0, times):
     """Propagate an initial X state to each requested time.
 

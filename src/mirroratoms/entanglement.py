@@ -2,10 +2,12 @@
 
 For X-form states the concurrence reduces to max{0, K1, K2} with two
 explicit radicals, the X-state form of Wootters' spin-flip concurrence
-(PRL 80, 2245 (1998)).  Death/birth/revival times are found by bracketing
-sign changes of the smooth quantity max{K1, K2} on a dense sample grid and
-refining by bisection on exactly propagated states; the maximum of C is
-polished by golden-section search, with or without the crossings.
+(PRL 80, 2245 (1998)); for one state or a whole trajectory, K1 and K2 are
+exact to a few ulps of their terms.  Death/birth/revival times are found
+by bracketing sign changes of the smooth quantity max{K1, K2} on a dense
+sample grid and refining by bisection on exactly propagated states; the
+maximum of C is polished by golden-section search, with or without the
+crossings.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import propagate
+from .dynamics import _EIG_SCREEN_MARGIN, _POS_TOL, propagate
 
-_RADICAND_TOL = 1e-12
 # bisection and golden-section tolerance of event refinement, Gamma0*tau
 REFINE_TOL = 1e-6
 # a scan grid of more samples is a configuration error, not an allocation:
@@ -31,11 +32,13 @@ def _k_values(s):
     re_as, im_as = s.rho_as.real, s.rho_as.imag
     rad1 = gap * gap + 4.0 * (im_as * im_as)
     rad2 = total * total - 4.0 * (re_as * re_as)
-    for rad in (rad1, rad2):
-        if rad < -_RADICAND_TOL:
-            raise ValueError(
-                f"negative radicand {rad}: upstream positivity violation")
-    rad1 = max(rad1, 0.0)
+    # an inner-block eigenvalue >= -_POS_TOL, as XState requires, gives
+    # rad2 >= -4 tol (pA + pS + tol); the screen margin on tol covers the
+    # round-off of both evaluations.  K1's radicand is a sum of squares.
+    tol = _POS_TOL + _EIG_SCREEN_MARGIN
+    if rad2 < -4.0 * tol * (total + tol):
+        raise ValueError(
+            f"negative radicand {rad2}: upstream positivity violation")
     rad2 = max(rad2, 0.0)
     prod = max(s.pG * s.pE, 0.0)
     k1 = math.sqrt(rad1) - 2.0 * math.sqrt(prod)
@@ -43,37 +46,27 @@ def _k_values(s):
     return k1, k2
 
 
-def _first_max(a, b):
-    """Elementwise ``max(a, b)`` as Python picks it: ``b`` only if b > a.
-
-    Unlike ``np.maximum`` this keeps Python's choice between -0.0 and 0.0
-    and passes a NaN in ``a`` through.
-    """
-    return np.where(b > a, b, a)
-
-
 def _k_arrays(traj):
     """K1, K2 of every sample of ``traj`` at once.
 
-    The same elementwise operations as :func:`_k_values`; squares are
-    products in both, so the two agree bit for bit.
+    The operations of :func:`_k_values`, with |rho_GE| from ``np.abs``, so
+    each K lies within the same few-ulp bound of its exact value.  Where
+    rho_GE is 0 (every trajectory from a G, E, A or S start) the two forms
+    give the same bytes.
     """
     p_g, p_e, p_a, p_s, re_as, im_as = traj.vectors.T
-    ge = traj.rho_ge
     gap, total = p_a - p_s, p_a + p_s
     rad1 = gap * gap + 4.0 * (im_as * im_as)
     rad2 = total * total - 4.0 * (re_as * re_as)
-    bad = np.flatnonzero((rad1 < -_RADICAND_TOL) | (rad2 < -_RADICAND_TOL))
+    tol = _POS_TOL + _EIG_SCREEN_MARGIN
+    bad = np.flatnonzero(rad2 < -4.0 * tol * (total + tol))
     if len(bad):
-        i = bad[0]
-        rad = rad1[i] if rad1[i] < -_RADICAND_TOL else rad2[i]
-        raise ValueError(
-            f"negative radicand {float(rad)}: upstream positivity violation")
-    rad1 = _first_max(rad1, 0.0)
-    rad2 = _first_max(rad2, 0.0)
-    prod = _first_max(p_g * p_e, 0.0)
+        raise ValueError(f"negative radicand {float(rad2[bad[0]])}: "
+                         "upstream positivity violation")
+    rad2 = np.maximum(rad2, 0.0)
+    prod = np.maximum(p_g * p_e, 0.0)
     k1 = np.sqrt(rad1) - 2.0 * np.sqrt(prod)
-    k2 = 2.0 * np.hypot(ge.real, ge.imag) - np.sqrt(rad2)
+    k2 = 2.0 * np.abs(traj.rho_ge) - np.sqrt(rad2)
     return k1, k2
 
 
@@ -86,7 +79,8 @@ def concurrence_x(s):
 def concurrence_curve(traj):
     """Concurrence samples along a trajectory."""
     k1, k2 = _k_arrays(traj)
-    return _first_max(_first_max(0.0, k1), k2)
+    # fmax passes over a NaN branch, as Python's max does
+    return np.fmax(np.fmax(0.0, k1), k2)
 
 
 @dataclass(frozen=True)
@@ -154,7 +148,7 @@ def _kvals(traj):
     if len(traj.times) < 2:
         raise ValueError("need at least two samples")
     k1, k2 = _k_arrays(traj)
-    return _first_max(k1, k2)
+    return np.fmax(k1, k2)
 
 
 def _refined_max(traj, kvals, refine_tol):

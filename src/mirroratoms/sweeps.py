@@ -149,7 +149,8 @@ def _evaluate_point(spec, value):
         for prefix, with_boundary in variants:
             cs = co.assemble(cfg, include_boundary=with_boundary)
             # no appreciable decay over the whole scan: dynamics frozen
-            frozen = (np.max(np.abs(cs.as_array())) * spec.span
+            # a Python float product overflows to inf without a warning
+            frozen = (float(np.max(np.abs(cs.as_array()))) * spec.span
                       < _FROZEN_TOL * cfg.gamma0)
             gen = dy.build_generator(cs)
             if spec.axis == "time":

@@ -2,11 +2,13 @@
 
 import csv
 import dataclasses
+import errno
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -701,6 +703,105 @@ def test_unwritable_output_fails_before_propagation(command, tmp_path,
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("path", [5, True, ["a"], {}, None],
+                         ids=["number", "bool", "list", "object", "null"])
+def test_config_output_path_of_the_wrong_json_type_is_named(
+        path, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"output_path": path}))
+    rc = run_cli("coeffs", "--config", "run.json")
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "configuration error: output_path must be a string\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device whose writes fail")
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--horizon", "1"], ["events", "--horizon", "1"], ["coeffs"],
+    ["validate", "--samples", "2", "--seed", "3"],
+], ids=["evolve", "events", "coeffs", "validate"])
+def test_a_write_that_fails_is_a_config_error(argv, capsys):
+    # /dev/full opens, and every write to it fails with ENOSPC
+    rc = run_cli(*argv, "--output", "/dev/full")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("configuration error: cannot write /dev/full: ")
+    assert "No space left on device" in err
+
+
+def test_a_failed_write_removes_the_file_it_made(tmp_path, capsys,
+                                                monkeypatch):
+    def full(fh, block):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_float_rows", full)
+    out = tmp_path / "x.csv"
+    rc = run_cli("evolve", "--horizon", "1", "--output", str(out))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: cannot write {out}: ")
+    assert not out.exists()
+    # a file that was there before the run is not the run's to remove
+    out.write_text("old")
+    assert run_cli("evolve", "--horizon", "1", "--output", str(out)) == 1
+    assert out.exists()
+
+
+# an inner-block eigenvalue of -1e-11, within the -1e-10 that states allow,
+# makes the K2 radicand -2e-11
+_NEGATIVE_INNER = [[0.5, 0, 0, 0], [0, -1e-11, 0, 0],
+                   [0, 0, 0.50000000001, 0], [0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("command", ["events", "evolve", "sweep"])
+def test_every_accepted_state_has_a_concurrence(command, tmp_path, capsys):
+    kind = "spec" if command == "sweep" else "config"
+    data = {"initial_state": _NEGATIVE_INNER, "horizon": 2}
+    if kind == "spec":
+        data.update(axis="acceleration", values=[0.5])
+    (tmp_path / "in.json").write_text(json.dumps(data))
+    rc = run_cli(command, f"--{kind}", str(tmp_path / "in.json"),
+                 "--output", str(tmp_path / "out"))
+    assert (rc, capsys.readouterr().err) == (0, "")
+
+
+@pytest.mark.parametrize("argv, failure", [
+    (["events", "--gamma0", "1e308"], None),
+    (["evolve", "--gamma0", "1e308"], None),
+    (["events", "--gamma0", "1e306", "--y-over-l", "1e-4", "--d1", "0,1,0",
+      "--d2", "0,1,0"], "populations must sum to 1, got nan"),
+], ids=["events", "evolve", "events-nan"])
+def test_extreme_rates_warn_about_nothing(argv, failure, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run_cli(*argv, "--output", str(tmp_path / "out.csv"))
+    err = capsys.readouterr().err
+    if failure is None:
+        assert (rc, err) == (0, "")
+    else:
+        assert rc == 2
+        assert err.startswith(f"numerical failure: {failure}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_an_overflowing_sweep_point_warns_about_nothing(tmp_path, capsys):
+    # the frozen test multiplies the largest rate by the span
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "axis": "acceleration", "values": [0.5], "include_free_space": True,
+        "base": {"gamma0": 1e308}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run_cli("sweep", "--spec", str(tmp_path / "spec.json"),
+                     "--output", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    # the companion's rates overflow the generator, which names it
+    assert (rc, err) == (2, "numerical failure: 1 of 1 sweep points failed; "
+                            "the first: a generator entry overflows or is "
+                            "NaN\n")
+
+
 def _x_matrix(ge=0.0, as_=0.0):
     return [[0.25, 0, 0, ge], [0, 0.25, as_, 0],
             [0, as_, 0.25, 0], [ge, 0, 0, 0.25]]
@@ -867,16 +968,19 @@ def test_every_exit_code_names_its_cause(command, flags, tmp_path, capsys):
 # the edge numbers, for the fields of a --config or --spec file
 _JSON_EDGES = ["abc", "", "1", True, False, [], [0.5], [1, 0, 0], {}, None,
                0, -1, 0.5, 5e-324, 1e308, -1e308]
-# output_path is left to --output, so that no drawn path is written
 _FILE_KEYS = {
-    "config": [f.name for f in dataclasses.fields(cli.RunConfig)
-               if f.name != "output_path"],
+    "config": [f.name for f in dataclasses.fields(cli.RunConfig)],
     "spec": [f.name for f in dataclasses.fields(cli.sw.SweepSpec)
              if f.name != "base"],
 }
-_EDGE_FIELDS = st.dictionaries(
-    st.sampled_from(sorted({*_FILE_KEYS["config"], *_FILE_KEYS["spec"]})),
-    st.sampled_from(_JSON_EDGES), max_size=3)
+# output_path only from the values that name no path, so that no drawn
+# path is written
+_EDGE_FIELDS = st.lists(
+    st.sampled_from(sorted({*_FILE_KEYS["config"], *_FILE_KEYS["spec"]}))
+    .flatmap(lambda key: st.tuples(st.just(key), st.sampled_from(
+        [v for v in _JSON_EDGES if not isinstance(v, str)]
+        if key == "output_path" else _JSON_EDGES))),
+    max_size=3, unique_by=lambda item: item[0]).map(dict)
 
 
 @settings(max_examples=60, deadline=None,
@@ -892,8 +996,10 @@ _EDGE_FIELDS = st.dictionaries(
 # exits 2 with the point's error
 @example(command="sweep", fields={"include_free_space": True},
          base={"gamma0": 1e308})
+@example(command="coeffs", fields={"output_path": 5}, base={})
 def test_every_exit_code_of_a_file_names_its_cause(command, fields, base,
-                                                   tmp_path, capsys):
+                                                   tmp_path, capsys,
+                                                   monkeypatch):
     # the config file holds the physical keys itself, a spec in its base
     kind = "spec" if command == "sweep" else "config"
     fields = {k: v for k, v in fields.items() if k in _FILE_KEYS[kind]}
@@ -901,19 +1007,76 @@ def test_every_exit_code_of_a_file_names_its_cause(command, fields, base,
                "base": base} if kind == "spec" else {**base, **fields})
     # hypothesis reuses tmp_path across examples
     work = Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(work)
     path = work / f"{kind}.json"
     path.write_text(json.dumps(fields))
-    # the output file of coeffs, events and evolve; the directory of sweep
+    # the output file of coeffs, events and evolve; the directory of sweep.
+    # --output would replace a drawn output_path, so that one goes alone.
     out = work / "out"
-    rc = run_cli(command, f"--{kind}", str(path), "--output", str(out))
-    err = capsys.readouterr().err
+    output = [] if "output_path" in fields else ["--output", str(out)]
+    rc = run_cli(command, f"--{kind}", str(path), *output)
+    _assert_exit_contract(rc, capsys.readouterr().err, work, [path])
+
+
+def _assert_exit_contract(rc, err, work, inputs):
+    """Exit 2 and 1 each name their cause on stderr, and a configuration
+    error leaves no file under ``work`` but the run's ``inputs``."""
     assert rc in (0, 1, 2)
     assert "Traceback" not in err
     assert (rc == 1) == err.startswith("configuration error")
     assert (rc == 2) == (err.startswith("numerical failure")
                          or err.startswith("oracle validation FAILED"))
     # a configuration error is refused before any output is written
-    assert rc != 1 or not out.exists()
+    if rc == 1:
+        assert sorted(p for p in work.rglob("*") if p.is_file()) == inputs
+
+
+# one-point sweep specs: a good one, one whose rates overflow (exit 2), one
+# that is malformed (exit 1), and a spec file that is missing
+_ONE_POINT_SPECS = [
+    {"axis": "acceleration", "values": [0.5], "horizon": 2},
+    {"axis": "acceleration", "values": [0.5], "horizon": 2,
+     "base": {"gamma0": 1e308}, "include_free_space": True},
+    {"axis": "acceleration", "values": []},
+    None,
+]
+# edge integers and strings; no count above 2, so that a validate battery
+# stays within two configurations
+_COUNT_ARGS = ["1", "2", "0", "-1", "-9223372036854775809", "1e3", "0x10",
+               "abc", ""]
+_RUN_FLAGS = {
+    "sweep": {"--preset": st.sampled_from(["fig3", "fig11", "fig99", "",
+                                           "FIG3", "fig3 "]),
+              "--format": st.sampled_from(["csv", "json", "xml", ""]),
+              "--spec": st.sampled_from(range(len(_ONE_POINT_SPECS)))},
+    "validate": {"--seed": st.sampled_from(
+        ["0", "3", "18446744073709551616", *_COUNT_ARGS[3:]])},
+}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(_RUN_FLAGS)), data=st.data())
+def test_every_exit_code_of_sweep_and_validate_names_its_cause(
+        command, data, tmp_path, capsys, monkeypatch):
+    flags = data.draw(st.fixed_dictionaries({}, optional=_RUN_FLAGS[command]))
+    if command == "validate":
+        # always given, since the default battery is 20 configurations
+        flags["--samples"] = data.draw(st.sampled_from(_COUNT_ARGS))
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(work)
+    inputs = []
+    if "--spec" in flags:
+        spec = _ONE_POINT_SPECS[flags["--spec"]]
+        flags["--spec"] = str(work / "spec.json")
+        if spec is not None:
+            Path(flags["--spec"]).write_text(json.dumps(spec))
+            inputs.append(Path(flags["--spec"]))
+    # the report file of validate; the directory of sweep
+    out = work / ("out" if command == "sweep" else "report.csv")
+    rc = run_cli(command, *(f"{k}={v}" for k, v in flags.items()),
+                 "--output", str(out))
+    _assert_exit_contract(rc, capsys.readouterr().err, work, inputs)
 
 
 def test_an_underflowing_boundary_distance_is_named(capsys):

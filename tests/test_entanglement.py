@@ -92,6 +92,24 @@ def test_negative_radicand_is_reported():
         en.concurrence_x(s)
 
 
+def test_states_at_the_positivity_limit_have_a_concurrence():
+    # pA = pS and Re rho_AS within ulps of the largest value XState accepts:
+    # the K2 radicand is -4 tol (pA + pS + tol) up to round-off
+    rows = []
+    for total in np.geomspace(1e-12, 1.0, 300):
+        limit = 0.5 * total + dy._POS_TOL
+        for k in range(-30, 30):
+            try:
+                s = dy.XState(1.0 - total, 0.0, 0.5 * total, 0.5 * total,
+                              rho_as=limit + k * math.ulp(limit))
+            except ValueError:
+                continue
+            assert en.concurrence_x(s) >= 0.0
+            rows.append(s.vector())
+    assert len(rows) > 3000
+    assert np.all(en.concurrence_curve(_trajectory_of_rows(rows)) >= 0.0)
+
+
 def _trajectory_of_rows(vectors):
     """A trajectory of the given rows, built without propagate's checks;
     every row counts as an expm row."""
@@ -125,16 +143,27 @@ def test_array_concurrence_equals_scalar_bit_for_bit(rng):
         th = rng.uniform(0.0, 1.0)
         gen = dy.build_generator(co.CoefficientSet(
             a1, a2, a3, a1 * th, a2 * th, a3 * th))
-        traj = dy.propagate(gen, random_x_state(rng),
-                            np.linspace(0.0, 30.0, 601))
-        states = [dy.XState.from_vector(v, rho_ge=ge)
-                  for v, ge in zip(traj.vectors, traj.rho_ge)]
-        # compared as bytes, so that -0.0 and 0.0 count as different
+        s0 = random_x_state(rng)
+        times = np.linspace(0.0, 30.0, 601)
+        # without a G-E coherence, as from every preset initial state, the
+        # two forms give the same bytes, so that -0.0 and 0.0 differ
+        traj = dy.propagate(gen, dy.XState(s0.pG, s0.pE, s0.pA, s0.pS,
+                                           rho_as=s0.rho_as), times)
+        states = [dy.XState.from_vector(v) for v in traj.vectors]
         scalar = np.array([en.concurrence_x(s) for s in states])
         assert en.concurrence_curve(traj).tobytes() == scalar.tobytes()
         k_scalar = np.array([en._k_values(s) for s in states])
         k_array = np.column_stack(en._k_arrays(traj))
         assert k_array.tobytes() == k_scalar.tobytes()
+        # with one, |rho_GE| comes from np.abs, and every array K lies within
+        # the bound the scalar form is held to (every tenth time, so that
+        # the 40-digit evaluations take a fraction of a second)
+        traj = dy.propagate(gen, s0, times[::10])
+        for k_pair, v, ge in zip(zip(*en._k_arrays(traj)), traj.vectors,
+                                 traj.rho_ge):
+            exact = _k_exact_with_bounds(dy.XState.from_vector(v, rho_ge=ge))
+            for k, (value, bound) in zip(k_pair, exact):
+                assert abs(k - value) <= bound, (k, float(value), bound)
     # a NaN coherence: Python's max passes over the NaN branch, and so
     # must the array form (np.maximum would return NaN).  XState rejects
     # NaN, so the scalar path reads the same row from a plain namespace.
