@@ -34,6 +34,8 @@ import io
 import json
 import numbers
 import os
+import shutil
+import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,7 +54,7 @@ OUTDIR_ENV = "MIRRORATOMS_OUTDIR"
 _STATE_PRESETS = ("G", "E", "A", "S")
 # the RunConfig fields that make up its PhysicalConfig, in from_ratios order
 _PHYSICAL_KEYS = ("a_over_omega", "omega_L", "y_over_L", "alignment", "d1",
-                  "d2", "gamma0")
+                  "d2")
 _RATIO_DEFAULTS = inspect.signature(co.PhysicalConfig.from_ratios).parameters
 
 
@@ -78,7 +80,6 @@ class RunConfig:
     alignment: str = "parallel"
     d1: tuple = _RATIO_DEFAULTS["d1"].default
     d2: tuple = _RATIO_DEFAULTS["d2"].default
-    gamma0: float = _RATIO_DEFAULTS["gamma0"].default
     initial_state: object = sw.SweepSpec.initial_state
     horizon: float = 20.0
     sample_step: float = sw.SweepSpec.sample_step
@@ -396,33 +397,52 @@ def _write_float_rows(fh, block):
                             lead))
 
 
+def _staging_path(path):
+    """The sibling an output is written to before it replaces ``path``;
+    None for an existing target that is not a regular file, such as a
+    device or a symbolic link, which is written in place."""
+    path = Path(path)
+    if os.path.lexists(path) and not stat.S_ISREG(path.lstat().st_mode):
+        return None
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
 @contextlib.contextmanager
 def _open_output(path, **kwargs):
     """``open(path, "w")`` as a context; an OSError of the open, a write or
-    the close is a ConfigError, and removes the file if the run made it."""
-    existed = os.path.exists(path)
+    the close is a ConfigError.  An absent or regular target is written to
+    its staging sibling, which replaces it only once every write has
+    succeeded, so a failed write leaves the target as it was."""
+    staging = _staging_path(path)
     try:
-        with open(path, "w", **kwargs) as fh:
+        with open(staging or path, "w", **kwargs) as fh:
             yield fh
+        if staging:
+            # the replaced file keeps its permission bits
+            with contextlib.suppress(FileNotFoundError):
+                shutil.copymode(path, staging)
+            os.replace(staging, path)
     except OSError as exc:
-        if not existed:
-            Path(path).unlink(missing_ok=True)
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if staging:
+            staging.unlink(missing_ok=True)
 
 
 def _check_writable(*paths, make_dir=True):
     """Make each path's directory (if ``make_dir``) and check that the path
-    can be opened for writing, leaving no new file: a run fails before it
-    computes anything."""
+    and its staging sibling can be opened for writing, leaving no new file:
+    a run fails before it computes anything."""
     for path in paths:
         try:
             if make_dir:
                 path.parent.mkdir(parents=True, exist_ok=True)
-            existed = path.exists()
-            with open(path, "a"):
-                pass
-            if not existed:
-                path.unlink()
+            for target in filter(None, (path, _staging_path(path))):
+                existed = target.exists()
+                with open(target, "a"):
+                    pass
+                if not existed:
+                    target.unlink()
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -495,46 +515,36 @@ def _read_json_object(path, what):
 
 
 def _load_config(args):
-    data = {}
-    if getattr(args, "config", None):
-        data = _read_json_object(args.config, "config")
+    """The config file, if any, with every flag given laid over it: a
+    physics flag's dest is the :class:`RunConfig` field it sets."""
+    data = _read_json_object(args.config, "config") if args.config else {}
+    flags = {f.name: getattr(args, f.name, None)
+             for f in dataclasses.fields(RunConfig)}
     try:
-        dipoles = {key: [float(x) for x in getattr(args, key).split(",")]
-                   for key in ("d1", "d2") if getattr(args, key)}
+        for key in ("d1", "d2"):
+            text = flags.pop(key)
+            if text:
+                flags[key] = [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"invalid dipole flag: {exc}") from exc
-    overrides = {
-        "a_over_omega": args.a, "omega_L": args.omega_l,
-        "y_over_L": args.y_over_l, "alignment": args.alignment,
-        "gamma0": args.gamma0, "initial_state": args.initial_state,
-        "horizon": args.horizon, "sample_step": args.sample_step,
-        "output_path": args.output, "output_format": args.format,
-        **dipoles,
-    }
-    if getattr(args, "free_space_companion", False):
-        overrides["include_free_space_companion"] = True
-    if getattr(args, "oracle", False):
-        overrides["oracle_validation"] = True
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
+    data.update((key, value) for key, value in flags.items()
+                if value is not None)
     return RunConfig.from_dict(data)
 
 
 def _add_physics_flags(p):
     p.add_argument("--config", help="JSON configuration file")
-    p.add_argument("--a", type=float, help="a/omega")
-    p.add_argument("--omega-l", type=float, help="omega * L")
-    p.add_argument("--y-over-l", type=float, help="y / L")
+    p.add_argument("--a", type=float, dest="a_over_omega", help="a/omega")
+    p.add_argument("--omega-l", type=float, dest="omega_L", help="omega * L")
+    p.add_argument("--y-over-l", type=float, dest="y_over_L", help="y / L")
     p.add_argument("--alignment", choices=("parallel", "vertical"))
     p.add_argument("--d1", help="dipole 1 components, e.g. 1,0,0")
     p.add_argument("--d2", help="dipole 2 components")
-    p.add_argument("--gamma0", type=float)
     p.add_argument("--initial-state", choices=_STATE_PRESETS)
     p.add_argument("--horizon", type=float, help="scan horizon in Gamma0*tau")
     p.add_argument("--sample-step", type=float)
-    p.add_argument("--output", help="output file path")
-    p.add_argument("--format", choices=("csv", "json"), dest="format")
+    p.add_argument("--output", dest="output_path", help="output file path")
+    p.add_argument("--format", choices=("csv", "json"), dest="output_format")
 
 
 def cmd_coeffs(args):
@@ -847,13 +857,15 @@ def build_parser():
     _add_physics_flags(p)
     p.add_argument("--expansion", action="store_true",
                    help="also print the near-boundary expansion")
-    p.add_argument("--oracle", action="store_true",
+    p.add_argument("--oracle", action="store_const", const=True,
+                   dest="oracle_validation",
                    help="cross-check against the quadrature oracle")
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("evolve", help="write a concurrence/state trajectory")
     _add_physics_flags(p)
-    p.add_argument("--free-space-companion", action="store_true")
+    p.add_argument("--free-space-companion", action="store_const",
+                   const=True, dest="include_free_space_companion")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("events", help="extract death/birth/revival events")

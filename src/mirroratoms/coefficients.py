@@ -61,7 +61,6 @@ class PhysicalConfig:
     y          distance of the (nearer) atom to the boundary, units 1/omega
     alignment  "parallel" or "vertical" with respect to the boundary
     d1, d2     unit dipole orientation vectors of atoms 1 and 2
-    gamma0     spontaneous-emission scale; 1 in internal units
     """
 
     a: float
@@ -70,13 +69,11 @@ class PhysicalConfig:
     alignment: str
     d1: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
     d2: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
-    gamma0: float = 1.0
 
     def __post_init__(self):
         for value, name in ((self.a, "acceleration"),
                             (self.L, "separation L"),
-                            (self.y, "boundary distance y"),
-                            (self.gamma0, "gamma0")):
+                            (self.y, "boundary distance y")):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if self.a < 0:
@@ -87,14 +84,12 @@ class PhysicalConfig:
             raise ValueError("boundary distance y must be positive")
         if self.alignment not in ALIGNMENTS:
             raise ValueError(f"alignment must be one of {ALIGNMENTS}")
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
         object.__setattr__(self, "d1", _as_unit_vector(self.d1, "d1"))
         object.__setattr__(self, "d2", _as_unit_vector(self.d2, "d2"))
 
     @classmethod
     def from_ratios(cls, a_over_omega, omega_L, y_over_L, alignment,
-                    d1=(1.0, 0.0, 0.0), d2=(1.0, 0.0, 0.0), gamma0=1.0):
+                    d1=(1.0, 0.0, 0.0), d2=(1.0, 0.0, 0.0)):
         """Build a config from the figure-axis ratios a/omega, omega*L, y/L."""
         L, y_over_L = float(omega_L), float(y_over_L)
         y = y_over_L * L
@@ -105,7 +100,7 @@ class PhysicalConfig:
                 + ("underflows to 0" if y == 0 else "overflows"))
         return cls(a=float(a_over_omega), L=L, y=y,
                    alignment=alignment, d1=np.asarray(d1, dtype=float),
-                   d2=np.asarray(d2, dtype=float), gamma0=float(gamma0))
+                   d2=np.asarray(d2, dtype=float))
 
     @property
     def y_over_L(self):
@@ -336,13 +331,6 @@ def spectral_tensors(config, part):
 # thermal factors and assembly
 # ---------------------------------------------------------------------------
 
-def coth_pi_over_a(a):
-    """coth(pi/a) in omega = 1 units; 1 for an inertial atom."""
-    if a == 0.0:
-        return 1.0
-    return 1.0 / math.tanh(math.pi / a)
-
-
 def tanh_pi_over_a(a):
     if a == 0.0:
         return 1.0
@@ -413,7 +401,7 @@ def assemble(config, include_boundary=True):
     try:
         t1, t2, tc = _pair_table(config, include_boundary)
         d1, d2 = config.d1.tolist(), config.d2.tolist()
-        scale = 0.25 * config.gamma0 * (1.0 / th)
+        scale = 0.25 * (1.0 / th)
         a1 = scale * _contract(d1, t1, d1)
         a2 = scale * _contract(d2, t2, d2)
         a3 = scale * _contract(d1, tc, d2)
@@ -435,26 +423,25 @@ def near_boundary_expansion(config):
     path.
     """
     a, L = config.a, config.L
-    g0 = config.gamma0
-    coth = coth_pi_over_a(a)
     th = tanh_pi_over_a(a)
+    coth = 1.0 / th
     d1, d2 = config.d1, config.d2
     a2, a4 = a * a, a**4
     L2, L3, L4, L6 = L * L, L**3, L**4, L**6
 
     if config.alignment == PARALLEL:
-        a1 = 0.5 * g0 * coth * d1[1] * d1[1] * (a2 + 1.0)
-        a2c = 0.5 * g0 * coth * d2[1] * d2[1] * (a2 + 1.0)
+        a1 = 0.5 * coth * d1[1] * d1[1] * (a2 + 1.0)
+        a2c = 0.5 * coth * d2[1] * d2[1] * (a2 + 1.0)
         p = 4.0 + a2 * L2
         thp = _phase(a, L)
         c, sn = math.cos(thp), math.sin(thp)
-        a3 = (3.0 * g0 * coth / (2.0 * L3 * p**1.5) * d1[1] * d2[1]
+        a3 = (3.0 * coth / (2.0 * L3 * p**1.5) * d1[1] * d2[1]
               * (L * math.sqrt(p) * (2.0 + a2 * L2) * c
                  + (-4.0 + L2 * p) * sn))
         return CoefficientSet(a1, a2c, a3, a1 * th, a2c * th, a3 * th)
 
     # vertical alignment
-    a1 = 0.5 * g0 * coth * d1[1] * d1[1] * (a2 + 1.0)
+    a1 = 0.5 * coth * d1[1] * d1[1] * (a2 + 1.0)
 
     q = 1.0 + a2 * L2
     phi = _phase(a, 2.0 * L)  # (2/a) asinh(a L)
@@ -471,9 +458,9 @@ def near_boundary_expansion(config):
                              - 4.0 * a4 * L6)
                 + 2.0 * a * L * dx * dy * (1.0 + 4.0 * a2 * L2
                                            + 4.0 * L2 + 4.0 * a2 * L4))
-    a2c = (-3.0 * g0 * coth / (64.0 * L3 * q**2.5)
+    a2c = (-3.0 * coth / (64.0 * L3 * q**2.5)
            * (2.0 * L * math.sqrt(q) * cos_part * c - sin_part * sn)
-           + 0.25 * g0 * coth * (a2 + 1.0))
+           + 0.25 * coth * (a2 + 1.0))
 
     p = 4.0 + a2 * L2
     thp = _phase(a, L)
@@ -484,7 +471,7 @@ def near_boundary_expansion(config):
                                            + a2 * L4)
             + d1[1] * d2[1] * (32.0 + 20.0 * a2 * L2 - 4.0 * a2 * L4
                                - a4 * L6))
-    a3 = (-3.0 * g0 * coth / (2.0 * L3 * p**2.5)
+    a3 = (-3.0 * coth / (2.0 * L3 * p**2.5)
           * (L * math.sqrt(p) * cos3 * c - sin3 * sn))
 
     return CoefficientSet(a1, a2c, a3, a1 * th, a2c * th, a3 * th)

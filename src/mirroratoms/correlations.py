@@ -161,9 +161,15 @@ def pair_geometry(config, pair):
     return heights[alpha], heights[beta], 0.0
 
 
+# bounds on a converged value's error and tail, relative to max(|v|, floor)
+_REL_TOL = 5e-3
+_ABS_FLOOR = 1e-7
+_TAIL_TOL = 1e-4
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Window and convergence tolerances of the oracle.
+    """Integration window of the oracle.
 
     window overrides :func:`default_window`; the contour depth and the
     trapezoid step follow from the acceleration and the frequency and are
@@ -171,17 +177,10 @@ class QuadratureSettings:
     """
 
     window: float | None = None
-    rel_tol: float = 5e-3
-    abs_floor: float = 1e-7
-    tail_tol: float = 1e-4
 
     def __post_init__(self):
-        named = ["rel_tol", "abs_floor", "tail_tol"] + (
-            [] if self.window is None else ["window"])
-        for name in named:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
+        if not (self.window is None or 0.0 < self.window < math.inf):
+            raise ValueError("window must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -291,7 +290,7 @@ def fourier_oracle(kernel_kind, m, n, pair, config, omega0,
     part and atom pair as one trapezoid sum on a shifted contour
     (:func:`_windowed_transform`).  Returns an :class:`OracleResult`;
     ``converged`` is False when the sum differs from the one over every
-    other node, or the window tail is too large, beyond the settings'
+    other node, or the window tail is too large, beyond the module's
     tolerances.
     """
     settings = settings or QuadratureSettings()
@@ -305,11 +304,11 @@ def fourier_oracle(kernel_kind, m, n, pair, config, omega0,
     value, error, tail = _windowed_transform(kernel, m, n, config.a, omega0,
                                              window, step)
     # written so that a nan anywhere fails them
-    scale = max(abs(value), settings.abs_floor)
+    scale = max(abs(value), _ABS_FLOOR)
     message = ""
-    if not error <= settings.rel_tol * scale:
+    if not error <= _REL_TOL * scale:
         message = "trapezoid sum did not converge"
-    if not tail <= settings.tail_tol * scale:
+    if not tail <= _TAIL_TOL * scale:
         message = "window truncation tail too large"
     return OracleResult(value=float(value.real), error=float(error),
                         imag=float(value.imag), tail=float(tail),

@@ -150,20 +150,21 @@ class XState:
         return rho
 
     @classmethod
-    def from_density_matrix(cls, rho, atol=1e-10):
+    def from_density_matrix(cls, rho):
         """Validate a 4x4 matrix and extract the X-form coordinates.
 
         Rejects non-finite, non-hermitian, non-unit-trace and non-positive
-        matrices and matrices with entries off the X pattern.
+        matrices and matrices with entries off the X pattern, each beyond
+        the states' tolerance ``_POS_TOL``.
         """
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError("density matrix must be 4x4")
         if not np.all(np.isfinite(rho)):
             raise ValueError("density matrix entries must be finite")
-        if np.max(np.abs(rho - rho.conj().T)) > atol:
+        if np.max(np.abs(rho - rho.conj().T)) > _POS_TOL:
             raise ValueError("density matrix is not hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-10:
+        if abs(np.trace(rho).real - 1.0) > _POS_TOL:
             raise ValueError("density matrix trace must be 1")
         if np.linalg.eigvalsh(rho).min() < -_POS_TOL:
             raise ValueError("density matrix is not positive semidefinite")
@@ -171,7 +172,7 @@ class XState:
                          [0, 1, 1, 0],
                          [0, 1, 1, 0],
                          [1, 0, 0, 1]], dtype=bool)
-        if np.max(np.abs(rho[~mask])) > atol:
+        if np.max(np.abs(rho[~mask])) > _POS_TOL:
             raise ValueError("density matrix is not of X form")
         p_a = 0.5 * (rho[1, 1].real + rho[2, 2].real) - rho[2, 1].real
         p_s = 0.5 * (rho[1, 1].real + rho[2, 2].real) + rho[2, 1].real

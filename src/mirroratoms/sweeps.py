@@ -151,7 +151,7 @@ def _evaluate_point(spec, value):
             # no appreciable decay over the whole scan: dynamics frozen
             # a Python float product overflows to inf without a warning
             frozen = (float(np.max(np.abs(cs.as_array()))) * spec.span
-                      < _FROZEN_TOL * cfg.gamma0)
+                      < _FROZEN_TOL)
             gen = dy.build_generator(cs)
             if spec.axis == "time":
                 times = np.asarray(spec.values, dtype=float)

@@ -49,6 +49,26 @@ def test_unknown_keys_are_rejected_by_name():
         cli.RunConfig.from_dict({"acceleration": 0.5})
 
 
+@pytest.mark.parametrize("argv, data, message", [
+    (["coeffs", "--gamma0", "2"], None,
+     "unrecognized arguments: --gamma0 2"),
+    (["coeffs", "--config", "in.json"], {"gamma0": 1},
+     "unknown config key(s): gamma0"),
+    (["sweep", "--spec", "in.json", "--output", "out"],
+     {"axis": "acceleration", "values": [0.5], "base": {"gamma0": 1}},
+     "unknown base key(s): gamma0"),
+], ids=["flag", "config", "spec"])
+def test_gamma0_is_the_unit_not_an_input(argv, data, message, tmp_path,
+                                         capsys, monkeypatch):
+    # every rate is in units of Gamma0 and every time is Gamma0 tau
+    monkeypatch.chdir(tmp_path)
+    if data is not None:
+        Path("in.json").write_text(json.dumps(data))
+    rc = run_cli(*argv)
+    assert (rc, capsys.readouterr().err) == (
+        1, f"configuration error: {message}\n")
+
+
 def test_invalid_values_are_config_errors():
     with pytest.raises(cli.ConfigError):
         cli.RunConfig.from_dict({"alignment": "sideways"})
@@ -188,14 +208,14 @@ def test_a_failed_sweep_point_is_a_named_numerical_failure(tmp_path, capsys):
     assert (out / "sweep_summary.csv").exists()
 
 
-def test_a_generator_entry_that_overflows_is_a_numerical_failure(capsys):
+def test_a_generator_entry_that_overflows_is_a_numerical_failure():
     # finite rates near the largest double whose sums in the generator
-    # overflow to inf
-    rc = run_cli("events", "--gamma0", "1e308", "--y-over-l", "1e-4",
-                 "--d1", "0,1,0", "--d2", "0,1,0")
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err == "numerical failure: a generator entry overflows or is NaN\n"
+    # overflow to inf.  No configuration gives such rates: the largest finite
+    # closed-form rate is about 8.5e239.
+    rates = cli.co.CoefficientSet(1e308, 1e308, 0.0, 1e308, 1e308, 0.0)
+    with pytest.raises(cli.dy.PropagationError,
+                       match="^a generator entry overflows or is NaN$"):
+        cli.dy.build_generator(rates)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -318,7 +338,7 @@ def test_sweep_output_records_the_resolved_configuration(tmp_path):
     spec_file.write_text(json.dumps({
         "label": "rec", "axis": "acceleration", "values": [0.5],
         "horizon": 2.0, "outputs": ["maxc", "curve"],
-        "base": {"d1": [0, 1, 0], "gamma0": 2.0}, "initial_state": rho}))
+        "base": {"d1": [0, 1, 0], "omega_L": 2.0}, "initial_state": rho}))
     for fmt in ("csv", "json"):
         outdir = tmp_path / fmt
         assert run_cli("sweep", "--spec", str(spec_file), "--output",
@@ -333,7 +353,7 @@ def test_sweep_output_records_the_resolved_configuration(tmp_path):
             assert record["label"] == "rec"
             assert record["base"]["d1"] == [0.0, 1.0, 0.0]
             assert record["base"]["d2"] == [1.0, 0.0, 0.0]
-            assert record["base"]["gamma0"] == 2.0
+            assert record["base"]["L"] == 2.0
             assert record["base"]["a"] == 0.5
             matrix = np.array([[complex(*z) for z in row]
                                for row in record["initial_state"]])
@@ -513,7 +533,7 @@ def test_an_oracle_failure_names_its_components(argv, capsys, monkeypatch):
     (("coeffs", "--a", "nan"), "acceleration must be finite"),
     (("coeffs", "--a", "inf"), "acceleration must be finite"),
     (("coeffs", "--y-over-l", "inf"), "boundary distance y must be finite"),
-    (("coeffs", "--gamma0", "nan"), "gamma0 must be finite"),
+    (("coeffs", "--omega-l", "nan"), "separation L must be finite"),
     (("coeffs", "--d1", "nan,0,0"), "d1 must be a unit vector"),
     (("evolve", "--omega-l", "inf"), "separation L must be finite"),
     (("evolve", "--horizon", "inf"), "horizon must be finite"),
@@ -590,13 +610,13 @@ def test_non_numeric_config_horizon_is_named(horizon, tmp_path, capsys):
     ("coeffs", {"a_over_omega": True}, "a_over_omega must be a number"),
     ("coeffs", {"omega_L": "1.5"}, "omega_L must be a number"),
     ("events", {"y_over_L": [0.5]}, "y_over_L must be a number"),
-    ("coeffs", {"gamma0": None}, "gamma0 must be a number"),
+    ("events", {"a_over_omega": None}, "a_over_omega must be a number"),
     ("evolve", {"sample_step": False}, "sample_step must be a number"),
     ("coeffs", {"d1": [True, 0, 0]}, "d1 must be a list of numbers"),
     ("coeffs", {"d2": ["1", 0, 0]}, "d2 must be a list of numbers"),
     ("coeffs", {"d1": "100"}, "d1 must be a list of numbers"),
 ], ids=["oracle-string", "companion-string", "companion-int", "a-bool",
-        "omega-string", "y-list", "gamma0-null", "step-bool", "d1-bool",
+        "omega-string", "y-list", "a-null", "step-bool", "d1-bool",
         "d2-string", "d1-string"])
 def test_config_field_of_the_wrong_json_type_is_named(command, data, message,
                                                       tmp_path, capsys):
@@ -743,10 +763,19 @@ def test_a_failed_write_removes_the_file_it_made(tmp_path, capsys,
     assert capsys.readouterr().err.startswith(
         f"configuration error: cannot write {out}: ")
     assert not out.exists()
-    # a file that was there before the run is not the run's to remove
+    # a file that was there before the run keeps its bytes, and the sibling
+    # the run wrote to is gone
     out.write_text("old")
     assert run_cli("evolve", "--horizon", "1", "--output", str(out)) == 1
-    assert out.exists()
+    assert out.read_text() == "old"
+    assert list(tmp_path.iterdir()) == [out]
+    # a run that succeeds replaces it and keeps its permission bits
+    out.chmod(0o640)
+    monkeypatch.undo()
+    assert run_cli("evolve", "--horizon", "1", "--output", str(out)) == 0
+    assert out.read_text().startswith("# tool = mirroratoms\n")
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert list(tmp_path.iterdir()) == [out]
 
 
 # an inner-block eigenvalue of -1e-11, within the -1e-10 that states allow,
@@ -767,11 +796,17 @@ def test_every_accepted_state_has_a_concurrence(command, tmp_path, capsys):
     assert (rc, capsys.readouterr().err) == (0, "")
 
 
+# the parallel point's A1 is 7.8e239, near the largest finite closed-form
+# rate (about 8.5e239); the vertical point's rates, as large, propagate to NaN
+_HUGE_RATES = ["--a", "1e30", "--omega-l", "1000", "--y-over-l", "1e-8"]
+_NAN_RATES = ["--a", "1e30", "--omega-l", "1e-8", "--y-over-l", "1000",
+              "--alignment", "vertical", "--d1", "0,1,0", "--d2", "0,1,0"]
+
+
 @pytest.mark.parametrize("argv, failure", [
-    (["events", "--gamma0", "1e308"], None),
-    (["evolve", "--gamma0", "1e308"], None),
-    (["events", "--gamma0", "1e306", "--y-over-l", "1e-4", "--d1", "0,1,0",
-      "--d2", "0,1,0"], "populations must sum to 1, got nan"),
+    (["events", *_HUGE_RATES], None),
+    (["evolve", *_HUGE_RATES], None),
+    (["events", *_NAN_RATES], "populations must sum to 1, got nan"),
 ], ids=["events", "evolve", "events-nan"])
 def test_extreme_rates_warn_about_nothing(argv, failure, tmp_path, capsys):
     with warnings.catch_warnings():
@@ -786,20 +821,25 @@ def test_extreme_rates_warn_about_nothing(argv, failure, tmp_path, capsys):
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+# the base of a sweep point whose boundary rates, near 7.8e239, propagate;
+# its free-space companion's populations end in NaN
+_HUGE_BASE = {"a_over_omega": 1e30, "omega_L": 1000, "y_over_L": 1e-8}
+
+
 def test_an_overflowing_sweep_point_warns_about_nothing(tmp_path, capsys):
-    # the frozen test multiplies the largest rate by the span
+    # the frozen test multiplies the largest rate, 7.8e239, by the span
     (tmp_path / "spec.json").write_text(json.dumps({
-        "axis": "acceleration", "values": [0.5], "include_free_space": True,
-        "base": {"gamma0": 1e308}}))
+        "axis": "acceleration", "values": [1e30], "include_free_space": True,
+        "base": _HUGE_BASE}))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rc = run_cli("sweep", "--spec", str(tmp_path / "spec.json"),
                      "--output", str(tmp_path / "out"))
     err = capsys.readouterr().err
-    # the companion's rates overflow the generator, which names it
+    # the companion's propagation fails, and the row names it
     assert (rc, err) == (2, "numerical failure: 1 of 1 sweep points failed; "
-                            "the first: a generator entry overflows or is "
-                            "NaN\n")
+                            "the first: populations must sum to 1, got nan "
+                            "at gamma0_tau = 0.01\n")
 
 
 def _x_matrix(ge=0.0, as_=0.0):
@@ -931,13 +971,26 @@ def test_help_still_exits_0(capsys):
     assert "--y-over-l" in capsys.readouterr().out
 
 
+def test_every_physics_flag_is_named_after_its_config_field():
+    # _load_config lays each flag given over the config file by its dest,
+    # so every dest but the file's own must name a RunConfig field, and a
+    # flag not given must read None
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    dests = {}
+    for command in ("coeffs", "evolve", "events"):
+        namespace = vars(cli.build_parser().parse_args([command]))
+        dests.update((key, value) for key, value in namespace.items()
+                     if key not in ("command", "func", "config", "expansion"))
+    assert set(dests) == fields
+    assert set(dests.values()) == {None}
+
+
 # zero, the subnormal and overflow edges, the non-finite values and a
 # string that is no number, for every float flag of coeffs, events and
 # evolve
 _EDGE_ARGS = ["0", "5e-324", "-5e-324", "1e308", "-1e308", "nan", "inf",
               "-inf", "abc"]
-_FLOAT_FLAGS = ["--a", "--omega-l", "--y-over-l", "--gamma0",
-                "--sample-step"]
+_FLOAT_FLAGS = ["--a", "--omega-l", "--y-over-l", "--sample-step"]
 
 
 @settings(max_examples=100, deadline=None,
@@ -992,10 +1045,10 @@ _EDGE_FIELDS = st.lists(
 @example(command="coeffs", fields={"oracle_validation": "false"}, base={})
 @example(command="sweep", fields={"include_free_space": "no"}, base={})
 @example(command="sweep", fields={"values": [True]}, base={})
-# the free-space rates of this point overflow in the generator, and the sweep
+# the free-space companion of this point propagates to NaN, and the sweep
 # exits 2 with the point's error
 @example(command="sweep", fields={"include_free_space": True},
-         base={"gamma0": 1e308})
+         base=_HUGE_BASE)
 @example(command="coeffs", fields={"output_path": 5}, base={})
 def test_every_exit_code_of_a_file_names_its_cause(command, fields, base,
                                                    tmp_path, capsys,
@@ -1031,12 +1084,12 @@ def _assert_exit_contract(rc, err, work, inputs):
         assert sorted(p for p in work.rglob("*") if p.is_file()) == inputs
 
 
-# one-point sweep specs: a good one, one whose rates overflow (exit 2), one
-# that is malformed (exit 1), and a spec file that is missing
+# one-point sweep specs: a good one, one whose companion propagates to NaN
+# (exit 2), one that is malformed (exit 1), and a spec file that is missing
 _ONE_POINT_SPECS = [
     {"axis": "acceleration", "values": [0.5], "horizon": 2},
-    {"axis": "acceleration", "values": [0.5], "horizon": 2,
-     "base": {"gamma0": 1e308}, "include_free_space": True},
+    {"axis": "acceleration", "values": [1e30], "horizon": 2,
+     "base": _HUGE_BASE, "include_free_space": True},
     {"axis": "acceleration", "values": []},
     None,
 ]

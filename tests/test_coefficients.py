@@ -384,13 +384,6 @@ def test_continuity_at_the_inertial_branch_point():
         assert np.max(np.abs(delta)) <= 1e-3
 
 
-def test_gamma0_scales_all_rates():
-    c = cfg()
-    doubled = c.with_(gamma0=2.0)
-    assert_allclose(co.assemble(doubled).as_array(),
-                    2.0 * co.assemble(c).as_array(), rtol=1e-15)
-
-
 # ---------------------------------------------------------------------
 # near-boundary expansions
 # ---------------------------------------------------------------------
@@ -555,7 +548,7 @@ def test_assembly_is_a_round_off_close_contraction(alignment, a, log_wl,
     cs = co.assemble(c, include_boundary=include_boundary)
     t1, t2, tc = (np.reshape(t, (3, 3))
                   for t in co._pair_table(c, include_boundary))
-    scale = 0.25 * c.gamma0 * co.coth_pi_over_a(a)
+    scale = 0.25 * (1.0 / co.tanh_pi_over_a(a))
     for got, u, t, v in ((cs.A1, c.d1, t1, c.d1), (cs.A2, c.d2, t2, c.d2),
                          (cs.A3, c.d1, tc, c.d2)):
         exact = Fraction(scale) * sum(

@@ -336,7 +336,9 @@ def _preset_records():
                 "base": {"a": base.a, "L": base.L, "y": base.y,
                          "alignment": base.alignment,
                          "d1": base.d1.tolist(), "d2": base.d2.tolist(),
-                         "gamma0": base.gamma0},
+                         # every preset runs in units of Gamma0, and the
+                         # pinned digest covers this entry
+                         "gamma0": 1.0},
                 "axis": spec.axis, "values": list(spec.values),
                 "initial_state": spec.initial_state,
                 "horizon": spec.horizon, "sample_step": spec.sample_step,
