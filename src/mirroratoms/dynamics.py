@@ -15,6 +15,9 @@ every row comes from anchored scaling-and-squaring exponentials: every
 with expm(M h) of its grid step h.  ``Trajectory.state_at`` reads the
 route, so its value never depends on earlier calls: one matrix-vector
 product on the eig route, expm(M tau) v0 on the expm route, never a row.
+scipy is imported by the first exponential, so a process that stays on the
+eig route never loads it: among the figure presets only fig13, fig14, fig18
+and fig19 take the expm route.
 
 A trajectory is array-backed: six contiguous (N,) series of coordinates,
 read as rows through their (N, 6) transpose, and an (N,) complex array of
@@ -27,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 _TRACE_TOL = 1e-12
 _POS_TOL = 1e-10
@@ -38,6 +40,14 @@ _TRACE_GUARD = 1e-13
 _EIG_SCREEN_MARGIN = 1e-14
 # rows per expm anchor in _anchored_rows
 _BLOCK = 64
+
+
+def expm(a):
+    """``scipy.linalg.expm``, imported on the first call: importing
+    ``scipy.linalg`` costs about half of the command line's start-up."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 class PropagationError(ValueError):
@@ -252,6 +262,9 @@ class Trajectory:
         """The route of every row, "eig" or "expm"."""
         return "eig" if self.modes is not None else "expm"
 
+    # as in propagate, rates near the float limit may overflow rate x tau;
+    # _propagated_state refuses a result that is not a state
+    @np.errstate(over="ignore", invalid="ignore")
     def state_at(self, tau):
         """Exact state at an arbitrary time; ValueError if ``tau`` is
         negative or not finite.

@@ -23,6 +23,13 @@ def run_cli(*args):
     return cli.main(list(args))
 
 
+def _checkout_env():
+    """The environment of a child interpreter that imports this checkout."""
+    src = str(Path(cli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+
+
 # ---------------------------------------------------------------------
 # RunConfig schema
 # ---------------------------------------------------------------------
@@ -842,6 +849,20 @@ def test_an_overflowing_sweep_point_warns_about_nothing(tmp_path, capsys):
                             "at gamma0_tau = 0.01\n")
 
 
+def test_refining_at_an_overflowing_horizon_warns_about_nothing(tmp_path):
+    # event refinement's state_at multiplies the rates, near 7.8e239, by
+    # times near 1e300; a fresh process prints numpy's warnings, which
+    # the test process's warning registry may already have swallowed
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "axis": "acceleration", "values": [1e30], "horizon": 1e300,
+        "sample_step": 1e298, "base": _HUGE_BASE}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mirroratoms.cli", "sweep", "--spec",
+         str(tmp_path / "spec.json"), "--output", str(tmp_path / "out")],
+        env=_checkout_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def _x_matrix(ge=0.0, as_=0.0):
     return [[0.25, 0, 0, ge], [0, 0.25, as_, 0],
             [0, as_, 0.25, 0], [ge, 0, 0, 0.25]]
@@ -1326,9 +1347,7 @@ def test_main_leaks_nothing_between_calls(tmp_path):
         out = tmp_path / f"run{i}.csv"
         assert cli.main([*argv, "--output", str(out)]) == 0
         in_process.append(out.read_bytes())
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
+    env = _checkout_env()
     for i, argv in enumerate(runs):
         out = tmp_path / f"run{i}.csv"
         out.unlink()
