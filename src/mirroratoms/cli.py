@@ -8,11 +8,11 @@ version and the tolerance choices, so a figure run can be reproduced from
 its own output.
 
 Every float in a CSV is written as ``'%.17g' % v``.  Trajectory and curve
-bodies (:class:`FloatRows`) are formatted 512 rows at a time by a numpy
-kernel whose bytes equal that conversion, cell by cell.  Exact zeros (three
-of the eleven trajectory columns of an X state, and concurrence after
-sudden death) never enter its digit arithmetic, and a cell it cannot prove
-exact goes through ``%.17g`` itself.  A metadata value that holds a line
+bodies (:class:`FloatRows`) are formatted about 5,600 cells at a time by a
+numpy kernel whose bytes equal that conversion, cell by cell.  Exact zeros
+(three of the eleven trajectory columns of an X state, and concurrence
+after sudden death) never enter its digit arithmetic, and a cell it cannot
+prove exact goes through ``%.17g`` itself.  A metadata value that holds a line
 break is written as JSON, so every line above the header starts with
 ``#``.
 
@@ -189,9 +189,11 @@ class FloatRows:
     lead: tuple = ()
 
 
-# rows formatted per write: bounds the kernel's buffers (about 0.2 MB for a
-# trajectory block) however long the trajectory is
-_ROWS_PER_WRITE = 512
+# cells formatted per write, a lead's 32-byte records counted as cells:
+# bounds the kernel's buffers (about 0.2 MB) however long the body is, and
+# holds 512 rows of an 11-column trajectory but 1,408 of a 3-column curve
+# with a one-record lead, so narrow bodies take fewer, larger blocks
+_CELLS_PER_WRITE = 5632
 
 # ---------------------------------------------------------------------
 # '%.17g' for a whole block of floats at once
@@ -392,9 +394,10 @@ def _write_float_rows(fh, block):
         csv.writer(buf).writerow([_fmt(v) for v in block.lead] + [""])
         lead = buf.getvalue().removesuffix("\r\n").encode("utf-8",
                                                           "surrogatepass")
-    for start in range(0, len(block.values), _ROWS_PER_WRITE):
-        fh.write(_g17_block(block.values[start:start + _ROWS_PER_WRITE],
-                            lead))
+    width = -(-len(lead) // _WIDTH) + block.values.shape[1]
+    step = max(_CELLS_PER_WRITE // max(width, 1), 1)
+    for start in range(0, len(block.values), step):
+        fh.write(_g17_block(block.values[start:start + step], lead))
 
 
 def _staging_path(path):

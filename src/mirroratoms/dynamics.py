@@ -282,24 +282,31 @@ class Trajectory:
             return _propagated_state(s0.vector(), ge, tau)
         if self.modes is not None:
             w, v, coeff = self.modes
-            vec = (v @ (np.exp(w * tau) * coeff)).real
-            p_g, p_e, p_a, p_s = vec.tolist()[:4]
+            p_g, p_e, p_a, p_s, re_as, im_as = (
+                v @ (np.exp(w * tau) * coeff)).real.tolist()
             # left to right, as propagate adds the drift's columns
             if (abs(p_g + p_e + p_a + p_s - (s0.pG + s0.pE + s0.pA + s0.pS))
                     <= _TRACE_GUARD):
-                return _propagated_state(vec, ge, tau)
+                return _state(tau, p_g, p_e, p_a, p_s, re_as, im_as, ge)
         vec = expm(self.generator.block_pop * tau) @ s0.vector()
         return _propagated_state(vec, ge, tau)
 
 
-def _propagated_state(vec, rho_ge, tau):
-    """The :class:`XState` of a propagated row; :class:`PropagationError`
-    naming the time if it is not a state."""
+def _state(tau, p_g, p_e, p_a, p_s, re_as, im_as, rho_ge):
+    """The :class:`XState` of propagated coordinates, as
+    :meth:`XState.from_vector` builds it; :class:`PropagationError` naming
+    the time if they are not a state."""
     try:
-        return XState.from_vector(vec, rho_ge=rho_ge)
+        return XState(p_g, p_e, p_a, p_s, complex(re_as, im_as),
+                      complex(rho_ge))
     except ValueError as exc:
         raise PropagationError(
             f"{exc} at gamma0_tau = {float(tau)!r}") from exc
+
+
+def _propagated_state(vec, rho_ge, tau):
+    """The :class:`XState` of a propagated row, as :func:`_state`."""
+    return _state(tau, *np.asarray(vec, dtype=float).tolist(), rho_ge)
 
 
 def _anchored_rows(m, v0, times):
@@ -331,19 +338,22 @@ def _anchored_rows(m, v0, times):
     return out[:n]
 
 
-def _validate_rows(times, vectors, rho_ge):
+def _validate_rows(times, vectors, rho_ge, trace=None):
     """Apply the :class:`XState` checks to every row at once.
 
-    The trace and population tests are the scalar ones; the closed-form
-    minimum eigenvalue is screened with a margin that covers the ulp-level
-    gap between a plain square root and ``math``'s hypot.  Three whole-array
-    reductions (worst trace drift, least population, least block eigenvalue)
-    pass a trajectory whose every row passes; when one of them fails, NaN
-    included, the rows are screened one by one and every flagged row is
-    rebuilt as an :class:`XState`, whose own checks decide and raise.
+    ``trace`` is the rows' population sum, added left to right, when the
+    caller has it already.  The trace and population tests are the scalar
+    ones; the closed-form minimum eigenvalue is screened with a margin that
+    covers the ulp-level gap between a plain square root and ``math``'s
+    hypot.  Three whole-array reductions (worst trace drift, least
+    population, least block eigenvalue) pass a trajectory whose every row
+    passes; when one of them fails, NaN included, the rows are screened one
+    by one and every flagged row is rebuilt as an :class:`XState`, whose own
+    checks decide and raise.
     """
     p_g, p_e, p_a, p_s, re_as, im_as = vectors.T
-    trace = p_g + p_e + p_a + p_s
+    if trace is None:
+        trace = p_g + p_e + p_a + p_s
     half_ge = 0.5 * (p_g - p_e)
     half_as = 0.5 * (p_s - p_a)
     outer = 0.5 * (p_g + p_e) - np.sqrt(half_ge * half_ge
@@ -370,7 +380,7 @@ def sample_times(times):
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-D sequence")
-    if times[0] < 0 or np.any(np.diff(times) < 0):
+    if times[0] < 0 or np.any(times[1:] < times[:-1]):
         raise ValueError("times must be non-negative and ascending")
     return times
 
@@ -390,32 +400,42 @@ def propagate(gen, s0, times):
         raise ValueError("generator population block must be 6x6")
 
     v0 = s0.vector()
+    tr0 = s0.pG + s0.pE + s0.pA + s0.pS
+    # times ascend, so the zero times are a prefix
+    n0 = int(np.searchsorted(times, 0.0, side="right"))
     modes = None
     w, v = np.linalg.eig(m)
     try:
-        cond = np.linalg.cond(v)
+        # the value of np.linalg.cond(v), without its wrapper checks
+        s = np.linalg.svd(v, compute_uv=False)
+        cond = s[0] / s[-1] if s[-1] != 0.0 else np.inf
     except np.linalg.LinAlgError:
         cond = np.inf
-    if np.isfinite(cond) and cond <= _COND_LIMIT:
+    if cond <= _COND_LIMIT:     # NaN fails the test
         coeff = np.linalg.inv(v) @ v0
         # one contiguous series per coordinate, the rows its transpose, from
         # one (6, 6) x (6, N) product; state_at's matrix-vector product sums
         # in another order, so the two agree within cond(v) ulps
-        series = np.ascontiguousarray(
-            (v @ (np.exp(w[:, None] * times) * coeff[:, None])).real)
-        # left to right, as state_at adds the populations
-        drift = np.abs(series[0] + series[1] + series[2] + series[3]
-                       - (s0.pG + s0.pE + s0.pA + s0.pS))
-        if np.all((drift <= _TRACE_GUARD) | (times == 0.0)):
+        e = np.multiply(w[:, None], times)
+        np.exp(e, out=e)
+        e *= coeff[:, None]
+        series = np.ascontiguousarray((v @ e).real)
+        # left to right, as state_at adds the populations; the one sum
+        # serves the route check here and the row checks below
+        trace = series[0] + series[1] + series[2] + series[3]
+        drift = trace[n0:] - tr0
+        np.abs(drift, out=drift)
+        # NaN fails the test, and a grid of zero times alone passes it
+        if drift.max(initial=0.0) <= _TRACE_GUARD:
             modes = (w, v, coeff)
+            trace[:n0] = tr0
     if modes is None:
         series = np.ascontiguousarray(_anchored_rows(m, v0, times).T)
-    # times ascend, so the zero times are a prefix
-    series[:, :int(np.searchsorted(times, 0.0, side="right"))] = v0[:, None]
+        trace = None
+    series[:, :n0] = v0[:, None]
     rows = series.T
 
     rho_ge = s0.rho_ge * np.exp(gen.rate_ge * times)
-    _validate_rows(times, rows, rho_ge)
+    _validate_rows(times, rows, rho_ge, trace)
     return Trajectory(times=times, vectors=rows, rho_ge=rho_ge, generator=gen,
                       initial_state=s0, modes=modes)
-

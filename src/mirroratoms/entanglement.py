@@ -153,15 +153,17 @@ def _kvals(traj):
 
 def _refined_max(traj, kvals, refine_tol):
     """(max_c, max_c_time) from the samples' max{K1, K2}, polished by
-    golden-section search between the best sample's neighbours."""
+    golden-section search between the best sample's neighbours; (0.0,
+    the first time) when no K is positive."""
     times = traj.times
-    cvals = np.maximum(kvals, 0.0)
-    i_best = int(np.argmax(cvals))
-    lo = times[max(i_best - 1, 0)]
-    hi = times[min(i_best + 1, len(times) - 1)]
-    max_c = float(cvals[i_best])
+    i_best = int(np.argmax(kvals))
+    max_c = float(kvals[i_best])
+    if not max_c > 0.0:
+        return 0.0, float(times[0])
     max_c_time = float(times[i_best])
-    if hi > lo and max_c > 0.0:
+    lo = float(times[max(i_best - 1, 0)])
+    hi = float(times[min(i_best + 1, len(times) - 1)])
+    if hi > lo:
         t_ref, c_ref = _golden_max(
             lambda t: concurrence_x(traj.state_at(t)), lo, hi, refine_tol)
         if c_ref >= max_c:

@@ -143,6 +143,7 @@ def _evaluate_point(spec, value):
         cfg = spec.config_at(value)
         row.update(alignment=cfg.alignment, a_over_omega=cfg.a,
                    omega_L=cfg.L, y_over_L=cfg.y_over_L)
+        s0 = spec.initial()
         variants = [("", True)]
         if spec.include_free_space:
             variants.append(("free_", False))
@@ -150,14 +151,14 @@ def _evaluate_point(spec, value):
             cs = co.assemble(cfg, include_boundary=with_boundary)
             # no appreciable decay over the whole scan: dynamics frozen
             # a Python float product overflows to inf without a warning
-            frozen = (float(np.max(np.abs(cs.as_array()))) * spec.span
-                      < _FROZEN_TOL)
+            frozen = (max(abs(cs.A1), abs(cs.A2), abs(cs.A3), abs(cs.B1),
+                          abs(cs.B2), abs(cs.B3)) * spec.span < _FROZEN_TOL)
             gen = dy.build_generator(cs)
             if spec.axis == "time":
                 times = np.asarray(spec.values, dtype=float)
-                traj = dy.propagate(gen, spec.initial(), times)
+                traj = dy.propagate(gen, s0, times)
             else:
-                traj = en.scan_trajectory(gen, spec.initial(), spec.horizon,
+                traj = en.scan_trajectory(gen, s0, spec.horizon,
                                           spec.sample_step)
             row[prefix + "frozen"] = frozen
             if "curve" in spec.outputs or spec.axis == "time":

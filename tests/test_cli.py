@@ -1205,7 +1205,7 @@ def _assert_same_bytes(tmp_path, header, body, reference_rows):
 
 def test_float_rows_match_the_csv_writer_loop(tmp_path, rng):
     # more rows than one formatted write holds, edge values in each column
-    values = rng.standard_normal((2 * cli._ROWS_PER_WRITE + 37, 4))
+    values = rng.standard_normal((2 * cli._CELLS_PER_WRITE // 4 + 37, 4))
     values *= 10.0 ** rng.integers(-300, 300, size=values.shape)
     for col in range(values.shape[1]):
         rows = rng.choice(len(values), size=len(_EDGE_FLOATS), replace=False)
@@ -1218,7 +1218,7 @@ def test_float_rows_match_the_csv_writer_loop(tmp_path, rng):
 def test_labelled_float_rows_match_the_csv_writer_loop(tmp_path, rng):
     labels = ["plain", "a,b", 'say "hi"', "100%", "%s%%d", "two\nlines",
               "cr\rlf", " spaced "]
-    sizes = [0, 1, 30, 5, 17, 3, 8, cli._ROWS_PER_WRITE + 88]
+    sizes = [0, 1, 30, 5, 17, 3, 8, cli._CELLS_PER_WRITE // 4 + 88]
     pool = np.concatenate([_EDGE_FLOATS, rng.standard_normal(20)])
     body, reference = [], []
     for i, (label, size) in enumerate(zip(labels, sizes)):
@@ -1229,6 +1229,29 @@ def test_labelled_float_rows_match_the_csv_writer_loop(tmp_path, rng):
         reference += [[label, _EDGE_FLOATS[i], *row] for row in values]
     _assert_same_bytes(tmp_path, ["label", "axis_value", "t", "c", "f"],
                        body, reference)
+
+
+def test_narrow_labelled_bodies_take_blocks_of_cells(tmp_path, rng,
+                                                    monkeypatch):
+    # a preset curve body: a one-record lead and 3 columns, so a block holds
+    # _CELLS_PER_WRITE // 4 rows, and 2,001 rows take 2 blocks, not 4
+    blocks = []
+    g17_block = cli._g17_block
+    monkeypatch.setattr(cli, "_g17_block", lambda values, lead=b"": (
+        blocks.append(len(values)) or g17_block(values, lead)))
+    lead = ("parallel", 0.1)
+    values = rng.standard_normal((2001, 3))
+    values[::7, 1] = 0.0
+    _assert_same_bytes(tmp_path, ["label", "axis_value", "t", "c", "f"],
+                       [cli.FloatRows(values, lead=lead)],
+                       [[*lead, *row] for row in values.tolist()])
+    per_block = cli._CELLS_PER_WRITE // 4
+    assert blocks == [per_block, 2001 - per_block]
+    # an 11-column trajectory body keeps 512-row blocks
+    blocks.clear()
+    cli.write_csv(tmp_path / "t.csv", {}, ["x"] * 11,
+                  [cli.FloatRows(rng.standard_normal((1100, 11)))])
+    assert blocks == [512, 512, 76]
 
 
 def test_powers_of_ten_and_their_neighbours_match(tmp_path):
@@ -1252,14 +1275,15 @@ _SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
 @given(cells=st.lists(_SIGNED_ZEROS | _BIT_PATTERNS | st.floats()
                       | st.sampled_from(_EDGE_FLOATS + _POWERS_OF_TEN),
                       max_size=60),
-       cols=st.integers(1, 6), rows_per_write=st.sampled_from([1, 3, 512]),
+       cols=st.integers(1, 6),
+       cells_per_write=st.sampled_from([1, 3, 7, 5632]),
        lead=st.sampled_from([(), ("fig2", 0.5), ("a,b", -0.0),
                              ('say "hi"', float("nan"))]),
        zeros=st.sampled_from(["as drawn", "every cell", "no cell",
                               "first column only"]))
 def test_float_rows_match_the_csv_writer_loop_on_any_bits(
-        cells, cols, rows_per_write, lead, zeros, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
+        cells, cols, cells_per_write, lead, zeros, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CELLS_PER_WRITE", cells_per_write)
     values = np.array(cells[:len(cells) // cols * cols]).reshape(-1, cols)
     signed_zeros = np.copysign(0.0, values)
     if zeros == "every cell":

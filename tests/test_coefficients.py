@@ -558,3 +558,18 @@ def test_assembly_is_a_round_off_close_contraction(alignment, a, log_wl,
             np.abs(u) @ np.abs(t) @ np.abs(v)) + 7.0 * TINY
         assert abs(float(Fraction(got) - exact)) <= bound
 
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the free cross tensor cancels at small omega L: "
+                   "A3 = 1.2510e-7 > A1 = A2 = 1.2486e-7, which assemble "
+                   "neither repairs nor refuses")
+def test_rates_at_a_small_separation_are_completely_positive_or_refused():
+    # coeffs --a 0.5 --omega-l 1e-3 --y-over-l 0.5
+    cfg = co.PhysicalConfig.from_ratios(0.5, 1e-3, 0.5, "parallel")
+    try:
+        cs = co.assemble(cfg)
+    except co.RateError:
+        return
+    assert cs.A1 >= 0.0 and cs.A2 >= 0.0
+    assert cs.A3 * cs.A3 <= cs.A1 * cs.A2

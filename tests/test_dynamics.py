@@ -327,6 +327,24 @@ def test_trace_guard_switches_to_expm_for_near_defective_generators():
         assert abs(v[0] + v[1] + v[2] + v[3] - 1.0) <= 1e-12
 
 
+def test_route_check_skips_only_the_zero_time_prefix():
+    s0 = dy.XState.excited()
+    # the eig value of _DRIFT_AT_ONCE misses the trace by about 1e-10 at
+    # t = 0 already, where every row is the initial state itself
+    at_zero = dy.propagate(_DRIFT_AT_ONCE, s0, [0.0, 0.0, 0.0])
+    assert at_zero.method == "eig"
+    assert np.array_equal(at_zero.vectors, np.tile(s0.vector(), (3, 1)))
+    assert dy.propagate(_DRIFT_AT_ONCE, s0,
+                        [0.0, 0.0, 0.0, 0.01]).method == "expm"
+    # _DRIFT_MID_SCAN holds the trace up to about t = 0.89 and drifts later
+    early = np.concatenate([[0.0, 0.0], np.linspace(0.0, 0.5, 51)])
+    late = np.concatenate([[0.0, 0.0], np.linspace(0.0, 40.0, 4001)])
+    assert dy.propagate(_DRIFT_MID_SCAN, s0, early).method == "eig"
+    traj = dy.propagate(_DRIFT_MID_SCAN, s0, late)
+    assert traj.method == "expm"
+    assert np.array_equal(traj.vectors[:3], np.tile(s0.vector(), (3, 1)))
+
+
 def test_expm_fallback_agrees_with_eig(monkeypatch):
     gen = dy.build_generator(coeffs(a3=0.12))
     s0 = dy.XState.excited()
@@ -534,11 +552,15 @@ def test_row_screen_falls_back_to_the_failing_row(fault, message):
     # the message the per-row path gives for that row alone
     with pytest.raises(dy.PropagationError) as one:
         dy._propagated_state(rows[i], traj.rho_ge[i], times[i])
-    with pytest.raises(dy.PropagationError) as whole:
-        dy._validate_rows(times, rows, traj.rho_ge)
-    assert str(whole.value) == str(one.value)
-    assert message in str(whole.value)
-    assert str(whole.value).endswith(f" at gamma0_tau = {float(times[i])!r}")
+    # propagate hands the row checks the population sum it has already added
+    shared = rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
+    for trace in (None, shared):
+        with pytest.raises(dy.PropagationError) as whole:
+            dy._validate_rows(times, rows, traj.rho_ge, trace)
+        assert str(whole.value) == str(one.value)
+        assert message in str(whole.value)
+        assert str(whole.value).endswith(
+            f" at gamma0_tau = {float(times[i])!r}")
 
 
 def test_row_screen_rebuilds_no_state_of_a_valid_trajectory(monkeypatch):
@@ -571,6 +593,35 @@ def test_state_at_refuses_a_negative_or_non_finite_time(tau):
             traj.state_at(tau)
     # an input error, not a numerical failure of the propagation
     assert not isinstance(err.value, dy.PropagationError)
+
+
+def test_state_at_equals_from_vector_of_its_product():
+    gen = dy.build_generator(coeffs(a3=0.12))
+    s0 = dy.XState(0.25, 0.25, 0.25, 0.25, rho_as=0.1 + 0.05j,
+                   rho_ge=0.1 - 0.2j)
+    traj = dy.propagate(gen, s0, np.linspace(0.0, 10.0, 11))
+    assert traj.method == "eig"
+    w, v, coeff = traj.modes
+    for tau in (0.37, 2.0, 9.99, 25.0):
+        want = dy.XState.from_vector(
+            (v @ (np.exp(w * tau) * coeff)).real,
+            rho_ge=s0.rho_ge * np.exp(gen.rate_ge * tau))
+        # repr tells -0.0 from 0.0 and a numpy scalar from a Python one
+        assert repr(traj.state_at(tau)) == repr(want)
+
+
+def test_state_at_names_the_time_of_a_state_it_cannot_build():
+    # pE decays into pA and drains pG below zero; the trace holds, and the
+    # block is diagonalizable, so state_at stays on the eig route
+    m = np.zeros((6, 6))
+    m[:3, 1] = (-0.5, -1.0, 1.5)
+    traj = dy.propagate(dy.Generator(m, rate_ge=0.0),
+                        dy.XState(0.0, 0.5, 0.5, 0.0), [0.0])
+    assert traj.method == "eig"
+    with pytest.raises(dy.PropagationError) as exc:
+        traj.state_at(10.0)
+    assert str(exc.value) == ("pG is negative beyond tolerance "
+                              "at gamma0_tau = 10.0")
 
 
 def test_trajectory_state_at_matches_grid():

@@ -344,6 +344,54 @@ def test_analyze_events_needs_two_samples():
         en.max_concurrence(traj)
 
 
+def test_refined_max_without_a_positive_k_is_zero_at_the_first_time():
+    def no_refinement(tau):
+        raise AssertionError("a separable trajectory needs no refinement")
+
+    traj = SimpleNamespace(times=np.array([0.5, 1.0, 2.0, 3.0]),
+                           state_at=no_refinement)
+    for kvals in ([-0.3, 0.0, -1e-17, -0.2], [-0.3, -0.1, -0.2, -0.4],
+                  [0.0, 0.0, 0.0, 0.0]):
+        max_c, max_c_time = en._refined_max(traj, np.array(kvals), 1e-6)
+        assert (repr(max_c), repr(max_c_time)) == ("0.0", "0.5")
+    # the ground state in free space stays separable: K1 = K2 = 0
+    cfg = co.PhysicalConfig.from_ratios(0.5, 1.0, 0.5, "parallel")
+    gen = dy.build_generator(co.assemble(cfg, include_boundary=False))
+    ground = en.scan_trajectory(gen, dy.XState.ground(), 2.0)
+    assert en.max_concurrence(ground) == (0.0, 0.0)
+
+
+def _defect_point_generator():
+    # events --a 0.5 --alignment vertical --y-over-l 0.1 --initial-state S
+    cfg = co.PhysicalConfig.from_ratios(0.5, 1.0, 0.1, "vertical",
+                                        d1=X, d2=X)
+    return dy.build_generator(co.assemble(cfg))
+
+
+def test_the_fine_scan_finds_the_death_and_birth_near_3_9():
+    traj = en.scan_trajectory(_defect_point_generator(),
+                              dy.XState.symmetric(), 20.0, 0.01)
+    ev = en.analyze_events(traj)
+    assert ev.death_times[0] == pytest.approx(3.88178, abs=1e-5)
+    assert ev.birth_times[0] == pytest.approx(3.94832, abs=1e-5)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="analyze_events assumes at most one sign change "
+                   "per sample interval and checks nothing: at step 0.5 "
+                   "the death and birth 0.07 apart are both missed")
+def test_a_coarse_scan_finds_the_fine_scan_events():
+    gen = _defect_point_generator()
+    s0 = dy.XState.symmetric()
+    fine = en.analyze_events(en.scan_trajectory(gen, s0, 20.0, 0.01))
+    coarse = en.analyze_events(en.scan_trajectory(gen, s0, 20.0, 0.5))
+    assert len(coarse.death_times) == len(fine.death_times)
+    assert len(coarse.birth_times) == len(fine.birth_times)
+    for got, want in zip(coarse.death_times + coarse.birth_times,
+                         fine.death_times + fine.birth_times):
+        assert got == pytest.approx(want, abs=1e-6)
+
+
 def test_scan_size_bounds_the_grid():
     assert en.scan_size(20.0, 1e-2) == 2001
     assert en.scan_size(1e-3, 1.0) == 3
