@@ -1,11 +1,11 @@
 """Command-line interface and bit-stable output serialization.
 
 Subcommands: coeffs, evolve, events, sweep, validate, presets.  A run is
-configured by a JSON document (strict schema: unknown keys are rejected by
-name) with CLI flags overriding file values.  Every output file carries a
-metadata header recording the fully resolved configuration, the code
-version and the tolerance choices, so a figure run can be reproduced from
-its own output.
+configured by a JSON document with CLI flags overriding file values; a
+command reads exactly the settings it has flags for, and a key outside them
+is rejected by name.  Every output file carries a metadata header recording
+every setting the command read, resolved, the code version and the
+tolerance choices, so a figure run can be reproduced from its own output.
 
 Every float in a CSV is written as ``'%.17g' % v``.  Trajectory and curve
 bodies (:class:`FloatRows`) are formatted about 5,600 cells at a time by a
@@ -51,7 +51,6 @@ from . import sweeps as sw
 
 OUTDIR_ENV = "MIRRORATOMS_OUTDIR"
 
-_STATE_PRESETS = ("G", "E", "A", "S")
 # the RunConfig fields that make up its PhysicalConfig, in from_ratios order
 _PHYSICAL_KEYS = ("a_over_omega", "omega_L", "y_over_L", "alignment", "d1",
                   "d2")
@@ -115,9 +114,10 @@ class RunConfig:
             raise ConfigError(f"invalid initial_state: {exc}") from exc
 
     @classmethod
-    def from_dict(cls, data):
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+    def from_dict(cls, data, keys=None):
+        """``data`` may set the fields ``keys``, by default every field."""
+        keys = keys or [f.name for f in dataclasses.fields(cls)]
+        unknown = set(data) - set(keys)
         if unknown:
             raise ConfigError(
                 f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -144,6 +144,13 @@ class RunConfig:
 
     def initial(self):
         return dy.XState.resolve(self.initial_state)
+
+    def trajectory(self, include_boundary=True):
+        """The run's scan, with the boundary or, as its companion, without."""
+        gen = dy.build_generator(co.assemble(
+            self.physical(), include_boundary=include_boundary))
+        return en.scan_trajectory(gen, self.initial(), self.horizon,
+                                  self.sample_step)
 
 
 def _parse_matrix(obj):
@@ -478,19 +485,8 @@ def write_csv(path, meta, header, rows):
 
 def write_json(path, meta, data):
     with _open_output(path) as fh:
-        json.dump({"metadata": meta, "data": data}, fh, indent=2,
-                  default=_json_default)
+        json.dump({"metadata": meta, "data": data}, fh, indent=2)
         fh.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _out_path(config, default_name):
@@ -518,11 +514,13 @@ def _read_json_object(path, what):
 
 
 def _load_config(args):
-    """The config file, if any, with every flag given laid over it: a
-    physics flag's dest is the :class:`RunConfig` field it sets."""
+    """The run's :class:`RunConfig`, from the config file, if any, with every
+    flag given laid over it, and metadata that records the fields its flags
+    set by dest: the fields the command reads, and all a file may set."""
+    keys = [f.name for f in dataclasses.fields(RunConfig)
+            if f.name in vars(args)]
     data = _read_json_object(args.config, "config") if args.config else {}
-    flags = {f.name: getattr(args, f.name, None)
-             for f in dataclasses.fields(RunConfig)}
+    flags = {key: getattr(args, key) for key in keys}
     try:
         for key in ("d1", "d2"):
             text = flags.pop(key)
@@ -532,10 +530,13 @@ def _load_config(args):
         raise ConfigError(f"invalid dipole flag: {exc}") from exc
     data.update((key, value) for key, value in flags.items()
                 if value is not None)
-    return RunConfig.from_dict(data)
+    config = RunConfig.from_dict(data, keys)
+    resolved = config.to_dict()
+    return config, _metadata({key: resolved[key] for key in keys})
 
 
-def _add_physics_flags(p):
+def _add_physics_flags(p, scan=True):
+    """``scan`` adds the initial state and time grid of a trajectory."""
     p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--a", type=float, dest="a_over_omega", help="a/omega")
     p.add_argument("--omega-l", type=float, dest="omega_L", help="omega * L")
@@ -543,15 +544,17 @@ def _add_physics_flags(p):
     p.add_argument("--alignment", choices=("parallel", "vertical"))
     p.add_argument("--d1", help="dipole 1 components, e.g. 1,0,0")
     p.add_argument("--d2", help="dipole 2 components")
-    p.add_argument("--initial-state", choices=_STATE_PRESETS)
-    p.add_argument("--horizon", type=float, help="scan horizon in Gamma0*tau")
-    p.add_argument("--sample-step", type=float)
+    if scan:
+        p.add_argument("--initial-state", help="initial state preset name")
+        p.add_argument("--horizon", type=float,
+                       help="scan horizon in Gamma0*tau")
+        p.add_argument("--sample-step", type=float)
     p.add_argument("--output", dest="output_path", help="output file path")
     p.add_argument("--format", choices=("csv", "json"), dest="output_format")
 
 
 def cmd_coeffs(args):
-    config = _load_config(args)
+    config, meta = _load_config(args)
     path = _out_path(config, "coeffs") if config.output_path else None
     cfg = config.physical()
     cs = co.assemble(cfg)
@@ -577,7 +580,6 @@ def cmd_coeffs(args):
                   file=sys.stderr)
             return status
     if path:
-        meta = _metadata(config.to_dict())
         if config.output_format == "json":
             write_json(path, meta, {"coefficients": lines, **extra})
         else:
@@ -587,17 +589,12 @@ def cmd_coeffs(args):
 
 
 def _trajectory_rows(config):
-    cfg = config.physical()
-    gen = dy.build_generator(co.assemble(cfg))
-    traj = en.scan_trajectory(gen, config.initial(), config.horizon,
-                              config.sample_step)
+    traj = config.trajectory()
     columns = [traj.times, traj.vectors, traj.rho_ge.real, traj.rho_ge.imag,
                en.concurrence_curve(traj)]
     if config.include_free_space_companion:
-        gen_f = dy.build_generator(co.assemble(cfg, include_boundary=False))
-        traj_f = en.scan_trajectory(gen_f, config.initial(), config.horizon,
-                                    config.sample_step)
-        columns.append(en.concurrence_curve(traj_f))
+        columns.append(en.concurrence_curve(
+            config.trajectory(include_boundary=False)))
     return traj, np.column_stack(columns)
 
 
@@ -606,13 +603,13 @@ _TRAJ_HEADER = ["gamma0_tau", "pG", "pE", "pA", "pS", "re_rhoAS", "im_rhoAS",
 
 
 def cmd_evolve(args):
-    config = _load_config(args)
+    config, meta = _load_config(args)
     path = _out_path(config, "trajectory")
     traj, rows = _trajectory_rows(config)
     header = list(_TRAJ_HEADER)
     if config.include_free_space_companion:
         header.append("free_concurrence")
-    meta = _metadata({**config.to_dict(), "propagation": traj.method})
+    meta["propagation"] = traj.method
     if config.output_format == "json":
         write_json(path, meta, {"columns": header, "rows": rows.tolist()})
     else:
@@ -622,13 +619,9 @@ def cmd_evolve(args):
 
 
 def cmd_events(args):
-    config = _load_config(args)
+    config, meta = _load_config(args)
     path = _out_path(config, "events")
-    cfg = config.physical()
-    gen = dy.build_generator(co.assemble(cfg))
-    traj = en.scan_trajectory(gen, config.initial(), config.horizon,
-                              config.sample_step)
-    ev = en.analyze_events(traj)
+    ev = en.analyze_events(config.trajectory())
     report = {
         "death_times": list(ev.death_times),
         "birth_times": list(ev.birth_times),
@@ -638,7 +631,7 @@ def cmd_events(args):
         "truncated": ev.truncated,
         "horizon": ev.horizon,
     }
-    meta = _metadata({**config.to_dict(), "refine_tol": en.REFINE_TOL})
+    meta["refine_tol"] = en.REFINE_TOL
     if config.output_format == "csv":
         rows = ([["death", t] for t in ev.death_times]
                 + [["birth", t] for t in ev.birth_times]
@@ -653,8 +646,8 @@ def cmd_events(args):
 
 
 def cmd_sweep(args):
-    presets = sw.figure_presets()
-    if args.preset:
+    if args.preset is not None:
+        presets = sw.figure_presets()
         if args.preset not in presets:
             raise ConfigError(f"unknown preset {args.preset!r}; "
                               "see 'presets'")
@@ -691,6 +684,8 @@ def cmd_sweep(args):
     meta = _metadata({"preset": name, "horizon": specs[0].span,
                       "sample_step": specs[0].sample_step,
                       "specs": [_spec_record(spec) for spec in specs]})
+    if specs[0].axis == "time":
+        del meta["sample_step"]    # a time axis samples its own values
     if fmt == "json":
         write_json(summary_path, meta, {"rows": all_rows})
     else:
@@ -741,6 +736,10 @@ def _spec_from_dict(raw):
     if missing:
         raise ConfigError(
             f"sweep spec lacks key(s): {', '.join(sorted(missing))}")
+    unread = {"horizon", "sample_step"} & set(raw)
+    if raw["axis"] == "time" and unread:
+        raise ConfigError(f"a time-axis sweep spec samples its values and "
+                          f"takes no {', '.join(sorted(unread))}")
     label = raw.get("label", "sweep")
     # the label names the output files inside --output
     if (not isinstance(label, str) or label in ("", ".", "..")
@@ -857,7 +856,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="print the six master-equation rates")
-    _add_physics_flags(p)
+    _add_physics_flags(p, scan=False)
     p.add_argument("--expansion", action="store_true",
                    help="also print the near-boundary expansion")
     p.add_argument("--oracle", action="store_const", const=True,
@@ -876,8 +875,9 @@ def build_parser():
     p.set_defaults(func=cmd_events)
 
     p = sub.add_parser("sweep", help="run a parameter sweep or preset")
-    p.add_argument("--preset", help="figure preset name (see 'presets')")
-    p.add_argument("--spec", help="JSON sweep specification file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--preset", help="figure preset name (see 'presets')")
+    source.add_argument("--spec", help="JSON sweep specification file")
     p.add_argument("--output", help="output directory")
     p.add_argument("--format", choices=("csv", "json"))
     p.set_defaults(func=cmd_sweep)

@@ -316,6 +316,7 @@ def test_time_axis_events_scan_to_the_last_time(tmp_path):
     assert row["error"] == ""
     assert float(row["horizon"]) == 100.0
     assert float(meta["horizon"]) == 100.0
+    assert "sample_step" not in meta
     assert row["n_deaths"] == "1"
     assert float(row["first_death"]) == pytest.approx(13.326, abs=1e-3)
     assert row["truncated"] == "false"
@@ -634,6 +635,101 @@ def test_config_field_of_the_wrong_json_type_is_named(command, data, message,
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------
+# a command accepts and records exactly the settings it reads
+# ---------------------------------------------------------------------
+
+_RUN_FIELDS = {f.name: f.default for f in dataclasses.fields(cli.RunConfig)}
+
+
+def _fields_read(command):
+    """The RunConfig fields a command reads: the dests of its flags."""
+    return set(_RUN_FIELDS) & set(vars(cli.build_parser().parse_args(
+        [command])))
+
+
+@pytest.mark.parametrize("argv", [("--initial-state", "S"), ("--horizon", "5"),
+                                  ("--sample-step", "0.5")])
+def test_coeffs_takes_no_flag_of_a_scan(argv, tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    rc = run_cli("coeffs", *argv, "--output", str(out))
+    assert (rc, capsys.readouterr().err) == (
+        1, f"configuration error: unrecognized arguments: {' '.join(argv)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["coeffs", "evolve", "events"])
+def test_a_config_file_sets_only_what_its_command_reads(command, tmp_path,
+                                                        capsys):
+    # coeffs scans nothing, and neither evolve nor events runs the oracle;
+    # events writes no free-space companion.  A key at its default value
+    # is refused for its name alone.
+    unread = sorted(set(_RUN_FIELDS) - _fields_read(command))
+    assert unread
+    out = tmp_path / "out.csv"
+    for key in unread:
+        cfg_file = tmp_path / f"{key}.json"
+        cfg_file.write_text(json.dumps({key: _RUN_FIELDS[key]}))
+        rc = run_cli(command, "--config", str(cfg_file), "--output", str(out))
+        assert (rc, capsys.readouterr().err) == (
+            1, f"configuration error: unknown config key(s): {key}\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command, extra", [
+    ("coeffs", set()), ("evolve", {"propagation"}),
+    ("events", {"refine_tol"})], ids=["coeffs", "evolve", "events"])
+def test_metadata_records_exactly_the_settings_read(command, extra, fmt,
+                                                    tmp_path):
+    out = tmp_path / f"out.{fmt}"
+    scan = [] if command == "coeffs" else ["--horizon", "1"]
+    assert run_cli(command, *scan, "--format", fmt, "--output", str(out)) == 0
+    meta = (_read_csv(out)[0] if fmt == "csv"
+            else json.loads(out.read_text())["metadata"])
+    assert set(meta) == _fields_read(command) | {"tool", "version"} | extra
+
+
+def test_an_unknown_state_preset_is_named_by_the_state_table(tmp_path,
+                                                             capsys):
+    out = tmp_path / "t.csv"
+    rc = run_cli("evolve", "--initial-state", "Q", "--output", str(out))
+    assert (rc, capsys.readouterr().err) == (
+        1, "configuration error: invalid initial_state: unknown state "
+           "preset 'Q'; use one of ['A', 'E', 'G', 'S']\n")
+    assert not out.exists()
+
+
+def test_sweep_takes_a_preset_or_a_spec_not_both(tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = run_cli("sweep", "--preset", "fig3", "--spec", "missing.json")
+    assert (rc, capsys.readouterr().err) == (
+        1, "configuration error: argument --spec: not allowed with "
+           "argument --preset\n")
+    assert list(tmp_path.iterdir()) == []
+    # an empty preset name is a preset name that names no preset
+    assert run_cli("sweep", "--preset=") == 1
+    assert capsys.readouterr().err == ("configuration error: unknown preset "
+                                       "''; see 'presets'\n")
+
+
+@pytest.mark.parametrize("key, value", [("horizon", 1e9),
+                                        ("sample_step", 0.5)])
+def test_a_time_axis_spec_takes_no_scan_grid(key, value, tmp_path, capsys):
+    # a time axis samples its own values: a horizon and a step it would
+    # never read are refused by name, whether or not they make a valid grid
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"axis": "time", "values": [0, 1, 2],
+                                     key: value}))
+    out = tmp_path / "out"
+    rc = run_cli("sweep", "--spec", str(spec_file), "--output", str(out))
+    assert (rc, capsys.readouterr().err) == (
+        1, f"configuration error: a time-axis sweep spec samples its values "
+           f"and takes no {key}\n")
     assert not out.exists()
 
 
