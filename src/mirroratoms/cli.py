@@ -515,8 +515,9 @@ def _read_json_object(path, what):
 
 def _load_config(args):
     """The run's :class:`RunConfig`, from the config file, if any, with every
-    flag given laid over it, and metadata that records the fields its flags
-    set by dest: the fields the command reads, and all a file may set."""
+    flag given laid over it; metadata that records the fields its flags set
+    by dest (the fields the command reads, and all a file may set); and the
+    fields that the file or a flag set, as a set."""
     keys = [f.name for f in dataclasses.fields(RunConfig)
             if f.name in vars(args)]
     data = _read_json_object(args.config, "config") if args.config else {}
@@ -532,7 +533,7 @@ def _load_config(args):
                 if value is not None)
     config = RunConfig.from_dict(data, keys)
     resolved = config.to_dict()
-    return config, _metadata({key: resolved[key] for key in keys})
+    return config, _metadata({key: resolved[key] for key in keys}), set(data)
 
 
 def _add_physics_flags(p, scan=True):
@@ -554,7 +555,10 @@ def _add_physics_flags(p, scan=True):
 
 
 def cmd_coeffs(args):
-    config, meta = _load_config(args)
+    config, meta, given = _load_config(args)
+    if "output_format" in given and not config.output_path:
+        raise ConfigError("output_format (--format) needs output_path "
+                          "(--output): coeffs writes a file only there")
     path = _out_path(config, "coeffs") if config.output_path else None
     cfg = config.physical()
     cs = co.assemble(cfg)
@@ -603,7 +607,7 @@ _TRAJ_HEADER = ["gamma0_tau", "pG", "pE", "pA", "pS", "re_rhoAS", "im_rhoAS",
 
 
 def cmd_evolve(args):
-    config, meta = _load_config(args)
+    config, meta, _ = _load_config(args)
     path = _out_path(config, "trajectory")
     traj, rows = _trajectory_rows(config)
     header = list(_TRAJ_HEADER)
@@ -619,7 +623,7 @@ def cmd_evolve(args):
 
 
 def cmd_events(args):
-    config, meta = _load_config(args)
+    config, meta, _ = _load_config(args)
     path = _out_path(config, "events")
     ev = en.analyze_events(config.trajectory())
     report = {
@@ -655,7 +659,7 @@ def cmd_sweep(args):
         specs = preset.specs
         name = args.preset
     else:
-        if not args.spec:
+        if args.spec is None:
             raise ConfigError("either --preset or --spec is required")
         raw = _read_json_object(args.spec, "spec")
         specs = [_spec_from_dict(raw)]

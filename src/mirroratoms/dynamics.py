@@ -21,11 +21,17 @@ and fig19 take the expm route.
 
 A trajectory is array-backed: six contiguous (N,) series of coordinates,
 read as rows through their (N, 6) transpose, and an (N,) complex array of
-rho_GE, computed and validated with whole-array numpy.
+rho_GE.  One pass over the rows (``_row_terms``) computes the intermediates
+that both 2x2 blocks of an X state share: pG + pE, pA + pS, K1's and K2's
+radicands, pG pE and |rho_GE|.  The row checks screen every row from them
+at once, and the trajectory keeps them, so the concurrence branches K1 and
+K2 (``entanglement``) are formed from the same arrays without a second
+pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +44,12 @@ _COND_LIMIT = 1e12
 _TRACE_GUARD = 1e-13
 # slack of the vectorised min-eigenvalue screen in _validate_rows
 _EIG_SCREEN_MARGIN = 1e-14
+# the screen's eigenvalue floor is -_SCREEN_TOL
+_SCREEN_TOL = _POS_TOL - _EIG_SCREEN_MARGIN
+# state_at forms no exponent larger than this where it skips np.errstate:
+# e^600 times the eig route's coefficients (|v^-1 v0| <= _COND_LIMIT |v0|)
+# stays far below the float limit
+_QUIET_EXPONENT = 600.0
 # rows per expm anchor in _anchored_rows
 _BLOCK = 64
 
@@ -248,6 +260,8 @@ class Trajectory:
     modes    (w, v, v^-1 v0), the eigenvalues and eigenvectors of the block
              and the initial coordinates in that basis, on the eig route;
              None on the expm route
+    terms    the (6, N) row terms of :func:`_row_terms`, from which
+             ``propagate`` checked every row; None for rows it did not check
     """
 
     times: np.ndarray
@@ -256,15 +270,24 @@ class Trajectory:
     generator: Generator
     initial_state: XState
     modes: tuple | None = field(repr=False)
+    terms: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def method(self):
         """The route of every row, "eig" or "expm"."""
         return "eig" if self.modes is not None else "expm"
 
-    # as in propagate, rates near the float limit may overflow rate x tau;
-    # _propagated_state refuses a result that is not a state
-    @np.errstate(over="ignore", invalid="ignore")
+    @functools.cached_property
+    def quiet_until(self):
+        """The time up to which no exponent that :meth:`state_at` forms on
+        the eig route exceeds ``_QUIET_EXPONENT``, so that it needs no numpy
+        error-state context there; 0.0 on the expm route."""
+        if self.modes is None:
+            return 0.0
+        scale = max(float(np.abs(self.modes[0]).max()),
+                    abs(self.generator.rate_ge))
+        return _QUIET_EXPONENT / scale if scale else math.inf
+
     def state_at(self, tau):
         """Exact state at an arbitrary time; ValueError if ``tau`` is
         negative or not finite.
@@ -276,6 +299,14 @@ class Trajectory:
         if not 0.0 <= tau < math.inf:
             raise ValueError(
                 f"tau must be finite and non-negative, got {float(tau)!r}")
+        if tau <= self.quiet_until:
+            return self._state_at(tau)
+        # as in propagate, rates near the float limit may overflow rate x
+        # tau; _propagated_state refuses a result that is not a state
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._state_at(tau)
+
+    def _state_at(self, tau):
         s0 = self.initial_state
         ge = s0.rho_ge * np.exp(self.generator.rate_ge * tau)
         if tau == 0.0:
@@ -288,7 +319,10 @@ class Trajectory:
             if (abs(p_g + p_e + p_a + p_s - (s0.pG + s0.pE + s0.pA + s0.pS))
                     <= _TRACE_GUARD):
                 return _state(tau, p_g, p_e, p_a, p_s, re_as, im_as, ge)
-        vec = expm(self.generator.block_pop * tau) @ s0.vector()
+        # quiet_until bounds the eig route's exponents, not the exponential's
+        # own squarings
+        with np.errstate(over="ignore", invalid="ignore"):
+            vec = expm(self.generator.block_pop * tau) @ s0.vector()
         return _propagated_state(vec, ge, tau)
 
 
@@ -338,40 +372,94 @@ def _anchored_rows(m, v0, times):
     return out[:n]
 
 
-def _validate_rows(times, vectors, rho_ge, trace=None):
+def _row_terms(series, rho_ge):
+    """The row terms of the (6, N) coordinate ``series`` and the (N,)
+    ``rho_ge``, as one (6, N) array with rows
+
+        s_ge   pG + pE, the trace of the outer (G, E) block
+        total  pA + pS, the trace of the inner (A, S) block
+        rad1   (pA - pS)^2 + 4 (Im rho_AS)^2, the radicand of K1
+        rad2   (pA + pS)^2 - 4 (Re rho_AS)^2, the radicand of K2
+        prod   pG pE
+        ge     |rho_GE|
+
+    K's four terms by the operations, in the order, of
+    ``entanglement._k_values``, so that K formed from them has its bits.
+    """
+    p_g, p_e, p_a, p_s, re_as, im_as = series
+    terms = np.empty((6, len(rho_ge)))
+    s_ge, total, rad1, rad2, prod, ge = terms
+    np.add(p_g, p_e, out=s_ge)
+    np.add(p_a, p_s, out=total)
+    np.subtract(p_a, p_s, out=rad1)
+    rad1 *= rad1
+    square = np.multiply(im_as, im_as)
+    square *= 4.0
+    rad1 += square
+    np.multiply(total, total, out=rad2)
+    np.multiply(re_as, re_as, out=square)
+    square *= 4.0
+    rad2 -= square
+    np.multiply(p_g, p_e, out=prod)
+    np.abs(rho_ge, out=ge)
+    return terms
+
+
+def _validate_rows(times, series, rho_ge, terms, trace_checked=False):
     """Apply the :class:`XState` checks to every row at once.
 
-    ``trace`` is the rows' population sum, added left to right, when the
-    caller has it already.  The trace and population tests are the scalar
-    ones; the closed-form minimum eigenvalue is screened with a margin that
-    covers the ulp-level gap between a plain square root and ``math``'s
-    hypot.  Three whole-array reductions (worst trace drift, least
-    population, least block eigenvalue) pass a trajectory whose every row
-    passes; when one of them fails, NaN included, the rows are screened one
-    by one and every flagged row is rebuilt as an :class:`XState`, whose own
-    checks decide and raise.
+    ``terms`` are the rows' :func:`_row_terms`.  ``trace_checked`` says
+    that the caller has already bounded every row's |pG + pE + pA + pS - 1|
+    within ``_TRACE_TOL``; otherwise the population sums, added left to
+    right, get the scalar test.
+
+    The rest is one screen per 2x2 block of the X state, with t =
+    ``_SCREEN_TOL``.  A block of trace T, determinant D and eigenvalues
+    l- <= l+ has (l- + t)(l+ + t) = D + t (T + t); with T >= -2t,
+    l+ + t >= 0, so the product is non-negative exactly when l- >= -t.  The
+    outer block has T = s_ge and D = prod - ge^2; the inner block T = total
+    and 4D = rad2 - rad1.  Each population is a diagonal entry of its block
+    (in the A, S basis for the inner one), so it lies between l- and l+,
+    and the screen needs no population test of its own.  Rounding moves
+    each product by at most 5u times the sum of its terms' magnitudes (u =
+    2^-53), which moves l- by at most 10u l+ <= 1.2e-15, since l+ <= 1 +
+    3 _POS_TOL on a row that passes; XState's closed form of l- is within
+    4u of it.  So a row the screen passes has an eigenvalue above -_POS_TOL
+    + _EIG_SCREEN_MARGIN - 1.7e-15 and passes XState.
+
+    Whole-array reductions pass a trajectory whose every row passes: each
+    block's least T, then its least D against -t (T_min + t), which is
+    stricter than every row's own -t (T + t).  When one of them fails, NaN
+    included, the rows are screened one by one, and every flagged row is
+    rebuilt as an :class:`XState`, whose own checks decide and raise.
     """
-    p_g, p_e, p_a, p_s, re_as, im_as = vectors.T
-    if trace is None:
-        trace = p_g + p_e + p_a + p_s
-    half_ge = 0.5 * (p_g - p_e)
-    half_as = 0.5 * (p_s - p_a)
-    outer = 0.5 * (p_g + p_e) - np.sqrt(half_ge * half_ge
-                                        + rho_ge.real * rho_ge.real
-                                        + rho_ge.imag * rho_ge.imag)
-    inner = 0.5 * (p_a + p_s) - np.sqrt(half_as * half_as + re_as * re_as
-                                        + im_as * im_as)
-    eig_floor = -_POS_TOL + _EIG_SCREEN_MARGIN
-    if (np.max(np.abs(trace - 1.0)) <= _TRACE_TOL
-            and vectors[:, :4].min() >= -_POS_TOL
-            and outer.min() >= eig_floor and inner.min() >= eig_floor):
+    s_ge, total, rad1, rad2, prod, ge = terms
+    t = _SCREEN_TOL
+    trace = None
+    if not trace_checked:
+        trace = s_ge + series[2]
+        trace += series[3]
+        trace -= 1.0
+        np.abs(trace, out=trace)
+        trace_checked = trace.max() <= _TRACE_TOL
+    dets = np.empty((2, len(rho_ge)))
+    det_out, det_in = dets      # D and 4D
+    np.multiply(ge, ge, out=det_out)
+    np.subtract(prod, det_out, out=det_out)
+    np.subtract(rad2, rad1, out=det_in)
+    t_out, t_in = float(s_ge.min()), float(total.min())
+    if (trace_checked and t_out >= -2.0 * t and t_in >= -2.0 * t
+            and det_out.min() >= -t * (t_out + t)
+            and det_in.min() >= -4.0 * t * (t_in + t)):
         return
-    ok = ((np.abs(trace - 1.0) <= _TRACE_TOL)
-          & (p_g >= -_POS_TOL) & (p_e >= -_POS_TOL)
-          & (p_a >= -_POS_TOL) & (p_s >= -_POS_TOL)
-          & (np.minimum(outer, inner) >= eig_floor))
+    det_out += t * (s_ge + t)
+    det_in += 4.0 * t * (total + t)
+    ok = ((s_ge >= -2.0 * t) & (total >= -2.0 * t)
+          & (det_out >= 0.0) & (det_in >= 0.0))
+    if trace is not None:
+        ok &= trace <= _TRACE_TOL
     for i in np.flatnonzero(~ok):
-        _propagated_state(vectors[i], rho_ge[i], times[i])
+        _propagated_state(series[:, i], rho_ge[i], times[i])
 
 
 def sample_times(times):
@@ -380,7 +468,7 @@ def sample_times(times):
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-D sequence")
-    if times[0] < 0 or np.any(times[1:] < times[:-1]):
+    if times[0] < 0 or (times[1:] < times[:-1]).any():
         raise ValueError("times must be non-negative and ascending")
     return times
 
@@ -403,6 +491,7 @@ def propagate(gen, s0, times):
     tr0 = s0.pG + s0.pE + s0.pA + s0.pS
     # times ascend, so the zero times are a prefix
     n0 = int(np.searchsorted(times, 0.0, side="right"))
+    rho_ge = s0.rho_ge * np.exp(gen.rate_ge * times)
     modes = None
     w, v = np.linalg.eig(m)
     try:
@@ -420,22 +509,27 @@ def propagate(gen, s0, times):
         np.exp(e, out=e)
         e *= coeff[:, None]
         series = np.ascontiguousarray((v @ e).real)
-        # left to right, as state_at adds the populations; the one sum
-        # serves the route check here and the row checks below
-        trace = series[0] + series[1] + series[2] + series[3]
-        drift = trace[n0:] - tr0
-        np.abs(drift, out=drift)
-        # NaN fails the test, and a grid of zero times alone passes it
-        if drift.max(initial=0.0) <= _TRACE_GUARD:
+        del e
+        series[:, :n0] = v0[:, None]
+        terms = _row_terms(series, rho_ge)
+        # pG + pE + pA + pS left to right, as state_at adds them; the zero
+        # times' sum is tr0 itself
+        trace = terms[0] + series[2]
+        trace += series[3]
+        # rounding is monotone, so these are the largest drifts of either
+        # sign, as |trace - tr0| row by row would find; NaN fails the test
+        if (trace.max() - tr0 <= _TRACE_GUARD
+                and tr0 - trace.min() <= _TRACE_GUARD):
             modes = (w, v, coeff)
-            trace[:n0] = tr0
     if modes is None:
         series = np.ascontiguousarray(_anchored_rows(m, v0, times).T)
-        trace = None
-    series[:, :n0] = v0[:, None]
-    rows = series.T
-
-    rho_ge = s0.rho_ge * np.exp(gen.rate_ge * times)
-    _validate_rows(times, rows, rho_ge, trace)
-    return Trajectory(times=times, vectors=rows, rho_ge=rho_ge, generator=gen,
-                      initial_state=s0, modes=modes)
+        series[:, :n0] = v0[:, None]
+        terms = _row_terms(series, rho_ge)
+    # on the eig route every row's population sum lies within the drift
+    # guard of tr0 (an exact difference, by Sterbenz), so the guard and tr0's
+    # own distance from 1 bound each row's distance from 1
+    _validate_rows(times, series, rho_ge, terms, modes is not None and
+                   abs(tr0 - 1.0) <= _TRACE_TOL - _TRACE_GUARD)
+    return Trajectory(times=times, vectors=series.T, rho_ge=rho_ge,
+                      generator=gen, initial_state=s0, modes=modes,
+                      terms=terms)

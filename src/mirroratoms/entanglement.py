@@ -3,7 +3,10 @@
 For X-form states the concurrence reduces to max{0, K1, K2} with two
 explicit radicals, the X-state form of Wootters' spin-flip concurrence
 (PRL 80, 2245 (1998)); for one state or a whole trajectory, K1 and K2 are
-exact to a few ulps of their terms.  Death/birth/revival times are found
+exact to a few ulps of their terms.  A trajectory's K1 and K2 come from the
+row terms that ``propagate`` computed for its row checks (pA + pS, the two
+radicands, pG pE and |rho_GE|), so the rows are read once for both.
+Death/birth/revival times are found
 by bracketing sign changes of the smooth quantity max{K1, K2} on a dense
 sample grid and refining by bisection on exactly propagated states; the
 maximum of C is polished by golden-section search, with or without the
@@ -12,13 +15,14 @@ crossings.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _EIG_SCREEN_MARGIN, _POS_TOL, propagate
+from .dynamics import _EIG_SCREEN_MARGIN, _POS_TOL, _row_terms, propagate
 
 # bisection and golden-section tolerance of event refinement, Gamma0*tau
 REFINE_TOL = 1e-6
@@ -47,26 +51,35 @@ def _k_values(s):
 
 
 def _k_arrays(traj):
-    """K1, K2 of every sample of ``traj`` at once.
+    """K1, K2 of every sample of ``traj`` at once, from its row terms.
 
     The operations of :func:`_k_values`, with |rho_GE| from ``np.abs``, so
     each K lies within the same few-ulp bound of its exact value.  Where
     rho_GE is 0 (every trajectory from a G, E, A or S start) the two forms
-    give the same bytes.
+    give the same bytes.  Every row of a propagated trajectory passed the
+    :class:`~mirroratoms.dynamics.XState` checks, whose eigenvalue floor
+    gives K2's radicand the floor that :func:`_k_values` tests (see there);
+    only rows that ``propagate`` did not check are tested here.
     """
-    p_g, p_e, p_a, p_s, re_as, im_as = traj.vectors.T
-    gap, total = p_a - p_s, p_a + p_s
-    rad1 = gap * gap + 4.0 * (im_as * im_as)
-    rad2 = total * total - 4.0 * (re_as * re_as)
-    tol = _POS_TOL + _EIG_SCREEN_MARGIN
-    bad = np.flatnonzero(rad2 < -4.0 * tol * (total + tol))
-    if len(bad):
-        raise ValueError(f"negative radicand {float(rad2[bad[0]])}: "
-                         "upstream positivity violation")
-    rad2 = np.maximum(rad2, 0.0)
-    prod = np.maximum(p_g * p_e, 0.0)
-    k1 = np.sqrt(rad1) - 2.0 * np.sqrt(prod)
-    k2 = 2.0 * np.abs(traj.rho_ge) - np.sqrt(rad2)
+    terms = traj.terms
+    if terms is None:
+        terms = _row_terms(traj.vectors.T, traj.rho_ge)
+        total, rad2 = terms[1], terms[3]
+        tol = _POS_TOL + _EIG_SCREEN_MARGIN
+        bad = np.flatnonzero(rad2 < -4.0 * tol * (total + tol))
+        if len(bad):
+            raise ValueError(f"negative radicand {float(rad2[bad[0]])}: "
+                             "upstream positivity violation")
+    _, _, rad1, rad2, prod, ge = terms
+    k1 = np.sqrt(rad1)
+    root = np.maximum(prod, 0.0)
+    np.sqrt(root, out=root)
+    root *= 2.0
+    k1 -= root
+    k2 = np.multiply(ge, 2.0)
+    np.maximum(rad2, 0.0, out=root)
+    np.sqrt(root, out=root)
+    k2 -= root
     return k1, k2
 
 
@@ -80,7 +93,7 @@ def concurrence_curve(traj):
     """Concurrence samples along a trajectory."""
     k1, k2 = _k_arrays(traj)
     # fmax passes over a NaN branch, as Python's max does
-    return np.fmax(np.fmax(0.0, k1), k2)
+    return np.fmax(np.fmax(0.0, k1, out=k1), k2, out=k1)
 
 
 @dataclass(frozen=True)
@@ -148,7 +161,7 @@ def _kvals(traj):
     if len(traj.times) < 2:
         raise ValueError("need at least two samples")
     k1, k2 = _k_arrays(traj)
-    return np.fmax(k1, k2)
+    return np.fmax(k1, k2, out=k1)
 
 
 def _refined_max(traj, kvals, refine_tol):
@@ -247,7 +260,16 @@ def scan_size(horizon, step):
     return max(math.ceil(horizon / step), 2) + 1
 
 
+@functools.lru_cache(maxsize=16)
+def _scan_grid(horizon, n):
+    """``np.linspace(0.0, horizon, n)``, built once and read-only, since
+    every point of a sweep and its free-space companion share it."""
+    times = np.linspace(0.0, horizon, n)
+    times.flags.writeable = False
+    return times
+
+
 def scan_trajectory(generator, s0, horizon, step=1e-2):
     """Propagate on a uniform grid suited for event analysis."""
-    times = np.linspace(0.0, horizon, scan_size(horizon, step))
-    return propagate(generator, s0, times)
+    return propagate(generator, s0,
+                     _scan_grid(horizon, scan_size(horizon, step)))

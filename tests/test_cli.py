@@ -441,6 +441,38 @@ def test_sweep_without_preset_or_spec_is_a_config_error(capsys):
                                        "or --spec is required\n")
 
 
+def test_an_empty_spec_path_is_named(tmp_path, capsys, monkeypatch):
+    # --spec= gives a spec path, the empty one, and no file has that path
+    monkeypatch.chdir(tmp_path)
+    rc = run_cli("sweep", "--spec=")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("configuration error: cannot read spec file : ")
+    assert err.endswith(": ''\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_coeffs_format_without_an_output_is_a_config_error(
+        source, tmp_path, capsys, monkeypatch):
+    # coeffs prints its rates and writes a file only to --output, so a format
+    # alone would be accepted and never used
+    monkeypatch.chdir(tmp_path)
+    if source == "flag":
+        argv = ["--format", "json"]
+    else:
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"output_format": "csv"}))
+        argv = ["--config", str(cfg_file)]
+    rc = run_cli("coeffs", *argv)
+    assert (rc, capsys.readouterr()) == (
+        1, ("", "configuration error: output_format (--format) needs "
+                "output_path (--output): coeffs writes a file only there\n"))
+    out = tmp_path / "rates.json"
+    assert run_cli("coeffs", *argv, "--output", str(out)) == 0
+    assert out.exists()
+
+
 def test_sweep_spec_rejects_unknown_keys(tmp_path, capsys):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps({"axis": "time", "values": [0],

@@ -2,11 +2,12 @@
 positivity preservation, and the steady state the generator's kernel
 gives."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
@@ -552,15 +553,97 @@ def test_row_screen_falls_back_to_the_failing_row(fault, message):
     # the message the per-row path gives for that row alone
     with pytest.raises(dy.PropagationError) as one:
         dy._propagated_state(rows[i], traj.rho_ge[i], times[i])
-    # propagate hands the row checks the population sum it has already added
-    shared = rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
-    for trace in (None, shared):
+    series = np.ascontiguousarray(rows.T)
+    terms = dy._row_terms(series, traj.rho_ge)
+    # on the eig route propagate tells the row checks that its drift bound
+    # has checked the trace already
+    for trace_checked in (False, True) if fault != "trace" else (False,):
         with pytest.raises(dy.PropagationError) as whole:
-            dy._validate_rows(times, rows, traj.rho_ge, trace)
+            dy._validate_rows(times, series, traj.rho_ge, terms,
+                              trace_checked)
         assert str(whole.value) == str(one.value)
         assert message in str(whole.value)
         assert str(whole.value).endswith(
             f" at gamma0_tau = {float(times[i])!r}")
+
+
+def _block(lam_lo, lam_hi, theta, phi):
+    """(diagonal, diagonal, off-diagonal) of the 2x2 block with eigenvalues
+    lam_lo, lam_hi whose first eigenvector is (cos theta, sin theta e^{i phi})."""
+    c, s = math.cos(theta) ** 2, math.sin(theta) ** 2
+    off = (lam_lo - lam_hi) * math.sin(theta) * math.cos(theta)
+    return (lam_lo * c + lam_hi * s, lam_lo * s + lam_hi * c,
+            off * complex(math.cos(phi), math.sin(phi)))
+
+
+def _row_near_the_floor(inner, k, lam_hi, theta, phi, split, theta2, phi2):
+    """(series, rho_ge) of one row whose inner or outer block has the least
+    eigenvalue -k _POS_TOL; the other block is a state on the rest of the
+    trace."""
+    lam_lo = -k * dy._POS_TOL
+    near = _block(lam_lo, lam_hi, theta, phi)
+    rest = 1.0 - lam_lo - lam_hi
+    other = _block(split * rest, (1.0 - split) * rest, theta2, phi2)
+    (p_a, p_s, as_), (p_g, p_e, ge) = (near, other) if inner else (other, near)
+    series = np.array([[p_g], [p_e], [p_a], [p_s], [as_.real], [as_.imag]])
+    return series, np.array([ge])
+
+
+@settings(max_examples=300, deadline=None)
+@given(inner=st.booleans(), k=st.floats(-2.0, 4.0),
+       lam_hi=st.floats(0.0, 0.999), theta=st.floats(0.0, math.pi / 2),
+       phi=st.floats(0.0, 2 * math.pi), split=st.floats(0.0, 1.0),
+       theta2=st.floats(0.0, math.pi / 2), phi2=st.floats(0.0, 2 * math.pi))
+# just above the screen's floor, -_POS_TOL + _EIG_SCREEN_MARGIN
+@example(inner=True, k=1.0 - 1.2e-4, lam_hi=0.5, theta=0.3, phi=0.0,
+         split=0.5, theta2=0.0, phi2=0.0)
+@example(inner=False, k=1.0 - 1.2e-4, lam_hi=0.999, theta=1.2, phi=1.0,
+         split=0.5, theta2=0.0, phi2=0.0)
+# between the screen's floor and XState's
+@example(inner=True, k=1.0 - 5e-5, lam_hi=0.5, theta=0.3, phi=0.0,
+         split=0.5, theta2=0.0, phi2=0.0)
+@example(inner=False, k=1.0 - 5e-5, lam_hi=0.5, theta=0.3, phi=1.0,
+         split=0.5, theta2=0.0, phi2=0.0)
+# just past XState's floor, with a block trace below zero
+@example(inner=True, k=1.0 + 1e-9, lam_hi=0.0, theta=0.7, phi=0.0,
+         split=0.5, theta2=0.0, phi2=0.0)
+@example(inner=False, k=1.0 + 1e-9, lam_hi=0.5 * dy._POS_TOL, theta=0.0,
+         phi=0.0, split=0.2, theta2=0.4, phi2=2.0)
+def test_the_row_screen_accepts_only_rows_xstate_accepts(
+        inner, k, lam_hi, theta, phi, split, theta2, phi2):
+    """Whenever the whole-row screen of _validate_rows accepts a row without
+    rebuilding it, XState accepts the row too, for rows whose least block
+    eigenvalue lies within a few _POS_TOL of XState's floor."""
+    series, rho_ge = _row_near_the_floor(inner, k, lam_hi, theta, phi,
+                                         split, theta2, phi2)
+    rebuilt = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dy, "_propagated_state",
+                   lambda *args: rebuilt.append(args))
+        dy._validate_rows(np.array([1.0]), series, rho_ge,
+                          dy._row_terms(series, rho_ge))
+    if not rebuilt:
+        dy._propagated_state(series[:, 0], rho_ge[0], 1.0)
+
+
+def test_a_row_just_past_the_eigenvalue_floor_is_named():
+    times = np.linspace(0.0, 40.0, 4001)
+    traj = dy.propagate(dy.build_generator(coeffs(a3=0.12)),
+                        dy.XState.excited(), times)
+    series = np.ascontiguousarray(traj.vectors.T)
+    rho_ge = traj.rho_ge.copy()
+    # an outer block whose least eigenvalue is -1.0001e-10, beyond XState's
+    # floor by ten times the screen margin: the row checks name the row as
+    # XState does
+    row, ge = _row_near_the_floor(False, 1.0001, 0.4, 0.3, 0.5, 0.25, 0.2,
+                                  1.0)
+    series[:, 2000], rho_ge[2000] = row[:, 0], ge[0]
+    with pytest.raises(dy.PropagationError) as exc:
+        dy._validate_rows(times, series, rho_ge,
+                          dy._row_terms(series, rho_ge))
+    assert str(exc.value) == (
+        "state not positive (min eigenvalue -1.0001000028125873e-10) at "
+        "gamma0_tau = 20.0")
 
 
 def test_row_screen_rebuilds_no_state_of_a_valid_trajectory(monkeypatch):

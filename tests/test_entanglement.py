@@ -174,6 +174,47 @@ def test_array_concurrence_equals_scalar_bit_for_bit(rng):
     assert en.concurrence_curve(odd).tolist() == scalar == [0.0]
 
 
+def _reference_k_arrays(traj):
+    """K1, K2 of every row, by the whole-array formulas that served before
+    the row terms were shared with the row checks."""
+    p_g, p_e, p_a, p_s, re_as, im_as = traj.vectors.T
+    gap, total = p_a - p_s, p_a + p_s
+    rad1 = gap * gap + 4.0 * (im_as * im_as)
+    rad2 = np.maximum(total * total - 4.0 * (re_as * re_as), 0.0)
+    prod = np.maximum(p_g * p_e, 0.0)
+    k1 = np.sqrt(rad1) - 2.0 * np.sqrt(prod)
+    k2 = 2.0 * np.abs(traj.rho_ge) - np.sqrt(rad2)
+    return k1, k2
+
+
+_INLINE = dy.XState(0.25, 0.25, 0.25, 0.25, rho_as=0.1 + 0.05j,
+                    rho_ge=0.1 - 0.2j)
+
+
+@pytest.mark.parametrize("ratios, state, method", [
+    *(((0.5, 1.0, 0.5), s, "eig") for s in ("G", "E", "A", "S", _INLINE)),
+    ((0.05, 1.0, 0.01), "E", "expm"),
+    ((0.0, 0.15, 0.5), _INLINE, "expm"),
+], ids=["eig-G", "eig-E", "eig-A", "eig-S", "eig-inline", "expm-E",
+        "expm-inline"])
+def test_k_from_the_row_terms_is_the_whole_array_formula_bit_for_bit(
+        ratios, state, method):
+    cfg = co.PhysicalConfig.from_ratios(*ratios, "vertical", d1=X, d2=X)
+    traj = en.scan_trajectory(dy.build_generator(co.assemble(cfg)),
+                              dy.XState.resolve(state), 20.0)
+    assert traj.method == method
+    k1, k2 = _reference_k_arrays(traj)
+    for got, want in ((en.concurrence_curve(traj),
+                       np.fmax(np.fmax(0.0, k1), k2)),
+                      (en._kvals(traj), np.fmax(k1, k2))):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    want = en._refined_max(traj, np.fmax(k1, k2), en.REFINE_TOL)
+    assert en.max_concurrence(traj) == want
+    if method == "eig" and state in ("E", _INLINE):
+        assert want[0] > 0.0 and 0.0 < want[1] < 20.0
+
+
 EPS = 2.0 ** -52
 # the spacing of the subnormals: an operation that underflows is off by
 # at most this much
