@@ -46,7 +46,7 @@ def _as_unit_vector(d, name):
     v = np.asarray(d, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a real 3-vector, got shape {v.shape}")
-    norm = np.linalg.norm(v)
+    norm = float(np.linalg.norm(v))
     if not abs(norm - 1.0) <= _UNIT_TOL:  # also rejects NaN components
         raise ValueError(f"{name} must be a unit vector (|{name}| = {norm!r})")
     return v

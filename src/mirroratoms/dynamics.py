@@ -14,7 +14,9 @@ every row comes from anchored scaling-and-squaring exponentials: every
 64th row is expm(M t) v0, and each row between steps from the one before
 with expm(M h) of its grid step h.  ``Trajectory.state_at`` reads the
 route, so its value never depends on earlier calls: one matrix-vector
-product on the eig route, expm(M tau) v0 on the expm route, never a row.
+product on the eig route, or expm(M tau) v0 where that product's population
+sum drifts beyond ``_TRACE_GUARD`` (the route was checked on the grid
+only), expm(M tau) v0 on the expm route, never a row.
 scipy is imported by the first exponential, so a process that stays on the
 eig route never loads it: among the figure presets only fig13, fig14, fig18
 and fig19 take the expm route.
@@ -175,9 +177,10 @@ class XState:
     def from_density_matrix(cls, rho):
         """Validate a 4x4 matrix and extract the X-form coordinates.
 
-        Rejects non-finite, non-hermitian, non-unit-trace and non-positive
-        matrices and matrices with entries off the X pattern, each beyond
-        the states' tolerance ``_POS_TOL``.
+        Rejects non-finite, non-hermitian and non-positive matrices and
+        matrices with entries off the X pattern, each beyond the states'
+        tolerance ``_POS_TOL``, and a trace beyond ``_TRACE_TOL`` of 1, the
+        tolerance of the populations' sum.
         """
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (4, 4):
@@ -186,7 +189,7 @@ class XState:
             raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(rho - rho.conj().T)) > _POS_TOL:
             raise ValueError("density matrix is not hermitian")
-        if abs(np.trace(rho).real - 1.0) > _POS_TOL:
+        if abs(np.trace(rho).real - 1.0) > _TRACE_TOL:
             raise ValueError("density matrix trace must be 1")
         if np.linalg.eigvalsh(rho).min() < -_POS_TOL:
             raise ValueError("density matrix is not positive semidefinite")
@@ -196,12 +199,13 @@ class XState:
                          [1, 0, 0, 1]], dtype=bool)
         if np.max(np.abs(rho[~mask])) > _POS_TOL:
             raise ValueError("density matrix is not of X form")
-        p_a = 0.5 * (rho[1, 1].real + rho[2, 2].real) - rho[2, 1].real
-        p_s = 0.5 * (rho[1, 1].real + rho[2, 2].real) + rho[2, 1].real
-        re_as = 0.5 * (rho[2, 2].real - rho[1, 1].real)
-        im_as = rho[2, 1].imag
-        return cls(rho[0, 0].real, rho[3, 3].real, p_a, p_s,
-                   complex(re_as, im_as), complex(rho[0, 3]))
+        # Python numbers, so that the fields and XState's messages print as
+        # numbers, not numpy scalars
+        p_g, r11, r22, p_e = rho.diagonal().real.tolist()
+        r21 = complex(rho[2, 1])
+        half = 0.5 * (r11 + r22)
+        return cls(p_g, p_e, half - r21.real, half + r21.real,
+                   complex(0.5 * (r22 - r11), r21.imag), complex(rho[0, 3]))
 
 
 @dataclass(frozen=True)
@@ -405,13 +409,22 @@ def _row_terms(series, rho_ge):
     return terms
 
 
-def _validate_rows(times, series, rho_ge, terms, trace_checked=False):
+def _population_sums(series, terms):
+    """(sums, least, greatest): pG + pE + pA + pS of every row, added left to
+    right as :class:`XState` and ``state_at`` add them, and the sums' least
+    and greatest value (NaN if any sum is NaN)."""
+    sums = terms[0] + series[2]
+    sums += series[3]
+    return sums, float(sums.min()), float(sums.max())
+
+
+def _validate_rows(times, series, rho_ge, terms, sums, least, greatest):
     """Apply the :class:`XState` checks to every row at once.
 
-    ``terms`` are the rows' :func:`_row_terms`.  ``trace_checked`` says
-    that the caller has already bounded every row's |pG + pE + pA + pS - 1|
-    within ``_TRACE_TOL``; otherwise the population sums, added left to
-    right, get the scalar test.
+    ``terms`` are the rows' :func:`_row_terms`, and ``sums``, ``least`` and
+    ``greatest`` their :func:`_population_sums`.  Rounding is monotone, so
+    the least and the greatest sum decide every row's |sum - 1| <=
+    ``_TRACE_TOL`` at once.
 
     The rest is one screen per 2x2 block of the X state, with t =
     ``_SCREEN_TOL``.  A block of trace T, determinant D and eigenvalues
@@ -435,29 +448,22 @@ def _validate_rows(times, series, rho_ge, terms, trace_checked=False):
     """
     s_ge, total, rad1, rad2, prod, ge = terms
     t = _SCREEN_TOL
-    trace = None
-    if not trace_checked:
-        trace = s_ge + series[2]
-        trace += series[3]
-        trace -= 1.0
-        np.abs(trace, out=trace)
-        trace_checked = trace.max() <= _TRACE_TOL
     dets = np.empty((2, len(rho_ge)))
     det_out, det_in = dets      # D and 4D
     np.multiply(ge, ge, out=det_out)
     np.subtract(prod, det_out, out=det_out)
     np.subtract(rad2, rad1, out=det_in)
     t_out, t_in = float(s_ge.min()), float(total.min())
-    if (trace_checked and t_out >= -2.0 * t and t_in >= -2.0 * t
+    if (greatest - 1.0 <= _TRACE_TOL and 1.0 - least <= _TRACE_TOL
+            and t_out >= -2.0 * t and t_in >= -2.0 * t
             and det_out.min() >= -t * (t_out + t)
             and det_in.min() >= -4.0 * t * (t_in + t)):
         return
     det_out += t * (s_ge + t)
     det_in += 4.0 * t * (total + t)
-    ok = ((s_ge >= -2.0 * t) & (total >= -2.0 * t)
+    ok = ((np.abs(sums - 1.0) <= _TRACE_TOL)
+          & (s_ge >= -2.0 * t) & (total >= -2.0 * t)
           & (det_out >= 0.0) & (det_in >= 0.0))
-    if trace is not None:
-        ok &= trace <= _TRACE_TOL
     for i in np.flatnonzero(~ok):
         _propagated_state(series[:, i], rho_ge[i], times[i])
 
@@ -512,24 +518,17 @@ def propagate(gen, s0, times):
         del e
         series[:, :n0] = v0[:, None]
         terms = _row_terms(series, rho_ge)
-        # pG + pE + pA + pS left to right, as state_at adds them; the zero
-        # times' sum is tr0 itself
-        trace = terms[0] + series[2]
-        trace += series[3]
+        sums, least, greatest = _population_sums(series, terms)
         # rounding is monotone, so these are the largest drifts of either
-        # sign, as |trace - tr0| row by row would find; NaN fails the test
-        if (trace.max() - tr0 <= _TRACE_GUARD
-                and tr0 - trace.min() <= _TRACE_GUARD):
+        # sign; the zero times' sum is tr0 itself, and NaN fails the test
+        if greatest - tr0 <= _TRACE_GUARD and tr0 - least <= _TRACE_GUARD:
             modes = (w, v, coeff)
     if modes is None:
         series = np.ascontiguousarray(_anchored_rows(m, v0, times).T)
         series[:, :n0] = v0[:, None]
         terms = _row_terms(series, rho_ge)
-    # on the eig route every row's population sum lies within the drift
-    # guard of tr0 (an exact difference, by Sterbenz), so the guard and tr0's
-    # own distance from 1 bound each row's distance from 1
-    _validate_rows(times, series, rho_ge, terms, modes is not None and
-                   abs(tr0 - 1.0) <= _TRACE_TOL - _TRACE_GUARD)
+        sums, least, greatest = _population_sums(series, terms)
+    _validate_rows(times, series, rho_ge, terms, sums, least, greatest)
     return Trajectory(times=times, vectors=series.T, rho_ge=rho_ge,
                       generator=gen, initial_state=s0, modes=modes,
                       terms=terms)

@@ -587,6 +587,15 @@ def test_non_finite_inputs_are_config_errors(argv, message, tmp_path,
     assert "configuration error" in err and message in err
 
 
+@pytest.mark.parametrize("d1, norm", [("0,0,0", "0.0"), ("nan,0,0", "nan"),
+                                      ("1,1,0", "1.4142135623730951")])
+def test_a_dipole_off_the_unit_sphere_is_named_with_its_norm(d1, norm,
+                                                             capsys):
+    # the norm prints as a Python float, not as a numpy scalar
+    assert (run_cli("coeffs", "--d1", d1), capsys.readouterr().err) == (
+        1, f"configuration error: d1 must be a unit vector (|d1| = {norm})\n")
+
+
 # an over-fine grid is rejected before any array is allocated: at 1e300 /
 # 1e-300 horizon / sample_step overflows, and a 1e22-sample grid fails in
 # numpy

@@ -1,5 +1,5 @@
-"""Generator structure, exact propagation vs a step integrator, trace and
-positivity preservation, and the steady state the generator's kernel
+"""Generator structure, exact propagation vs a 40-digit exponential, trace
+and positivity preservation, and the steady state the generator's kernel
 gives."""
 
 import math
@@ -14,6 +14,7 @@ from scipy.linalg import expm
 
 from mirroratoms import coefficients as co
 from mirroratoms import dynamics as dy
+import shadow
 from conftest import random_x_state
 
 Y = (0.0, 1.0, 0.0)
@@ -135,6 +136,26 @@ def test_from_density_matrix_rejects_non_finite_entries():
     rho[1, 2] = rho[2, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         dy.XState.from_density_matrix(rho)
+
+
+def test_from_density_matrix_tests_the_trace_at_the_states_tolerance():
+    # a trace 5e-11 off is within the positivity tolerance but not the
+    # states' trace tolerance, and is refused as a trace
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 0] += 5e-11
+    with pytest.raises(ValueError, match="^density matrix trace must be 1$"):
+        dy.XState.from_density_matrix(rho)
+
+
+def test_a_density_matrix_state_prints_its_sum_as_a_python_float():
+    # np.trace's sum lies within _TRACE_TOL of 1, and XState's own sum, in
+    # another order, just beyond it: its message prints a Python float
+    rho = np.diag([0.255223329137664, 0.18014312470289354,
+                   0.19309603130818248, 0.3715375148522599]).astype(complex)
+    rho[1, 2] = rho[2, 1] = 0.0036555389415418756
+    with pytest.raises(ValueError) as exc:
+        dy.XState.from_density_matrix(rho)
+    assert str(exc.value) == "populations must sum to 1, got 1.000000000001"
 
 
 # ---------------------------------------------------------------------
@@ -259,29 +280,6 @@ def test_propagate_validates_times():
         dy.propagate(gen, s0, [1.0, 0.5])
 
 
-def _rk4(m, v0, t_end, dt):
-    v = v0.copy()
-    steps = int(round(t_end / dt))
-    for _ in range(steps):
-        k1 = m @ v
-        k2 = m @ (v + 0.5 * dt * k1)
-        k3 = m @ (v + 0.5 * dt * k2)
-        k4 = m @ (v + dt * k3)
-        v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return v
-
-
-def test_exact_propagation_matches_rk4():
-    cfg = co.PhysicalConfig.from_ratios(0.5, 1.0, 0.5, "vertical",
-                                        d1=(1, 0, 0), d2=(0, 1, 0))
-    gen = dy.build_generator(co.assemble(cfg))
-    s0 = dy.XState.symmetric()
-    for t_end in (1.0, 20.0):
-        exact = dy.propagate(gen, s0, [t_end]).vectors[0]
-        stepped = _rk4(gen.block_pop, s0.vector(), t_end, 1e-3)
-        assert np.max(np.abs(exact - stepped)) <= 1e-8
-
-
 def test_trace_and_positivity_along_trajectories(rng):
     for _ in range(20):
         gen = dy.build_generator(random_coeffs(rng))
@@ -368,29 +366,20 @@ def _drift_generator(a_over_omega, omega_l, alignment):
 
 _DRIFT_AT_ONCE = _drift_generator(0.0, 0.15, "vertical")
 _DRIFT_MID_SCAN = _drift_generator(0.3, 0.2, "parallel")
-
-
-def _shadow_errors(gen, s0, times, *row_sets):
-    """max_k |row[k] - (expm(M t) v0)[k]| of each row of each set at the
-    given times, the exponential taken in 40-digit arithmetic."""
-    import mpmath as mp  # only the shadow checks need 40-digit arithmetic
-
-    with mp.workdps(40):
-        m = mp.matrix(gen.block_pop.tolist())
-        v0 = mp.matrix(s0.vector().tolist())
-        exact = [mp.expm(m * t) * v0 for t in times]
-        return np.array([[float(max(abs(row[k] - e[k]) for k in range(6)))
-                          for row, e in zip(rows, exact)]
-                         for rows in row_sets])
+# a = 1/2, omega L = 1, y/L = 1/2 with x and y dipoles: a mirror generator
+# of the paper's kind, on the eig route
+_VERTICAL_XY = dy.build_generator(co.assemble(co.PhysicalConfig.from_ratios(
+    0.5, 1.0, 0.5, "vertical", d1=(1, 0, 0), d2=Y)))
 
 
 @pytest.mark.parametrize("gen, s0, method", [
     (dy.build_generator(coeffs(a3=0.12)),
      dy.XState(0.25, 0.25, 0.25, 0.25, rho_as=0.1 + 0.05j, rho_ge=0.1 - 0.2j),
      "eig"),
+    (_VERTICAL_XY, dy.XState.symmetric(), "eig"),
     (_DRIFT_AT_ONCE, dy.XState.excited(), "expm"),
     (_DRIFT_MID_SCAN, dy.XState.excited(), "expm"),
-], ids=["well_conditioned", "drift_at_once", "drift_mid_scan"])
+], ids=["well_conditioned", "vertical_xy", "drift_at_once", "drift_mid_scan"])
 def test_propagate_rows_equal_sequential_evaluation(gen, s0, method):
     times = np.linspace(0.0, 40.0, 4001)
     traj = dy.propagate(gen, s0, times)
@@ -420,10 +409,12 @@ def test_propagate_rows_equal_sequential_evaluation(gen, s0, method):
     bound = cond * 2.0 ** -52
     if method == "eig":
         bound = min(bound, 1e-15)
-    picks = sorted({*np.geomspace(1, len(times) - 1, 12).astype(int)})
-    assert len(picks) >= 10
-    errors = _shadow_errors(gen, s0, times[picks], traj.vectors[picks],
-                            forward[picks])
+    # t = 1 and t = 20 among them
+    picks = sorted({*np.geomspace(1, len(times) - 1, 12).astype(int),
+                    100, 2000})
+    assert len(picks) >= 12
+    errors = shadow.row_errors(gen, s0, times[picks], traj.vectors[picks],
+                               forward[picks])
     assert errors.max() <= bound, (errors, bound)
     if method == "expm":
         assert errors[1].max() <= 1e-14, errors
@@ -444,7 +435,7 @@ def test_ill_conditioned_eig_rows_are_within_cond_ulps(state):
     cond = np.linalg.cond(np.linalg.eig(gen.block_pop)[1])
     assert 5.0 < cond < 10.0, cond
     picks = sorted({*np.geomspace(1, len(times) - 1, 12).astype(int)})
-    errors = _shadow_errors(gen, s0, times[picks], traj.vectors[picks])
+    errors = shadow.row_errors(gen, s0, times[picks], traj.vectors[picks])
     assert errors.max() <= cond * 2.0 ** -52, (errors, cond)
 
 
@@ -466,7 +457,7 @@ def test_expm_tail_rows_are_exact(gen):
     # anchors, the rows one and 63 steps past them, the last row, and early
     # rows, where the mid-scan generator's eig route is 4e-14 to 9e-14 off
     picks = [0, 1, 2, 5, 63, 64, 88, 127, 128, 2047, 3967, len(times) - 1]
-    errors = _shadow_errors(gen, s0, times[picks], traj.vectors[picks])
+    errors = shadow.row_errors(gen, s0, times[picks], traj.vectors[picks])
     assert errors.max() <= 1e-14, errors
 
 
@@ -555,16 +546,12 @@ def test_row_screen_falls_back_to_the_failing_row(fault, message):
         dy._propagated_state(rows[i], traj.rho_ge[i], times[i])
     series = np.ascontiguousarray(rows.T)
     terms = dy._row_terms(series, traj.rho_ge)
-    # on the eig route propagate tells the row checks that its drift bound
-    # has checked the trace already
-    for trace_checked in (False, True) if fault != "trace" else (False,):
-        with pytest.raises(dy.PropagationError) as whole:
-            dy._validate_rows(times, series, traj.rho_ge, terms,
-                              trace_checked)
-        assert str(whole.value) == str(one.value)
-        assert message in str(whole.value)
-        assert str(whole.value).endswith(
-            f" at gamma0_tau = {float(times[i])!r}")
+    with pytest.raises(dy.PropagationError) as whole:
+        dy._validate_rows(times, series, traj.rho_ge, terms,
+                          *dy._population_sums(series, terms))
+    assert str(whole.value) == str(one.value)
+    assert message in str(whole.value)
+    assert str(whole.value).endswith(f" at gamma0_tau = {float(times[i])!r}")
 
 
 def _block(lam_lo, lam_hi, theta, phi):
@@ -620,8 +607,9 @@ def test_the_row_screen_accepts_only_rows_xstate_accepts(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dy, "_propagated_state",
                    lambda *args: rebuilt.append(args))
-        dy._validate_rows(np.array([1.0]), series, rho_ge,
-                          dy._row_terms(series, rho_ge))
+        terms = dy._row_terms(series, rho_ge)
+        dy._validate_rows(np.array([1.0]), series, rho_ge, terms,
+                          *dy._population_sums(series, terms))
     if not rebuilt:
         dy._propagated_state(series[:, 0], rho_ge[0], 1.0)
 
@@ -639,8 +627,9 @@ def test_a_row_just_past_the_eigenvalue_floor_is_named():
                                   1.0)
     series[:, 2000], rho_ge[2000] = row[:, 0], ge[0]
     with pytest.raises(dy.PropagationError) as exc:
-        dy._validate_rows(times, series, rho_ge,
-                          dy._row_terms(series, rho_ge))
+        terms = dy._row_terms(series, rho_ge)
+        dy._validate_rows(times, series, rho_ge, terms,
+                          *dy._population_sums(series, terms))
     assert str(exc.value) == (
         "state not positive (min eigenvalue -1.0001000028125873e-10) at "
         "gamma0_tau = 20.0")
@@ -691,6 +680,21 @@ def test_state_at_equals_from_vector_of_its_product():
             rho_ge=s0.rho_ge * np.exp(gen.rate_ge * tau))
         # repr tells -0.0 from 0.0 and a numpy scalar from a Python one
         assert repr(traj.state_at(tau)) == repr(want)
+
+
+def test_state_at_takes_the_exponential_where_the_eig_value_drifts():
+    # a grid of zero times keeps _DRIFT_AT_ONCE on the eig route, although
+    # its eig value misses the population sum by about 6e-11 at t = 5
+    s0 = dy.XState.excited()
+    traj = dy.propagate(_DRIFT_AT_ONCE, s0, [0.0, 0.0, 0.0])
+    assert traj.method == "eig"
+    w, v, coeff = traj.modes
+    drifted = (v @ (np.exp(w * 5.0) * coeff)).real
+    assert abs(drifted[:4].sum() - 1.0) > 100 * dy._TRACE_GUARD
+    got = traj.state_at(5.0).vector()
+    assert np.array_equal(
+        got, dy.expm(_DRIFT_AT_ONCE.block_pop * 5.0) @ s0.vector())
+    assert shadow.row_errors(_DRIFT_AT_ONCE, s0, [5.0], [got]).max() <= 1e-14
 
 
 def test_state_at_names_the_time_of_a_state_it_cannot_build():

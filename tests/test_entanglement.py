@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mirroratoms import coefficients as co
 from mirroratoms import dynamics as dy
 from mirroratoms import entanglement as en
+import shadow
 from conftest import concurrence_oracle, random_x_state
 
 X = (1.0, 0.0, 0.0)
@@ -161,7 +162,7 @@ def test_array_concurrence_equals_scalar_bit_for_bit(rng):
         traj = dy.propagate(gen, s0, times[::10])
         for k_pair, v, ge in zip(zip(*en._k_arrays(traj)), traj.vectors,
                                  traj.rho_ge):
-            exact = _k_exact_with_bounds(dy.XState.from_vector(v, rho_ge=ge))
+            exact = shadow.k_with_bounds(dy.XState.from_vector(v, rho_ge=ge))
             for k, (value, bound) in zip(k_pair, exact):
                 assert abs(k - value) <= bound, (k, float(value), bound)
     # a NaN coherence: Python's max passes over the NaN branch, and so
@@ -215,53 +216,6 @@ def test_k_from_the_row_terms_is_the_whole_array_formula_bit_for_bit(
         assert want[0] > 0.0 and 0.0 < want[1] < 20.0
 
 
-EPS = 2.0 ** -52
-# the spacing of the subnormals: an operation that underflows is off by
-# at most this much
-TINY = math.ulp(0.0)
-
-
-def _radical_error(rad, err):
-    """Bound on |sqrt(max(r, 0)) - sqrt(rad)| for any r within err of
-    rad >= 0: err / (sqrt(r) + sqrt(rad)), and never more than sqrt(err)."""
-    return math.sqrt(err) if rad <= err else err / math.sqrt(rad)
-
-
-def _k_exact_with_bounds(s):
-    """K1, K2 of the six floats of ``s`` in 40-digit arithmetic, with a
-    bound on the error of their double-precision evaluation.
-
-    A radicand is a sum of two squares (K1's) or a difference of two
-    (K2's); in doubles it is off by at most 3 eps times the sum of its
-    terms plus 3 TINY, and so is pG * pE by eps times itself plus TINY.
-    ``_radical_error`` carries these through the square roots.  The other
-    roundings (the roots themselves, |rho_GE| and the final difference)
-    add at most 2 eps times the sum of K's two terms plus 4 TINY.
-    """
-    import mpmath as mp  # only the accuracy test needs 40-digit arithmetic
-
-    with mp.workdps(40):
-        p_g, p_e, p_a, p_s = (mp.mpf(x) for x in (s.pG, s.pE, s.pA, s.pS))
-        re_as, im_as = mp.mpf(s.rho_as.real), mp.mpf(s.rho_as.imag)
-        squares1 = ((p_a - p_s) ** 2, 4 * im_as ** 2)
-        squares2 = ((p_a + p_s) ** 2, 4 * re_as ** 2)
-        rad1 = max(squares1[0] + squares1[1], 0)
-        rad2 = max(squares2[0] - squares2[1], 0)
-        prod = max(p_g * p_e, 0)
-        root1, root2 = mp.sqrt(rad1), mp.sqrt(rad2)
-        pe_root = 2 * mp.sqrt(prod)
-        ge = 2 * abs(mp.mpc(s.rho_ge))
-        k1, k2 = root1 - pe_root, ge - root2
-        pe_error = 2 * _radical_error(float(prod), EPS * float(prod) + TINY)
-        bound1 = (_radical_error(float(rad1),
-                                 3 * EPS * float(sum(squares1)) + 3 * TINY)
-                  + pe_error + 2 * EPS * float(root1 + pe_root) + 4 * TINY)
-        bound2 = (_radical_error(float(rad2),
-                                 3 * EPS * float(sum(squares2)) + 3 * TINY)
-                  + 2 * EPS * float(ge + root2) + 4 * TINY)
-        return (k1, bound1), (k2, bound2)
-
-
 @settings(max_examples=300, deadline=None)
 @given(p=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
        frac_as=st.floats(0.0, 1.0), frac_ge=st.floats(0.0, 1.0),
@@ -273,14 +227,14 @@ def test_k_values_are_accurate_to_a_stated_bound(p, frac_as, frac_ge,
                                                  phase_as, phase_ge):
     """K1 and K2 of a valid X state agree with the same formula evaluated
     in 40 digits on the same six floats, within the bound of
-    ``_k_exact_with_bounds``: a few ulps of their terms, and the square
+    ``shadow.k_with_bounds``: a few ulps of their terms, and the square
     root's amplification of a few ulps where a radicand nearly cancels."""
     assume(sum(p) > 0.0)
     p = np.array(p) / np.sum(p)
     rho_as = frac_as * np.sqrt(p[2] * p[3]) * np.exp(1j * phase_as)
     rho_ge = frac_ge * np.sqrt(p[0] * p[1]) * np.exp(1j * phase_ge)
     s = dy.XState(p[0], p[1], p[2], p[3], rho_as=rho_as, rho_ge=rho_ge)
-    for k, (exact, bound) in zip(en._k_values(s), _k_exact_with_bounds(s)):
+    for k, (exact, bound) in zip(en._k_values(s), shadow.k_with_bounds(s)):
         assert abs(k - exact) <= bound, (k, float(exact), bound)
 
 

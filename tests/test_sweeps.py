@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -10,7 +11,9 @@ import pytest
 
 from mirroratoms import coefficients as co
 from mirroratoms import dynamics as dy
+from mirroratoms import entanglement as en
 from mirroratoms import sweeps as sw
+import shadow
 
 X = (1.0, 0.0, 0.0)
 Y = (0.0, 1.0, 0.0)
@@ -210,35 +213,6 @@ def test_window_edge_refinement():
 
 
 # ---------------------------------------------------------------------
-# exact max-C values of points whose C is flat to round-off
-# ---------------------------------------------------------------------
-
-# Values of the per-sample implementation.  Near these maxima C is flat
-# to round-off, so max_c_time (and at a = 0 max_c itself) is set by the
-# exact arithmetic of the propagation: computing every sample with expm
-# instead of the eigendecomposition moves the first time by 1.7e-4 and
-# the last by 2.6.
-_PINNED_MAXC = {
-    ("fig16", "parallel_xy", 0.05): {
-        "max_c": 0.0004811352863983134, "max_c_time": 15.082788640215004,
-        "free_max_c": 0.0, "free_max_c_time": 0.0},
-    ("fig18", "parallel_a0", 0.15): {"max_c": 0.0, "max_c_time": 0.0},
-    ("fig20", "parallel_a0", 0.15): {
-        "max_c": 1.0762776378352669e-16, "max_c_time": 39.97},
-}
-
-
-@pytest.mark.parametrize("point", sorted(_PINNED_MAXC))
-def test_round_off_maxima_are_bit_stable(point):
-    preset, label, value = point
-    spec = next(s for s in sw.figure_presets()[preset].specs
-                if s.label == label)
-    row = sw.run_sweep(replace(spec, values=(value,))).rows[0]
-    assert row["error"] == ""
-    assert {k: row[k] for k in _PINNED_MAXC[point]} == _PINNED_MAXC[point]
-
-
-# ---------------------------------------------------------------------
 # points that output max C alone
 # ---------------------------------------------------------------------
 
@@ -303,23 +277,55 @@ def test_refined_max_c_is_exact_at_its_time():
     # vertical, a = 0, y/L = 0.275: the grid leaves the eig route at its
     # first drifting time, and a refinement past that time must not go
     # back to eig values that drift by 1e-14
-    spec = next(s for s in sw.figure_presets()["fig19"].specs
-                if s.label == "vertical_a0")
-    value = 0.275338
-    row = sw.run_sweep(replace(spec, values=(value,))).rows[0]
+    spec = _preset_point("fig19", "vertical_a0", 0.275338)
+    row = sw.run_sweep(spec).rows[0]
     assert row["error"] == ""
+    gen = dy.build_generator(co.assemble(spec.config_at(spec.values[0])))
+    exact = shadow.concurrence(gen, dy.XState.excited(), row["max_c_time"])
+    assert abs(row["max_c"] - exact) <= 1e-15
 
-    import mpmath as mp  # only this test needs 40-digit arithmetic
 
-    gen = dy.build_generator(co.assemble(spec.config_at(value)))
-    with mp.workdps(40):
-        v = (mp.expm(mp.matrix(gen.block_pop.tolist()) * row["max_c_time"])
-             * mp.matrix(dy.XState.excited().vector().tolist()))
-        p_g, p_e, p_a, p_s, re_as, im_as = v
-        # rho_GE stays 0 from |E>, so K2 <= 0 and C = max(0, K1)
-        k1 = (mp.sqrt((p_a - p_s) ** 2 + 4 * im_as ** 2)
-              - 2 * mp.sqrt(p_g * p_e))
-    assert abs(row["max_c"] - max(k1, 0)) <= 1e-15
+# ---------------------------------------------------------------------
+# max C against the 40-digit shadow where C is flat to round-off
+# ---------------------------------------------------------------------
+
+# Where C > 0, max C lies within delta = _MAXC_DELTA of the exact maximum
+# C*, and its time within max(10 REFINE_TOL, sqrt(2 delta / |C''|)) of t*,
+# since every time where C* - C <= delta may win; where the exact C is 0,
+# max C <= delta.  delta is 18 ulps of 1: each K is a difference of roots of
+# O(1) populations, and the rows lie within 1e-15 of the exact ones.  Each
+# point's columns with C* > 0:
+_SHADOW_MAXC = {
+    ("fig14", "vertical_xx", 0.5): ("max_c", "free_max_c"),
+    ("fig16", "parallel_xy", 0.05): ("max_c",),     # |C''| = 9.4e-9
+    ("fig18", "parallel_a0", 0.15): (),             # a = 0
+    ("fig20", "parallel_a0", 0.15): (),
+}
+_MAXC_DELTA = 4e-15
+
+
+@pytest.mark.parametrize("point", sorted(_SHADOW_MAXC),
+                         ids=lambda p: "-".join(map(str, p)))
+def test_max_c_lies_within_its_contract_of_the_shadow(point):
+    spec = _preset_point(*point)
+    row = sw.run_sweep(spec).rows[0]
+    assert row["error"] == ""
+    s0 = dy.XState.preset(spec.initial_state)
+    for key, boundary in (("max_c", True), ("free_max_c", False)):
+        if key not in row:
+            continue
+        gen = dy.build_generator(co.assemble(spec.config_at(point[2]),
+                                             include_boundary=boundary))
+        max_c, max_c_time = row[key], row[key + "_time"]
+        if key not in _SHADOW_MAXC[point]:
+            assert shadow.concurrence(gen, s0, max_c_time) == 0
+            assert max_c <= _MAXC_DELTA
+            continue
+        c_star, t_star, curvature = shadow.max_c(gen, s0, max_c_time)
+        window = max(10 * en.REFINE_TOL,
+                     math.sqrt(2 * _MAXC_DELTA / curvature))
+        assert abs(max_c - c_star) <= _MAXC_DELTA, (max_c, c_star)
+        assert abs(max_c_time - t_star) <= window, (max_c_time, t_star)
 
 
 # ---------------------------------------------------------------------
