@@ -23,12 +23,14 @@ and fig19 take the expm route.
 
 A trajectory is array-backed: six contiguous (N,) series of coordinates,
 read as rows through their (N, 6) transpose, and an (N,) complex array of
-rho_GE.  One pass over the rows (``_row_terms``) computes the intermediates
-that both 2x2 blocks of an X state share: pG + pE, pA + pS, K1's and K2's
-radicands, pG pE and |rho_GE|.  The row checks screen every row from them
-at once, and the trajectory keeps them, so the concurrence branches K1 and
-K2 (``entanglement``) are formed from the same arrays without a second
-pass.
+rho_GE, a scalar decay rho_GE(0) e^(rate_ge t).  From a zero start (every
+preset) rho_GE is +0 at every time, and no exponential or |rho_GE| is
+formed for it.  One pass over the rows (``_row_terms``) computes the
+intermediates that both 2x2 blocks of an X state share: pG + pE, pA + pS,
+K1's and K2's radicands, pG pE and |rho_GE|.  The row checks screen every
+row from them at once, and the trajectory keeps them, so the concurrence
+branches K1 and K2 (``entanglement``) are formed from the same arrays
+without a second pass.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ class XState:
         Rejects non-finite, non-hermitian and non-positive matrices and
         matrices with entries off the X pattern, each beyond the states'
         tolerance ``_POS_TOL``, and a trace beyond ``_TRACE_TOL`` of 1, the
-        tolerance of the populations' sum.
+        tolerance of the populations' sum, added as :class:`XState` adds it.
         """
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (4, 4):
@@ -189,7 +191,13 @@ class XState:
             raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(rho - rho.conj().T)) > _POS_TOL:
             raise ValueError("density matrix is not hermitian")
-        if abs(np.trace(rho).real - 1.0) > _TRACE_TOL:
+        # Python numbers, so that the fields and XState's messages print as
+        # numbers, not numpy scalars
+        p_g, r11, r22, p_e = rho.diagonal().real.tolist()
+        r21 = complex(rho[2, 1])
+        half = 0.5 * (r11 + r22)
+        p_a, p_s = half - r21.real, half + r21.real
+        if not abs(p_g + p_e + p_a + p_s - 1.0) <= _TRACE_TOL:
             raise ValueError("density matrix trace must be 1")
         if np.linalg.eigvalsh(rho).min() < -_POS_TOL:
             raise ValueError("density matrix is not positive semidefinite")
@@ -199,12 +207,7 @@ class XState:
                          [1, 0, 0, 1]], dtype=bool)
         if np.max(np.abs(rho[~mask])) > _POS_TOL:
             raise ValueError("density matrix is not of X form")
-        # Python numbers, so that the fields and XState's messages print as
-        # numbers, not numpy scalars
-        p_g, r11, r22, p_e = rho.diagonal().real.tolist()
-        r21 = complex(rho[2, 1])
-        half = 0.5 * (r11 + r22)
-        return cls(p_g, p_e, half - r21.real, half + r21.real,
+        return cls(p_g, p_e, p_a, p_s,
                    complex(0.5 * (r22 - r11), r21.imag), complex(rho[0, 3]))
 
 
@@ -260,7 +263,8 @@ class Trajectory:
     vectors  (N, 6) coordinates (pG, pE, pA, pS, Re rho_AS, Im rho_AS),
              the transpose of a C-contiguous (6, N) array, so that
              ``vectors.T`` holds each coordinate as one contiguous series
-    rho_ge   (N,) complex G-E coherence
+    rho_ge   (N,) complex G-E coherence rho_GE(0) e^(rate_ge t); zeros
+             from a +0 start
     modes    (w, v, v^-1 v0), the eigenvalues and eigenvectors of the block
              and the initial coordinates in that basis, on the eig route;
              None on the expm route
@@ -275,6 +279,8 @@ class Trajectory:
     initial_state: XState
     modes: tuple | None = field(repr=False)
     terms: np.ndarray | None = field(default=None, repr=False)
+    # propagate's _zero_ge: rho_GE is +0 at every time
+    _zero_ge: bool = field(default=False, repr=False)
 
     @property
     def method(self):
@@ -298,7 +304,8 @@ class Trajectory:
 
         One matrix-vector product on the eig route, expm(M tau) v0 on the
         expm route or where the eig value drifts by itself; at a grid time
-        either lies within round-off of the row, not bit for bit.
+        either lies within round-off of the row, not bit for bit.  rho_GE
+        is rho_GE(0) e^(rate_ge tau), or 0j from a +0 start.
         """
         if not 0.0 <= tau < math.inf:
             raise ValueError(
@@ -312,7 +319,8 @@ class Trajectory:
 
     def _state_at(self, tau):
         s0 = self.initial_state
-        ge = s0.rho_ge * np.exp(self.generator.rate_ge * tau)
+        ge = (0j if self._zero_ge
+              else s0.rho_ge * np.exp(self.generator.rate_ge * tau))
         if tau == 0.0:
             return _propagated_state(s0.vector(), ge, tau)
         if self.modes is not None:
@@ -328,6 +336,17 @@ class Trajectory:
         with np.errstate(over="ignore", invalid="ignore"):
             vec = expm(self.generator.block_pop * tau) @ s0.vector()
         return _propagated_state(vec, ge, tau)
+
+
+def _zero_ge(gen, s0):
+    """Whether rho_GE(0) e^(rate_ge t) is +0+0j at every t >= 0: rho_GE(0)
+    is complex +0+0j (both parts +0.0, as every preset gives) and rate_ge is
+    negative and finite, so the factor lies in [0, 1]."""
+    ge0 = s0.rho_ge
+    return (isinstance(ge0, complex) and ge0 == 0
+            and math.copysign(1.0, ge0.real) > 0.0
+            and math.copysign(1.0, ge0.imag) > 0.0
+            and -math.inf < gen.rate_ge < 0.0)
 
 
 def _state(tau, p_g, p_e, p_a, p_s, re_as, im_as, rho_ge):
@@ -378,7 +397,7 @@ def _anchored_rows(m, v0, times):
 
 def _row_terms(series, rho_ge):
     """The row terms of the (6, N) coordinate ``series`` and the (N,)
-    ``rho_ge``, as one (6, N) array with rows
+    ``rho_ge`` (None where it is +0), as one (6, N) array with rows
 
         s_ge   pG + pE, the trace of the outer (G, E) block
         total  pA + pS, the trace of the inner (A, S) block
@@ -391,7 +410,7 @@ def _row_terms(series, rho_ge):
     ``entanglement._k_values``, so that K formed from them has its bits.
     """
     p_g, p_e, p_a, p_s, re_as, im_as = series
-    terms = np.empty((6, len(rho_ge)))
+    terms = np.empty((6, series.shape[1]))
     s_ge, total, rad1, rad2, prod, ge = terms
     np.add(p_g, p_e, out=s_ge)
     np.add(p_a, p_s, out=total)
@@ -405,7 +424,10 @@ def _row_terms(series, rho_ge):
     square *= 4.0
     rad2 -= square
     np.multiply(p_g, p_e, out=prod)
-    np.abs(rho_ge, out=ge)
+    if rho_ge is None:
+        ge.fill(0.0)
+    else:
+        np.abs(rho_ge, out=ge)
     return terms
 
 
@@ -421,24 +443,25 @@ def _population_sums(series, terms):
 def _validate_rows(times, series, rho_ge, terms, sums, least, greatest):
     """Apply the :class:`XState` checks to every row at once.
 
-    ``terms`` are the rows' :func:`_row_terms`, and ``sums``, ``least`` and
-    ``greatest`` their :func:`_population_sums`.  Rounding is monotone, so
-    the least and the greatest sum decide every row's |sum - 1| <=
-    ``_TRACE_TOL`` at once.
+    ``rho_ge`` is None where it is +0 at every time, ``terms`` are the rows'
+    :func:`_row_terms`, and ``sums``, ``least`` and ``greatest`` their
+    :func:`_population_sums`.  Rounding is monotone, so the least and the
+    greatest sum decide every row's |sum - 1| <= ``_TRACE_TOL`` at once.
 
     The rest is one screen per 2x2 block of the X state, with t =
     ``_SCREEN_TOL``.  A block of trace T, determinant D and eigenvalues
     l- <= l+ has (l- + t)(l+ + t) = D + t (T + t); with T >= -2t,
     l+ + t >= 0, so the product is non-negative exactly when l- >= -t.  The
-    outer block has T = s_ge and D = prod - ge^2; the inner block T = total
-    and 4D = rad2 - rad1.  Each population is a diagonal entry of its block
-    (in the A, S basis for the inner one), so it lies between l- and l+,
-    and the screen needs no population test of its own.  Rounding moves
-    each product by at most 5u times the sum of its terms' magnitudes (u =
-    2^-53), which moves l- by at most 10u l+ <= 1.2e-15, since l+ <= 1 +
-    3 _POS_TOL on a row that passes; XState's closed form of l- is within
-    4u of it.  So a row the screen passes has an eigenvalue above -_POS_TOL
-    + _EIG_SCREEN_MARGIN - 1.7e-15 and passes XState.
+    outer block has T = s_ge and D = prod - ge^2 (prod itself where rho_GE
+    is +0); the inner block T = total and 4D = rad2 - rad1.  Each
+    population is a diagonal entry of its block (in the A, S basis for the
+    inner one), so it lies between l- and l+, and the screen needs no
+    population test of its own.  Rounding moves each product by at most 5u
+    times the sum of its terms' magnitudes (u = 2^-53), which moves l- by at
+    most 10u l+ <= 1.2e-15, since l+ <= 1 + 3 _POS_TOL on a row that
+    passes; XState's closed form of l- is within 4u of it.  So a row the
+    screen passes has an eigenvalue above -_POS_TOL + _EIG_SCREEN_MARGIN -
+    1.7e-15 and passes XState.
 
     Whole-array reductions pass a trajectory whose every row passes: each
     block's least T, then its least D against -t (T_min + t), which is
@@ -448,24 +471,24 @@ def _validate_rows(times, series, rho_ge, terms, sums, least, greatest):
     """
     s_ge, total, rad1, rad2, prod, ge = terms
     t = _SCREEN_TOL
-    dets = np.empty((2, len(rho_ge)))
-    det_out, det_in = dets      # D and 4D
-    np.multiply(ge, ge, out=det_out)
-    np.subtract(prod, det_out, out=det_out)
-    np.subtract(rad2, rad1, out=det_in)
+    # D and 4D; D is prod itself where rho_GE is +0
+    det_out = prod if rho_ge is None else np.subtract(prod, ge * ge)
+    det_in = np.subtract(rad2, rad1)
     t_out, t_in = float(s_ge.min()), float(total.min())
     if (greatest - 1.0 <= _TRACE_TOL and 1.0 - least <= _TRACE_TOL
             and t_out >= -2.0 * t and t_in >= -2.0 * t
             and det_out.min() >= -t * (t_out + t)
             and det_in.min() >= -4.0 * t * (t_in + t)):
         return
-    det_out += t * (s_ge + t)
+    # not in place: det_out may be the trajectory's prod
+    det_out = det_out + t * (s_ge + t)
     det_in += 4.0 * t * (total + t)
     ok = ((np.abs(sums - 1.0) <= _TRACE_TOL)
           & (s_ge >= -2.0 * t) & (total >= -2.0 * t)
           & (det_out >= 0.0) & (det_in >= 0.0))
     for i in np.flatnonzero(~ok):
-        _propagated_state(series[:, i], rho_ge[i], times[i])
+        _propagated_state(series[:, i], 0j if rho_ge is None else rho_ge[i],
+                          times[i])
 
 
 def sample_times(times):
@@ -497,7 +520,8 @@ def propagate(gen, s0, times):
     tr0 = s0.pG + s0.pE + s0.pA + s0.pS
     # times ascend, so the zero times are a prefix
     n0 = int(np.searchsorted(times, 0.0, side="right"))
-    rho_ge = s0.rho_ge * np.exp(gen.rate_ge * times)
+    ge = (None if _zero_ge(gen, s0)
+          else s0.rho_ge * np.exp(gen.rate_ge * times))
     modes = None
     w, v = np.linalg.eig(m)
     try:
@@ -517,7 +541,7 @@ def propagate(gen, s0, times):
         series = np.ascontiguousarray((v @ e).real)
         del e
         series[:, :n0] = v0[:, None]
-        terms = _row_terms(series, rho_ge)
+        terms = _row_terms(series, ge)
         sums, least, greatest = _population_sums(series, terms)
         # rounding is monotone, so these are the largest drifts of either
         # sign; the zero times' sum is tr0 itself, and NaN fails the test
@@ -526,9 +550,10 @@ def propagate(gen, s0, times):
     if modes is None:
         series = np.ascontiguousarray(_anchored_rows(m, v0, times).T)
         series[:, :n0] = v0[:, None]
-        terms = _row_terms(series, rho_ge)
+        terms = _row_terms(series, ge)
         sums, least, greatest = _population_sums(series, terms)
-    _validate_rows(times, series, rho_ge, terms, sums, least, greatest)
+    _validate_rows(times, series, ge, terms, sums, least, greatest)
+    rho_ge = np.zeros(len(times), complex) if ge is None else ge
     return Trajectory(times=times, vectors=series.T, rho_ge=rho_ge,
                       generator=gen, initial_state=s0, modes=modes,
-                      terms=terms)
+                      terms=terms, _zero_ge=ge is None)

@@ -50,6 +50,17 @@ def _k_values(s):
     return k1, k2
 
 
+def _k1(terms):
+    """K1 of every row, from its row terms, as :func:`_k_arrays` forms it."""
+    rad1, prod = terms[2], terms[4]
+    k1 = np.sqrt(rad1)
+    root = np.maximum(prod, 0.0)
+    np.sqrt(root, out=root)
+    root *= 2.0
+    k1 -= root
+    return k1
+
+
 def _k_arrays(traj):
     """K1, K2 of every sample of ``traj`` at once, from its row terms.
 
@@ -70,14 +81,10 @@ def _k_arrays(traj):
         if len(bad):
             raise ValueError(f"negative radicand {float(rad2[bad[0]])}: "
                              "upstream positivity violation")
-    _, _, rad1, rad2, prod, ge = terms
-    k1 = np.sqrt(rad1)
-    root = np.maximum(prod, 0.0)
-    np.sqrt(root, out=root)
-    root *= 2.0
-    k1 -= root
+    k1 = _k1(terms)
+    rad2, ge = terms[3], terms[5]
     k2 = np.multiply(ge, 2.0)
-    np.maximum(rad2, 0.0, out=root)
+    root = np.maximum(rad2, 0.0)
     np.sqrt(root, out=root)
     k2 -= root
     return k1, k2
@@ -194,8 +201,12 @@ def max_concurrence(traj, refine_tol=REFINE_TOL):
     fixed only to about 1e-4 (the plateau width), and its exact value
     depends on the last bits of every sample.  At the inertial (a = 0)
     xx points max C is itself round-off: 0 or about 1e-16.
+    Where rho_GE is +0 (every G, E, A or S start), K2 = -sqrt(rad2) <= 0,
+    so K1 alone ranks the samples, with max{K1, K2}'s argmax and maximum.
     """
-    return _refined_max(traj, _kvals(traj), refine_tol)
+    if not traj._zero_ge or len(traj.times) < 2:
+        return _refined_max(traj, _kvals(traj), refine_tol)
+    return _refined_max(traj, _k1(traj.terms), refine_tol)
 
 
 def analyze_events(traj, refine_tol=REFINE_TOL):

@@ -52,6 +52,13 @@ def random_x_state(rng):
     return XState(p_g, p_e, p_a, p_s, rho_as=as_, rho_ge=ge)
 
 
+# rho_GE(0) as +0 (which skips the product e^(rate_ge t)), the three other
+# signed zeros and a nonzero value
+GE_STARTS = {"+0+0j": complex(0.0, 0.0), "-0+0j": complex(-0.0, 0.0),
+             "+0-0j": complex(0.0, -0.0), "-0-0j": complex(-0.0, -0.0),
+             "0.1-0.2j": 0.1 - 0.2j}
+
+
 _SIGMA_Y_PAIR = np.array([
     [0, 0, 0, -1],
     [0, 0, 1, 0],

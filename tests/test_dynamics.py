@@ -15,7 +15,7 @@ from scipy.linalg import expm
 from mirroratoms import coefficients as co
 from mirroratoms import dynamics as dy
 import shadow
-from conftest import random_x_state
+from conftest import GE_STARTS, random_x_state
 
 Y = (0.0, 1.0, 0.0)
 
@@ -147,14 +147,28 @@ def test_from_density_matrix_tests_the_trace_at_the_states_tolerance():
         dy.XState.from_density_matrix(rho)
 
 
-def test_a_density_matrix_state_prints_its_sum_as_a_python_float():
-    # np.trace's sum lies within _TRACE_TOL of 1, and XState's own sum, in
-    # another order, just beyond it: its message prints a Python float
-    rho = np.diag([0.255223329137664, 0.18014312470289354,
-                   0.19309603130818248, 0.3715375148522599]).astype(complex)
-    rho[1, 2] = rho[2, 1] = 0.0036555389415418756
-    with pytest.raises(ValueError) as exc:
+# np.trace's sum of this matrix lies within _TRACE_TOL of 1, and XState's
+# sum of its populations, in XState's order, just beyond it
+_EDGE_DIAGONAL = (0.255223329137664, 0.18014312470289354,
+                  0.19309603130818248, 0.3715375148522599)
+_EDGE_RHO_12 = 0.0036555389415418756
+
+
+def test_from_density_matrix_sums_the_trace_as_the_state_does():
+    rho = np.diag(_EDGE_DIAGONAL).astype(complex)
+    rho[1, 2] = rho[2, 1] = _EDGE_RHO_12
+    assert abs(np.trace(rho).real - 1.0) <= dy._TRACE_TOL
+    # one message, the density matrix's, not a later one of the state's
+    with pytest.raises(ValueError, match="^density matrix trace must be 1$"):
         dy.XState.from_density_matrix(rho)
+
+
+def test_a_density_matrix_state_prints_its_sum_as_a_python_float():
+    # the populations that from_density_matrix extracts from the matrix
+    p_g, r11, r22, p_e = _EDGE_DIAGONAL
+    half = 0.5 * (r11 + r22)
+    with pytest.raises(ValueError) as exc:
+        dy.XState(p_g, p_e, half - _EDGE_RHO_12, half + _EDGE_RHO_12)
     assert str(exc.value) == "populations must sum to 1, got 1.000000000001"
 
 
@@ -372,6 +386,11 @@ _VERTICAL_XY = dy.build_generator(co.assemble(co.PhysicalConfig.from_ratios(
     0.5, 1.0, 0.5, "vertical", d1=(1, 0, 0), d2=Y)))
 
 
+def _bits(values):
+    """The int64 words of complex values, which tell -0.0 from 0.0."""
+    return np.array(values, dtype=complex, ndmin=1).view(np.int64)
+
+
 @pytest.mark.parametrize("gen, s0, method", [
     (dy.build_generator(coeffs(a3=0.12)),
      dy.XState(0.25, 0.25, 0.25, 0.25, rho_as=0.1 + 0.05j, rho_ge=0.1 - 0.2j),
@@ -388,7 +407,7 @@ def test_propagate_rows_equal_sequential_evaluation(gen, s0, method):
     assert traj.vectors.shape == (len(times), 6)
     assert traj.vectors.T.flags.c_contiguous
     ge = [s0.rho_ge * np.exp(gen.rate_ge * tau) for tau in times]
-    assert np.array_equal(traj.rho_ge, ge)
+    assert np.array_equal(_bits(traj.rho_ge), _bits(ge))
 
     # latest time first: a drifting late time must not change earlier ones
     backward = np.array([traj.state_at(tau).vector()
@@ -642,6 +661,42 @@ def test_row_screen_rebuilds_no_state_of_a_valid_trajectory(monkeypatch):
     traj = dy.propagate(dy.build_generator(coeffs(a3=0.12)),
                         dy.XState.excited(), np.linspace(0.0, 40.0, 4001))
     assert len(traj.vectors) == 4001 and not rebuilt
+
+
+@pytest.mark.parametrize("ge0", GE_STARTS.values(), ids=GE_STARTS)
+@pytest.mark.parametrize("gen, method", [(_VERTICAL_XY, "eig"),
+                                         (_DRIFT_AT_ONCE, "expm")],
+                         ids=["eig", "expm"])
+def test_rho_ge_is_the_product_bit_for_bit(gen, method, ge0):
+    s0 = dy.XState(0.25, 0.25, 0.5, 0.0, rho_ge=ge0)
+    times = np.linspace(0.0, 20.0, 2001)
+    traj = dy.propagate(gen, s0, times)
+    assert traj.method == method
+    assert traj.rho_ge.shape == times.shape
+    assert np.array_equal(_bits(traj.rho_ge),
+                          _bits(s0.rho_ge * np.exp(gen.rate_ge * times)))
+    for tau in (0.0, 0.37, 5.0, 19.995, 20.0):
+        want = s0.rho_ge * np.exp(gen.rate_ge * tau)
+        assert np.array_equal(_bits(traj.state_at(tau).rho_ge), _bits(want))
+
+
+@pytest.mark.parametrize("rate_ge", [1.0, np.nan, -np.inf])
+def test_a_zero_coherence_that_need_not_stay_zero_takes_the_product(rate_ge):
+    # from +0, e^(rate t) overflows at t = 800 for rate 1 and is NaN at t = 0
+    # for a NaN rate or rate -inf; 0 times either is NaN, which the row
+    # checks and state_at refuse, as they refuse every non-finite rho_GE
+    gen = dy.Generator(dy.build_generator(coeffs()).block_pop, rate_ge)
+    s0 = dy.XState.excited()
+    with pytest.raises(dy.PropagationError, match="rho_GE must be finite"):
+        dy.propagate(gen, s0, [0.0, 1.0, 800.0])
+    if rate_ge == 1.0:
+        times = np.linspace(0.0, 2.0, 21)
+        traj = dy.propagate(gen, s0, times)
+        assert np.array_equal(_bits(traj.rho_ge),
+                              _bits(s0.rho_ge * np.exp(rate_ge * times)))
+        with pytest.raises(dy.PropagationError,
+                           match="rho_GE must be finite at gamma0_tau = 800"):
+            traj.state_at(800.0)
 
 
 @pytest.mark.parametrize("coherence", ["rho_as", "rho_ge"])

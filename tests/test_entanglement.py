@@ -12,7 +12,7 @@ from mirroratoms import coefficients as co
 from mirroratoms import dynamics as dy
 from mirroratoms import entanglement as en
 import shadow
-from conftest import concurrence_oracle, random_x_state
+from conftest import GE_STARTS, concurrence_oracle, random_x_state
 
 X = (1.0, 0.0, 0.0)
 Y = (0.0, 1.0, 0.0)
@@ -214,6 +214,28 @@ def test_k_from_the_row_terms_is_the_whole_array_formula_bit_for_bit(
     assert en.max_concurrence(traj) == want
     if method == "eig" and state in ("E", _INLINE):
         assert want[0] > 0.0 and 0.0 < want[1] < 20.0
+
+
+@pytest.mark.parametrize("ge0", GE_STARTS.values(), ids=GE_STARTS)
+@pytest.mark.parametrize("ratios, method", [((0.5, 1.0, 0.5), "eig"),
+                                            ((0.0, 0.15, 0.5), "expm")],
+                         ids=["eig", "expm"])
+def test_max_c_is_the_maximum_of_both_branches_bit_for_bit(ratios, method,
+                                                           ge0):
+    # with rho_GE at +0, K1 alone ranks the samples; every start must give
+    # the bits of the maximum of max{K1, K2}
+    cfg = co.PhysicalConfig.from_ratios(*ratios, "vertical", d1=X, d2=X)
+    traj = en.scan_trajectory(dy.build_generator(co.assemble(cfg)),
+                              dy.XState(0.35, 0.35, 0.3, 0.0, rho_ge=ge0),
+                              20.0)
+    assert traj.method == method
+    want = en._refined_max(traj, np.fmax(*en._k_arrays(traj)),
+                           en.REFINE_TOL)
+    got = en.max_concurrence(traj)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    # the eig points refine an interior maximum; on the expm route only K2
+    # is positive, at t = 0 from rho_GE(0) = 0.1 - 0.2j
+    assert (want[0] > 0.0) == (method == "eig" or ge0 != 0)
 
 
 @settings(max_examples=300, deadline=None)
