@@ -493,12 +493,15 @@ def _validate_rows(times, series, rho_ge, terms, sums, least, greatest):
 
 def sample_times(times):
     """The times as a float array; ValueError unless they are a non-empty
-    1-D sequence, non-negative and ascending."""
+    1-D sequence, finite, non-negative and ascending."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-D sequence")
-    if times[0] < 0 or (times[1:] < times[:-1]).any():
-        raise ValueError("times must be non-negative and ascending")
+    # NaN fails every comparison: these three also refuse non-finite times
+    if not (times[0] >= 0 and (times[1:] >= times[:-1]).all()
+            and times[-1] < np.inf):
+        raise ValueError("times must be finite" if not np.isfinite(times).all()
+                         else "times must be non-negative and ascending")
     return times
 
 

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,15 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20180725)
+
+
+def checkout_env():
+    """The environment of a child interpreter that imports this checkout."""
+    import mirroratoms
+
+    src = str(Path(mirroratoms.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
 
 
 def random_unit_vector(rng):

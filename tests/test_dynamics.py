@@ -294,6 +294,17 @@ def test_propagate_validates_times():
         dy.propagate(gen, s0, [1.0, 0.5])
 
 
+@pytest.mark.parametrize("times", [[0.0, 1.0, np.inf], [0.0, np.nan, 1.0],
+                                   [np.nan]], ids=["inf", "nan", "only-nan"])
+def test_propagate_refuses_a_non_finite_time(times):
+    # an input error, as state_at refuses one, not a numerical failure of
+    # the rows it would propagate to NaN
+    gen = dy.build_generator(coeffs())
+    with pytest.raises(ValueError, match="^times must be finite$") as err:
+        dy.propagate(gen, dy.XState.symmetric(), times)
+    assert not isinstance(err.value, dy.PropagationError)
+
+
 def test_trace_and_positivity_along_trajectories(rng):
     for _ in range(20):
         gen = dy.build_generator(random_coeffs(rng))

@@ -5,27 +5,21 @@ those of a command-line run, not of the test process.
 """
 
 import json
-import os
 import platform
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import mirroratoms
-
-_SRC = str(Path(mirroratoms.__file__).parents[1])
+from conftest import checkout_env
 
 
 def _run_fresh(code, *args):
     """Run ``code`` in a new interpreter that imports this checkout; its
     last stdout line, read as JSON."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [_SRC, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                         env=env, check=True, capture_output=True, text=True,
-                         timeout=120)
+                         env=checkout_env(), check=True, capture_output=True,
+                         text=True, timeout=120)
     return json.loads(out.stdout.splitlines()[-1])
 
 
